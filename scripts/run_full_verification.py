@@ -10,19 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from twistlab.report import SuiteConfig, emit_report, run_suite
-
-ALL_SUITES = (
-    "core",
-    "twist-axioms",
-    "chain",
-    "nine-states",
-    "diagram",
-    "rmatrix",
-    "antipode",
-    "matreshka",
-    "transitions",
-)
+from twistlab.report import SUITE_NAMES, SuiteConfig, emit_report, run_suite
 
 
 def main() -> int:
@@ -30,7 +18,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     ok = True
     for n in (6, 7):
-        cfg = SuiteConfig(n=n, suites=ALL_SUITES)
+        cfg = SuiteConfig(n=n, suites=SUITE_NAMES)
         rep = run_suite(cfg)
         ok = ok and rep.all_passed()
         text = emit_report(rep, "text")

@@ -11,6 +11,7 @@ import sys
 from .errors import ConfigInvalid, TwistlabError
 from .expr import delta_morphism, fundamental_morphism
 from .rationals import parse_rat
+from .roots import carrier_column
 from .report import (
     SUITE_NAMES,
     SuiteConfig,
@@ -34,6 +35,13 @@ DUMPABLE = ("jordanian", "extended", "chain", "external0", "external1")
 
 def _split_csv(text):
     return [part for part in text.split(",") if part]
+
+
+def _parse(text, parse, flag):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalid(f"{flag} {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _verify_config(args) -> SuiteConfig:
     data = {}
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read --config {args.config!r}: {exc}") from exc
         cfg = config_from_dict(data)
     else:
         cfg = SuiteConfig(n=0, suites=())
@@ -83,9 +94,9 @@ def _verify_config(args) -> SuiteConfig:
     if args.suites is not None:
         cfg.suites = tuple(_split_csv(args.suites))
     if args.r is not None:
-        cfg.r_values = tuple(int(x) for x in _split_csv(args.r))
+        cfg.r_values = tuple(_parse(x, int, "--r") for x in _split_csv(args.r))
     if args.alpha is not None:
-        cfg.alpha_values = tuple(parse_rat(x) for x in _split_csv(args.alpha))
+        cfg.alpha_values = tuple(_parse(x, parse_rat, "--alpha") for x in _split_csv(args.alpha))
     if args.witness is not None:
         cfg.witness = args.witness
     if args.fmt is not None:
@@ -104,8 +115,8 @@ def _dump_twist(args) -> int:
     if args.twist == "jordanian":
         seq = sequence(jordanian_factor(n, 1))
     elif args.twist == "extended":
-        r = args.r if args.r is not None else (2 if n < 6 else 3)
-        seq = extended_twist_generic(n, r, parse_rat(args.alpha))
+        r = args.r if args.r is not None else carrier_column(n)
+        seq = extended_twist_generic(n, r, _parse(args.alpha, parse_rat, "--alpha"))
     elif args.twist == "chain":
         seq = chain_twist(n, args.p)
     elif args.twist == "external0":

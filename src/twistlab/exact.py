@@ -166,19 +166,6 @@ class SparseMatrix:
                 rows[i] = row
         return SparseMatrix(self.dim, rows)
 
-    def __pow__(self, k: int) -> "SparseMatrix":
-        if k < 0:
-            raise ValueError("negative matrix power; use inverse()")
-        out = SparseMatrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def transpose(self) -> "SparseMatrix":
         rows: dict = {}
         for i, r in self.rows.items():
@@ -282,48 +269,40 @@ def swap_matrix(d: int) -> SparseMatrix:
 # -- nilpotency and analytic series ---------------------------------------
 
 
+def _powers(m: SparseMatrix) -> Iterator[SparseMatrix]:
+    """Yield m, m^2, ... up to the last nonzero power, one product per step.
+
+    A nilpotent m of dimension d has m^d = 0, so a nonzero m^d proves that
+    m is not nilpotent.
+    """
+    power, k = m, 1
+    while not power.is_zero():
+        if k >= m.dim:
+            raise NotNilpotent(f"m^{k} != 0 for dim {m.dim}")
+        yield power
+        power = power * m
+        k += 1
+
+
 def nilpotency_index(m: SparseMatrix) -> int:
     """Smallest k with m^k = 0; raises NotNilpotent if there is none."""
-    if m.is_zero():
-        return 1
-    # Repeated squaring reaches exponent >= dim in log steps, so a nonzero
-    # result there proves non-nilpotency without a long linear scan.
-    q = m
-    exponent = 1
-    while exponent < m.dim and not q.is_zero():
-        q = q * q
-        exponent *= 2
-    if not q.is_zero():
-        raise NotNilpotent(f"m^{exponent} != 0 for dim {m.dim}")
-    p = m
-    k = 1
-    while not p.is_zero():
-        p = p * m
-        k += 1
-    return k
+    return 1 + sum(1 for _ in _powers(m))
 
 
 def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix) -> SparseMatrix:
     """Finite-series value of fn on a nilpotent matrix, exactly."""
-    index = nilpotency_index(m)
     if fn.kind == "exp":
         coeff = lambda k: rat(1, factorial(k))
-        start = 0
     elif fn.kind == "log1p":
         coeff = lambda k: rat((-1) ** (k + 1), k)
-        start = 1
     else:
         q = fn.exponent
         coeff = lambda k: binomial_general(q, k)
-        start = 0
-    out = SparseMatrix.identity(m.dim) if start == 0 else SparseMatrix.zero(m.dim)
-    power = m
-    for k in range(1, index):
+    out = SparseMatrix.zero(m.dim) if fn.kind == "log1p" else SparseMatrix.identity(m.dim)
+    for k, power in enumerate(_powers(m), 1):
         c = coeff(k)
         if c != 0:
             out = out + power.scale(c)
-        if k + 1 < index:
-            power = power * m
     return out
 
 

@@ -82,10 +82,6 @@ def mul(*factors: Expr) -> Expr:
     return Prod(tuple(flat))
 
 
-def smul(coefficient, e: Expr) -> Expr:
-    return mul(scal(coefficient), e)
-
-
 def sigma(i: int, j: int) -> Fn:
     """sigma_{ij} = log(1 + E_ij)."""
     return Fn(AnalyticFnSpec("log1p"), Gen(i, j))

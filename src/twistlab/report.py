@@ -29,7 +29,7 @@ from .hopf import (
     verify_dragging,
 )
 from .rationals import parse_rat, rat, rat_str
-from .roots import carrier_generators, cartan_element
+from .roots import carrier_column, carrier_generators, cartan_element
 from .states import (
     STATE_IDS,
     two_jordanian_table_check,
@@ -48,17 +48,19 @@ from .twists import (
     sequence,
 )
 
-SUITE_NAMES = (
-    "core",
-    "twist-axioms",
-    "chain",
-    "nine-states",
-    "diagram",
-    "rmatrix",
-    "antipode",
-    "matreshka",
-    "transitions",
-)
+# every suite with the smallest N it is defined at, in listing order
+SUITE_MIN_N = {
+    "core": 2,
+    "twist-axioms": 3,
+    "chain": 4,
+    "nine-states": 6,
+    "diagram": 6,
+    "rmatrix": 3,
+    "antipode": 3,
+    "matreshka": 4,
+    "transitions": 3,
+}
+SUITE_NAMES = tuple(SUITE_MIN_N)
 
 DEFAULT_ALPHAS = (rat(0), rat(1, 3), rat(1, 2), rat(2, 5))
 
@@ -82,18 +84,8 @@ class SuiteConfig:
         if not self.suites:
             raise ConfigInvalid("no suites requested")
         # reject instead of silently skipping: every requested check must run
-        minimum_n = {
-            "twist-axioms": 3,
-            "antipode": 3,
-            "rmatrix": 3,
-            "transitions": 3,
-            "chain": 4,
-            "matreshka": 4,
-            "nine-states": 6,
-            "diagram": 6,
-        }
         for name in self.suites:
-            need = minimum_n.get(name, 2)
+            need = SUITE_MIN_N[name]
             if self.n < need:
                 raise ConfigInvalid(f"suite {name!r} requires N >= {need}")
         if self.witness not in ("fundamental", "doubled"):
@@ -243,16 +235,12 @@ def _axiom_pair(seq: TwistSequence, witness) -> list:
     return [cocycle_check(seq, witness=witness), counit_check(seq, witness=witness)]
 
 
-def _carrier_r(n: int) -> int:
-    return 2 if n < 6 else 3
-
-
 def _named_twists(cfg: SuiteConfig) -> dict:
     n = cfg.n
     out = {"jordanian": sequence(jordanian_factor(n, 1))}
     for alpha in cfg.alpha_values:
         out[f"extended(a={rat_str(rat(alpha))})"] = extended_twist_generic(
-            n, _carrier_r(n), alpha
+            n, carrier_column(n), alpha
         )
     if n >= 4:
         out["2chain"] = chain_twist(n, 1)
@@ -263,7 +251,11 @@ def _named_twists(cfg: SuiteConfig) -> dict:
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    """Execute every requested check; failures are results, never aborts."""
+    """Execute every requested check.
+
+    A check whose identity fails is a result; a check that raises aborts the
+    run, and the CLI reports a TwistlabError with exit code 2.
+    """
     cfg.validate()
     t0 = time.perf_counter()
     w = cfg.build_witness()
@@ -276,7 +268,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if "twist-axioms" in cfg.suites:
         results.extend(_axiom_pair(sequence(jordanian_factor(n, 1)), w))
         for alpha in cfg.alpha_values:
-            seq = extended_twist_generic(n, _carrier_r(n), alpha)
+            seq = extended_twist_generic(n, carrier_column(n), alpha)
             results.extend(_axiom_pair(seq, w))
         if n >= 6:
             base = sequence(jordanian_factor(n, 1), jordanian_factor(n, 2))
@@ -312,7 +304,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if "rmatrix" in cfg.suites:
         results.append(r_matrix_checks(sequence(jordanian_factor(n, 1)), witness=w))
         results.append(
-            r_matrix_checks(extended_twist_generic(n, _carrier_r(n), rat(1, 2)), witness=w)
+            r_matrix_checks(extended_twist_generic(n, carrier_column(n), rat(1, 2)), witness=w)
         )
         if n >= 4:
             results.append(r_matrix_checks(chain_twist(n, 1), witness=w))
@@ -322,10 +314,10 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         results.append(
             antipode_checks(sequence(jordanian_factor(n, 1)), jord_gens, witness=w)
         )
-        ext_gens = list(carrier_generators(n, _carrier_r(n), rat(1, 2)))
+        ext_gens = list(carrier_generators(n, carrier_column(n), rat(1, 2)))
         results.append(
             antipode_checks(
-                extended_twist_generic(n, _carrier_r(n), rat(1, 2)), ext_gens, witness=w
+                extended_twist_generic(n, carrier_column(n), rat(1, 2)), ext_gens, witness=w
             )
         )
 
@@ -382,6 +374,10 @@ def load_matrix(path: str) -> SparseMatrix:
 
 def config_from_dict(data: dict) -> SuiteConfig:
     try:
+        # a string would be split into characters below
+        for key in ("suites", "r_values", "alpha_values"):
+            if key in data and not isinstance(data[key], list):
+                raise ConfigInvalid(f"{key!r} must be a list, got {data[key]!r}")
         return SuiteConfig(
             n=int(data["n"]),
             suites=tuple(data["suites"]),
@@ -393,5 +389,5 @@ def config_from_dict(data: dict) -> SuiteConfig:
             output=data.get("output", "text"),
             dump_dir=data.get("dump_dir"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigInvalid(f"bad config: {exc}") from exc

@@ -73,6 +73,11 @@ def chain_plan(n: int, p: int) -> ChainPlan:
     return ChainPlan(n, tuple(steps), maximal=(p == (n - 2) // 2))
 
 
+def carrier_column(n: int) -> int:
+    """Default carrier column r: 2 below N = 6, else 3 (the first state column)."""
+    return 2 if n < 6 else 3
+
+
 def carrier_generators(n: int, r: int, alpha) -> Tuple[Expr, Expr, Expr, Expr]:
     """Four-dimensional twist carrier (H', A, B, E) inside gl(N).
 

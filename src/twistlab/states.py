@@ -22,19 +22,19 @@ from .expr import (
     sigma_power,
 )
 from .hopf import CheckResult, TwistedCoalgebra, Tally, default_witness
-from .rationals import rat
-from .roots import cartan_element
+from .rationals import HALF, rat
+from .roots import carrier_column, carrier_generators, cartan_element
 from .twists import (
     TwistFactor,
     TwistSequence,
+    extended_twist_generic,
     extension_factor,
     external_factor,
+    generic_jordanian_factor,
     jordanian_factor,
     materialize_factor,
     sequence,
 )
-
-HALF = rat(1, 2)
 
 
 @dataclass(frozen=True)
@@ -317,19 +317,12 @@ def two_jordanian_table_check(n: int, witness: Morphism = None) -> CheckResult:
     co = TwistedCoalgebra(
         sequence(jordanian_factor(n, 1), jordanian_factor(n, 2)), w
     )
-
-    def expect(comb, L):
-        return eval_tensor_pairs(combinator_terms(comb, L, n), w, w)
-
+    slots = []
     for s in range(3, n - 1):
-        tally.equal(co.coproduct(gen(1, s)), expect(_P1p, gen(1, s)))
-        tally.equal(co.coproduct(gen(2, s)), expect(_P2p, gen(2, s)))
-        tally.equal(co.coproduct(gen(s, n - 1)), expect(_P2p, gen(s, n - 1)))
-        tally.equal(co.coproduct(gen(s, n)), expect(_P1p, gen(s, n)))
-    tally.equal(co.coproduct(gen(1, n - 1)), expect(_Tpp, gen(1, n - 1)))
-    tally.equal(co.coproduct(gen(1, n)), expect(_T1, gen(1, n)))
-    tally.equal(co.coproduct(gen(2, n - 1)), expect(_T2, gen(2, n - 1)))
-    tally.equal(co.coproduct(gen(2, n)), expect(_Tpp, gen(2, n)))
+        slots += [(gen(1, s), _P1p), (gen(2, s), _P2p), (gen(s, n - 1), _P2p), (gen(s, n), _P1p)]
+    slots += [(gen(1, n - 1), _Tpp), (gen(1, n), _T1), (gen(2, n - 1), _T2), (gen(2, n), _Tpp)]
+    for g, comb in slots:
+        tally.equal(co.coproduct(g), combinator_eval(comb, g, n, w))
     return tally.result()
 
 
@@ -446,7 +439,7 @@ def verify_transition_schemes(n: int, witness: Morphism = None) -> CheckResult:
         raise NotApplicable("transition schemes need N >= 3")
     w = witness if witness is not None else default_witness(n)
     tally = Tally(f"transitions[N={n}]")
-    r = 3 if n >= 6 else 2
+    r = carrier_column(n)
     one = scal(1)
     a, b, e = gen(1, r), gen(r, n), gen(1, n)
 
@@ -470,9 +463,6 @@ def verify_transition_schemes(n: int, witness: Morphism = None) -> CheckResult:
     tally.equal(co_ej.coproduct(e), expect([(e, sigma_power(1, 1, n)), (one, e)]))
 
     # generic alpha + beta = 1 scheme on the generic carrier
-    from .roots import carrier_generators
-    from .twists import extended_twist_generic, generic_jordanian_factor
-
     for alpha in (rat(1, 3), rat(2, 5)):
         beta = 1 - alpha
         hg, ag, bg, eg = carrier_generators(n, r, alpha)

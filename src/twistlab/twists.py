@@ -129,11 +129,6 @@ def chain_twist(n: int, p: int) -> TwistSequence:
     return sequence(*factors, n=n)
 
 
-def extension_block(n: int, k: int) -> Tuple[TwistFactor, ...]:
-    """All extension factors of chain step k-1 (1-based k), full constituent set."""
-    return tuple(extension_factor(n, k, r) for r in range(k + 1, n - k + 1))
-
-
 def external_factor(n: int, which: str) -> TwistFactor:
     """External twisting factors for the 2-Jordanian-twisted algebra, N > 5.
 

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -115,3 +117,46 @@ def test_tables_export_all_states():
 def test_tables_rejects_small_n():
     res = run_cli("tables", "--n", "5", "--r", "3")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "3", "--suites", "rmatrix", "--alpha", "1/0"], "--alpha '1/0'"),
+    (["--n", "3", "--suites", "rmatrix", "--alpha", "abc"], "--alpha 'abc'"),
+    (["--n", "6", "--suites", "nine-states", "--r", "x"], "--r 'x'"),
+    (["--config", "{tmp}/missing.json"], "cannot read --config"),
+    (["--config", "{tmp}/not_json.json"], "cannot read --config"),
+    (["--config", "{tmp}/string_suites.json"], "'suites' must be a list"),
+    (["--config", "{tmp}/string_alphas.json"], "'alpha_values' must be a list"),
+    (["--config", "{tmp}/zero_alpha.json"], "bad config"),
+], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
+        "config-string-suites", "config-string-alphas", "config-alpha-zero-den"])
+def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
+    from twistlab import cli
+
+    (tmp_path / "not_json.json").write_text("{n: 3")
+    (tmp_path / "string_suites.json").write_text(json.dumps({"n": 3, "suites": "core"}))
+    (tmp_path / "string_alphas.json").write_text(
+        json.dumps({"n": 3, "suites": ["rmatrix"], "alpha_values": "12"})
+    )
+    (tmp_path / "zero_alpha.json").write_text(
+        json.dumps({"n": 3, "suites": ["rmatrix"], "alpha_values": ["1/0"]})
+    )
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert cli.main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+
+
+def test_check_that_raises_aborts_with_exit_two(monkeypatch, capsys):
+    from twistlab import cli, report
+    from twistlab.errors import NotNilpotent
+
+    def raising_check(n, witness=None):
+        raise NotNilpotent("m^4 != 0 for dim 4")
+
+    monkeypatch.setattr(report, "verify_matreshka", raising_check)
+    assert cli.main(["verify", "--n", "4", "--suites", "rmatrix,matreshka"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: m^4 != 0" in captured.err

@@ -16,7 +16,7 @@ from twistlab.exact import (
     pow1p,
     swap_matrix,
 )
-from twistlab.rationals import rat
+from twistlab.rationals import factorial, rat
 
 
 def unit(dim, i, j, v=1):
@@ -70,6 +70,45 @@ def test_pow1p_truncates():
 def test_analytic_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
         analytic_apply(EXP, I2)
+
+
+def full_shift(d):
+    return SparseMatrix.from_entries(d, {(i, i + 1): 1 for i in range(1, d)})
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_power_chain_on_full_shift(d, monkeypatch):
+    shift = full_shift(d)
+    # shift^(d-1) has the single entry (1, d), so d is the first zero power
+    assert nilpotency_index(shift) == d
+    # shift^k has ones on the k-th superdiagonal
+    expected = SparseMatrix.from_entries(
+        d, {(i, j): rat(1, factorial(j - i)) for i in range(1, d + 1) for j in range(i, d + 1)}
+    )
+    products = []
+    matmul = SparseMatrix.__mul__
+
+    def counted(a, b):
+        if isinstance(b, SparseMatrix):
+            products.append((a.dim, b.dim))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    got = analytic_apply(EXP, shift)
+    monkeypatch.undo()
+    assert got == expected
+    assert len(products) == d - 1
+
+
+@pytest.mark.parametrize("m", [
+    SparseMatrix.unit(1, 1, 1, rat(-2, 3)),
+    SparseMatrix.from_entries(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 1): 1}),
+], ids=["nonzero-1x1", "4-cycle"])
+def test_non_nilpotent_is_rejected(m):
+    with pytest.raises(NotNilpotent):
+        nilpotency_index(m)
+    with pytest.raises(NotNilpotent):
+        analytic_apply(LOG1P, m)
 
 
 def test_embed_leg():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.errors import NotApplicable
+from twistlab.errors import DimensionMismatch, NotApplicable
 from twistlab.exact import SparseMatrix
 from twistlab.expr import (
     fundamental_morphism,
@@ -11,6 +11,7 @@ from twistlab.expr import (
     sigma_power,
 )
 from twistlab.hopf import (
+    Tally,
     TwistedCoalgebra,
     antipode_checks,
     coassociativity_check,
@@ -29,6 +30,7 @@ from twistlab.twists import (
     generic_extension_factor,
     jordanian_factor,
     sequence,
+    twist_factor,
 )
 
 
@@ -72,6 +74,29 @@ def test_counit_checks():
     assert counit_check(chain_twist(6, 1)).passed
     assert counit_check(sequence(external_factor(6, "E0tilde"))).passed
     assert counit_check(sequence(external_factor(6, "E1tilde"))).passed
+
+
+def test_counit_check_catches_a_right_leg_with_nonzero_counit():
+    # (id x eps) exp(E_13 x 1) = exp(E_13) = 1 + E_13: one stray entry
+    bad = sequence(twist_factor("bad", 3, [(gen(1, 3), scal(1))]))
+    res = counit_check(bad)
+    assert not res.passed
+    assert res.residual_nnz == 1
+    assert res.dims == 3
+
+
+def test_tally_equal_counts_differing_entries():
+    a = SparseMatrix.from_entries(3, {(1, 1): 1, (1, 2): 2, (3, 3): 1})
+    b = SparseMatrix.from_entries(3, {(1, 1): 1, (1, 2): 3, (2, 2): 1})
+    tally = Tally("t")
+    tally.equal(a, a)
+    assert tally.residual == 0
+    tally.equal(a, b)
+    # (1,2) differs in value, (2,2) and (3,3) are stored on one side only
+    assert tally.residual == 3
+    assert tally.dims == 3
+    with pytest.raises(DimensionMismatch):
+        tally.equal(SparseMatrix.identity(2), SparseMatrix.identity(3))
 
 
 def test_twisted_coproduct_jordanian_e():
