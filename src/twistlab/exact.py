@@ -1,13 +1,22 @@
 """Sparse exact linear algebra over the rationals.
 
-Square matrices with 1-based indices, stored row-major as nested dicts with
-no explicit zeros, so equality is a dict comparison and "residual" checks
-are exact by construction.  Includes the Kronecker/leg-embedding kernels and
-analytic functions (exp, log(1+m), (1+m)^q) of nilpotent matrices as finite
-series.
+Square matrices with 1-based indices.  A matrix is one positive int
+denominator `den` and row-major nested dicts of int numerators, so entry
+(i, j) is rows[i][j] / den.  The form is canonical: no stored zeros,
+gcd(den, every numerator) == 1, and the zero matrix has den == 1.  Equal
+matrices therefore have equal (dim, den, rows), equality is a dict
+comparison, and "residual" checks are exact by construction.
+
+Product, sum, Kronecker product and the leg embeddings run on Python ints
+only (which cannot overflow); Rationals are taken or returned only at the
+boundaries: from_entries, scale, indexing, entries(), the dump format and
+the small-dimension inverse.  Also here: analytic functions (exp, log(1+m),
+(1+m)^q) of nilpotent matrices as finite series.
 """
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .errors import DimensionMismatch, LegOutOfRange, NotNilpotent
@@ -36,14 +45,47 @@ def pow1p(exponent) -> AnalyticFnSpec:
     return AnalyticFnSpec("pow1p", rat(exponent))
 
 
+def _reduced(rows: dict, den: int):
+    """The canonical (rows, den): gcd(den, numerators) divided out, zero has den 1."""
+    if den == 1 or not rows:
+        return rows, 1
+    g = gcd(den, *chain.from_iterable(map(dict.values, rows.values())))
+    if g == 1:
+        return rows, den
+    return {i: {j: v // g for j, v in r.items()} for i, r in rows.items()}, den // g
+
+
+def _add_into(rows: dict, other: dict, factor: int):
+    """rows += factor * other on numerators, in place, storing no zeros."""
+    for i, orow in other.items():
+        row = rows.get(i)
+        if row is None:
+            rows[i] = dict(orow) if factor == 1 else {j: factor * v for j, v in orow.items()}
+            continue
+        for j, v in orow.items():
+            s = row.get(j, 0) + factor * v
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        if not row:
+            del rows[i]
+
+
 class SparseMatrix:
-    """Square sparse matrix over Rational; immutable by convention."""
+    """Square sparse rational matrix; immutable by convention.
 
-    __slots__ = ("dim", "rows")
+    Entry (i, j) is rows[i][j] / den: `rows` maps row -> col -> nonzero int
+    numerator and `den` is one positive int for the whole matrix.  The
+    constructor reduces to the canonical form, so every kernel only has to
+    avoid storing zeros.
+    """
 
-    def __init__(self, dim: int, rows=None):
+    __slots__ = ("dim", "den", "rows")
+
+    def __init__(self, dim: int, rows=None, den: int = 1):
         self.dim = dim
-        self.rows = rows if rows is not None else {}
+        self.rows, self.den = _reduced(rows if rows is not None else {}, den)
 
     # -- construction -----------------------------------------------------
 
@@ -53,20 +95,25 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "SparseMatrix":
-        return cls(dim, {i: {i: ONE} for i in range(1, dim + 1)})
+        return cls(dim, {i: {i: 1} for i in range(1, dim + 1)})
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SparseMatrix":
         if isinstance(entries, dict):
             entries = entries.items()
-        rows: dict = {}
+        values: dict = {}
         for (i, j), value in entries:
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise IndexError(f"entry ({i},{j}) outside 1..{dim}")
             q = rat(value) if not isinstance(value, Rational) else value
             if q != 0:
-                rows.setdefault(i, {})[j] = q
-        return cls(dim, rows)
+                values.setdefault(i, {})[j] = q
+        den = lcm(1, *(q.denominator for row in values.values() for q in row.values()))
+        rows = {
+            i: {j: q.numerator * (den // q.denominator) for j, q in row.items()}
+            for i, row in values.items()
+        }
+        return cls(dim, rows, den)
 
     @classmethod
     def unit(cls, dim: int, i: int, j: int, value=1) -> "SparseMatrix":
@@ -76,7 +123,8 @@ class SparseMatrix:
 
     def __getitem__(self, key) -> Rational:
         i, j = key
-        return self.rows.get(i, {}).get(j, ZERO)
+        v = self.rows.get(i, {}).get(j)
+        return ZERO if v is None else rat(v, self.den)
 
     @property
     def nnz(self) -> int:
@@ -86,16 +134,17 @@ class SparseMatrix:
         return not self.rows
 
     def entries(self) -> Iterator[tuple]:
-        """Yield (row, col, value) with rows ascending then cols ascending."""
+        """Yield (row, col, Rational value), rows ascending then cols ascending."""
+        den = self.den
         for i in sorted(self.rows):
             row = self.rows[i]
             for j in sorted(row):
-                yield i, j, row[j]
+                yield i, j, rat(row[j], den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self.den == other.den and self.rows == other.rows
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -108,35 +157,35 @@ class SparseMatrix:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+    def _plus(self, other: "SparseMatrix", sign: int) -> "SparseMatrix":
+        """self + sign * other, both rescaled to the lcm of the denominators."""
         self._require_same_dim(other)
-        rows = {i: dict(r) for i, r in self.rows.items()}
-        for i, orow in other.rows.items():
-            row = rows.setdefault(i, {})
-            for j, v in orow.items():
-                s = row.get(j, ZERO) + v
-                if s == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = s
-            if not row:
-                del rows[i]
-        return SparseMatrix(self.dim, rows)
+        den = lcm(self.den, other.den)
+        rows: dict = {}
+        _add_into(rows, self.rows, den // self.den)
+        _add_into(rows, other.rows, sign * (den // other.den))
+        return SparseMatrix(self.dim, rows, den)
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "SparseMatrix":
         return SparseMatrix(
-            self.dim, {i: {j: -v for j, v in r.items()} for i, r in self.rows.items()}
+            self.dim, {i: {j: -v for j, v in r.items()} for i, r in self.rows.items()}, self.den
         )
 
     def scale(self, q) -> "SparseMatrix":
         q = rat(q) if not isinstance(q, Rational) else q
         if q == 0:
             return SparseMatrix(self.dim)
+        num = q.numerator
         return SparseMatrix(
-            self.dim, {i: {j: q * v for j, v in r.items()} for i, r in self.rows.items()}
+            self.dim,
+            {i: {j: num * v for j, v in r.items()} for i, r in self.rows.items()},
+            self.den * q.denominator,
         )
 
     def __rmul__(self, q) -> "SparseMatrix":
@@ -157,21 +206,21 @@ class SparseMatrix:
                     continue
                 if a == 1:
                     for j, b in brow.items():
-                        acc[j] = get(j, ZERO) + b
+                        acc[j] = get(j, 0) + b
                 else:
                     for j, b in brow.items():
-                        acc[j] = get(j, ZERO) + a * b
-            row = {j: v for j, v in acc.items() if v != 0}
+                        acc[j] = get(j, 0) + a * b
+            row = {j: v for j, v in acc.items() if v}
             if row:
                 rows[i] = row
-        return SparseMatrix(self.dim, rows)
+        return SparseMatrix(self.dim, rows, self.den * other.den)
 
     def transpose(self) -> "SparseMatrix":
         rows: dict = {}
         for i, r in self.rows.items():
             for j, v in r.items():
                 rows.setdefault(j, {})[i] = v
-        return SparseMatrix(self.dim, rows)
+        return SparseMatrix(self.dim, rows, self.den)
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
         return self * other - other * self
@@ -221,7 +270,7 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                 else:
                     for l, vb in brow.items():
                         row[base_j + l] = va * vb
-    return SparseMatrix(a.dim * b.dim, rows)
+    return SparseMatrix(a.dim * b.dim, rows, a.den * b.den)
 
 
 def embed_leg(m: SparseMatrix, leg: int, legs: int) -> SparseMatrix:
@@ -254,7 +303,7 @@ def embed_pair(m: SparseMatrix, d: int, legs: tuple) -> SparseMatrix:
             for k in range(d):
                 r = (a * d + k) * d + b_ + 1
                 rows.setdefault(r, {})[(c * d + k) * d + e + 1] = v
-    return SparseMatrix(d ** 3, rows)
+    return SparseMatrix(d ** 3, rows, m.den)
 
 
 def swap_matrix(d: int) -> SparseMatrix:
@@ -262,7 +311,7 @@ def swap_matrix(d: int) -> SparseMatrix:
     rows = {}
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            rows[(i - 1) * d + j] = {(j - 1) * d + i: ONE}
+            rows[(i - 1) * d + j] = {(j - 1) * d + i: 1}
     return SparseMatrix(d * d, rows)
 
 

@@ -215,7 +215,7 @@ def _partial_transpose(g: SparseMatrix, d: int, leg: int) -> SparseMatrix:
             else:
                 new_r, new_c = p * d + s + 1, r * d + q + 1
             rows.setdefault(new_r, {})[new_c] = v
-    return SparseMatrix(g.dim, rows)
+    return SparseMatrix(g.dim, rows, g.den)
 
 
 def _contract_legs(g: SparseMatrix, d: int) -> SparseMatrix:
@@ -234,7 +234,7 @@ def _contract_legs(g: SparseMatrix, d: int) -> SparseMatrix:
                     dest[q + 1] = s
         if not rows.get(p + 1):
             rows.pop(p + 1, None)
-    return SparseMatrix(d, rows)
+    return SparseMatrix(d, rows, g.den)
 
 
 def _factor_term_expansion(factor, w: Morphism, wdual: Morphism, bound: int):

@@ -1,34 +1,25 @@
 """Exact rational scalars.
 
 Every number in the package is an arbitrary-precision rational; there is no
-floating point anywhere.  gmpy2's mpq is used when available (roughly an
-order of magnitude faster on the big tensor products), with a transparent
-fallback to fractions.Fraction.  Both keep values reduced with positive
-denominator, which is the invariant the rest of the code relies on.
+floating point anywhere.  Scalars are fractions.Fraction, always reduced
+with a positive denominator.  They appear wherever a single number goes in
+or comes out: coefficients, twist parameters, matrix entries read out of a
+SparseMatrix, and the report and dump formats.  Matrix arithmetic does not
+use them: exact.py keeps int numerators over one common denominator.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
+Rational = Fraction
+# a single scalar backend; the benchmark reports this flag as its name
+FAST_BACKEND = False
 
-    def rat(num=0, den=None):
-        if den is None:
-            if isinstance(num, str):
-                return _mpq(num)
-            return _mpq(num)
-        return _mpq(num, den)
 
-    Rational = type(_mpq(1, 2))
-    FAST_BACKEND = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rat(num=0, den=None):
-        if den is None:
-            return Fraction(num)
-        return Fraction(num, den)
+def rat(num=0, den=None):
+    if den is None:
+        return Fraction(num)
+    return Fraction(num, den)
 
-    Rational = Fraction
-    FAST_BACKEND = False
 
 ZERO = rat(0)
 ONE = rat(1)

@@ -83,6 +83,8 @@ class SuiteConfig:
             raise ConfigInvalid(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
         if not self.suites:
             raise ConfigInvalid("no suites requested")
+        if not self.alpha_values:
+            raise ConfigInvalid("no alpha values")
         # reject instead of silently skipping: every requested check must run
         for name in self.suites:
             need = SUITE_MIN_N[name]

@@ -128,8 +128,11 @@ def test_tables_rejects_small_n():
     (["--config", "{tmp}/string_suites.json"], "'suites' must be a list"),
     (["--config", "{tmp}/string_alphas.json"], "'alpha_values' must be a list"),
     (["--config", "{tmp}/zero_alpha.json"], "bad config"),
+    (["--n", "3", "--suites", "twist-axioms", "--alpha", ","], "no alpha values"),
+    (["--config", "{tmp}/no_alphas.json"], "no alpha values"),
 ], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
-        "config-string-suites", "config-string-alphas", "config-alpha-zero-den"])
+        "config-string-suites", "config-string-alphas", "config-alpha-zero-den",
+        "alpha-empty", "config-alphas-empty"])
 def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     from twistlab import cli
 
@@ -140,6 +143,9 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     )
     (tmp_path / "zero_alpha.json").write_text(
         json.dumps({"n": 3, "suites": ["rmatrix"], "alpha_values": ["1/0"]})
+    )
+    (tmp_path / "no_alphas.json").write_text(
+        json.dumps({"n": 3, "suites": ["twist-axioms"], "alpha_values": []})
     )
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(["verify", *argv]) == 2

@@ -1,5 +1,10 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
+
+from twistlab import exact
 
 from twistlab.errors import LegOutOfRange, NotNilpotent
 from twistlab.exact import (
@@ -16,6 +21,7 @@ from twistlab.exact import (
     pow1p,
     swap_matrix,
 )
+from twistlab.hopf import Tally
 from twistlab.rationals import factorial, rat
 
 
@@ -217,3 +223,109 @@ def test_no_stored_zeros_and_reduced(m):
     for _, _, v in m.entries():
         assert v != 0
         assert v.denominator > 0
+
+
+# -- (den, int numerators) canonical form ------------------------------------
+
+
+def assert_canonical(m):
+    values = [v for row in m.rows.values() for v in row.values()]
+    assert type(m.den) is int and m.den >= 1
+    assert all(m.rows.values()), "empty row stored"
+    assert all(type(v) is int and v != 0 for v in values)
+    if values:
+        assert gcd(m.den, *values) == 1
+    else:
+        assert m.den == 1
+
+
+# a dict-of-Fraction reference for every kernel, independent of exact.py
+
+def as_fractions(m):
+    return {(i, j): Fraction(v, m.den) for i, row in m.rows.items() for j, v in row.items()}
+
+
+def nonzero(d):
+    return {k: v for k, v in d.items() if v != 0}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return nonzero(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+    return nonzero(out)
+
+
+def ref_kron(a, b, db):
+    return {
+        ((i - 1) * db + k, (j - 1) * db + l): x * y
+        for (i, j), x in a.items()
+        for (k, l), y in b.items()
+    }
+
+
+@given(square_matrices(), square_matrices(), rationals)
+def test_kernels_are_canonical_and_match_fraction_reference(a, b, q):
+    fa, fb = as_fractions(a), as_fractions(b)
+    cases = [
+        (a + b, ref_add(fa, fb)),
+        (a - b, ref_add(fa, fb, -1)),
+        (a * b, ref_mul(fa, fb)),
+        (a.scale(q), nonzero({k: q * v for k, v in fa.items()})),
+        (kron(a, b), ref_kron(fa, fb, b.dim)),
+        (a.transpose(), {(j, i): v for (i, j), v in fa.items()}),
+        (-a, {k: -v for k, v in fa.items()}),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert as_fractions(got) == want
+        assert {(i, j): v for i, j, v in got.entries()} == want
+    assert all(a[i, j] == fa.get((i, j), 0) for i in range(1, 4) for j in range(1, 4))
+
+
+@given(square_matrices(), rationals)
+def test_construction_paths_agree(m, q):
+    assert_canonical(m)
+    assert m.scale(2).scale(rat(1, 2)) == m
+    assert m + m == m.scale(2)
+    assert m - m == SparseMatrix.zero(m.dim)
+    assert (m - m).den == 1
+    assert m * SparseMatrix.identity(m.dim) == m
+    assert SparseMatrix.from_entries(m.dim, {(i, j): v for i, j, v in m.entries()}) == m
+    assert parse_matrix_text(dump_matrix_text(m)) == m
+    if q != 0:
+        assert m.scale(q).scale(1 / q) == m
+
+
+def test_kernels_run_on_ints_only(monkeypatch):
+    a = SparseMatrix.from_entries(2, {(1, 1): rat(1, 2), (1, 2): rat(-3, 2), (2, 2): 1})
+    b = SparseMatrix.from_entries(2, {(1, 1): rat(2, 3), (2, 1): rat(1, 3), (2, 2): rat(-1, 3)})
+    assert (a.den, b.den) == (2, 3)
+
+    def no_rational(*args):
+        raise AssertionError("a Rational was built inside a matrix kernel")
+
+    monkeypatch.setattr(exact, "rat", no_rational)
+    ab = kron(a, b)
+    results = [
+        a * b, b * a, a + b, a - b, b - b, ab,
+        embed_pair(ab, 2, (1, 2)), embed_pair(ab, 2, (2, 3)), embed_pair(ab, 2, (1, 3)),
+    ]
+    assert a * b != b * a
+    assert a + b == b + a
+    tally = Tally("ints")
+    tally.equal(a * b, b * a)
+    tally.equal(ab, kron(a, b))
+    assert tally.residual > 0
+    for m in results:
+        assert all(type(v) is int for row in m.rows.values() for v in row.values())
+        assert_canonical(m)
