@@ -43,7 +43,6 @@ from .hopf import (
     counit_check,
     r_matrix_checks,
     twist_antipode_correction,
-    twisted_coproduct,
     verify_dragging,
 )
 from .rationals import Rational, rat, rat_str

@@ -188,12 +188,9 @@ class SparseMatrix:
             self.den * q.denominator,
         )
 
-    def __rmul__(self, q) -> "SparseMatrix":
-        return self.scale(q)
-
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
-            return self.scale(other)
+            return NotImplemented
         self._require_same_dim(other)
         orows = other.rows
         rows: dict = {}

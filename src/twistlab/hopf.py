@@ -29,6 +29,7 @@ from .expr import (
     eval_expr,
     eval_tensor_pairs,
     fundamental_morphism,
+    gen,
     mul,
     zero_morphism,
 )
@@ -88,32 +89,30 @@ def default_witness(n: int) -> Morphism:
 
 
 class TwistedCoalgebra:
-    """A twist sequence materialized once, with its deformed coproduct."""
+    """A twist F materialized once in a pair of legs, with its conjugation.
 
-    def __init__(self, seq: TwistSequence, witness: Morphism = None):
-        self.seq = seq
+    The legs are (witness, right); right defaults to the witness.  f_mat and
+    f_inv are F and F^-1 in those legs, conjugate(m) is F m F^-1, and
+    coproduct(x) is the deformed coproduct D_F(x) = F D(x) F^-1 with D(x)
+    evaluated in the same legs.
+    """
+
+    def __init__(self, seq: TwistSequence, witness: Morphism = None, right: Morphism = None):
         self.witness = witness if witness is not None else default_witness(seq.n)
-        self.delta = delta_morphism(self.witness, self.witness)
-        self.f_mat = materialize(seq, self.witness, self.witness)
-        self.f_inv = materialize(seq, self.witness, self.witness, inverse=True)
-        self._v = None
+        self.right = right if right is not None else self.witness
+        self.delta = delta_morphism(self.witness, self.right)
+        self.f_mat = materialize(seq, self.witness, self.right)
+        self.f_inv = materialize(seq, self.witness, self.right, inverse=True)
+
+    def conjugate(self, m: SparseMatrix) -> SparseMatrix:
+        return self.f_mat * m * self.f_inv
 
     def coproduct(self, x: Expr) -> SparseMatrix:
-        return self.f_mat * eval_expr(x, self.delta) * self.f_inv
+        return self.conjugate(eval_expr(x, self.delta))
 
     def expected(self, pairs) -> SparseMatrix:
         """Evaluate a symbolic two-leg sum in the same pair of legs."""
-        return eval_tensor_pairs(pairs, self.witness, self.witness)
-
-    def antipode_correction(self) -> SparseMatrix:
-        """v = sum f^(1) S(f^(2)), cached; S_F(a) = v S(a) v^-1."""
-        if self._v is None:
-            self._v = twist_antipode_correction(self.seq, self.witness)
-        return self._v
-
-
-def twisted_coproduct(seq: TwistSequence, x: Expr, witness: Morphism = None) -> SparseMatrix:
-    return TwistedCoalgebra(seq, witness).coproduct(x)
+        return eval_tensor_pairs(pairs, self.witness, self.right)
 
 
 def counit_check(seq: TwistSequence, witness: Morphism = None) -> CheckResult:
@@ -130,28 +129,26 @@ def counit_check(seq: TwistSequence, witness: Morphism = None) -> CheckResult:
 def cocycle_check(
     seq: TwistSequence, base: TwistSequence = None, witness: Morphism = None
 ) -> CheckResult:
-    """F12 (D_base x id)(F) = F23 (id x D_base)(F) in three witness legs."""
+    """F12 (D_base x id)(F) = F23 (id x D_base)(F) in three witness legs.
+
+    (D_base x id)(F) is F materialized with D_base as its first leg; D_base
+    sends each generator to its base-twisted coproduct.
+    """
     w = witness if witness is not None else default_witness(seq.n)
-    d = w.dim
-    dw = delta_morphism(w, w)
-    ident = SparseMatrix.identity(d)
+    ident = SparseMatrix.identity(w.dim)
     label = f"cocycle[{seq.name},N={seq.n}]" if base is None else \
         f"cocycle[{seq.name}|{base.name},N={seq.n}]"
     tally = Tally(label)
 
-    f2 = materialize(seq, w, w)
-    f12 = kron(f2, ident)
-    f23 = kron(ident, f2)
-    d1f = materialize(seq, dw, w)
-    d2f = materialize(seq, w, dw)
     if base is not None and base.factors:
-        b2 = materialize(base, w, w)
-        b2i = materialize(base, w, w, inverse=True)
-        lhs = f12 * (kron(b2, ident) * d1f * kron(b2i, ident))
-        rhs = f23 * (kron(ident, b2) * d2f * kron(ident, b2i))
+        co = TwistedCoalgebra(base, w)
+        dw = Morphism(seq.n, co.delta.dim, lambda i, j: co.coproduct(gen(i, j)),
+                      name=f"delta_F[{base.name}]")
     else:
-        lhs = f12 * d1f
-        rhs = f23 * d2f
+        dw = delta_morphism(w, w)
+    f2 = materialize(seq, w, w)
+    lhs = kron(f2, ident) * materialize(seq, dw, w)
+    rhs = kron(ident, f2) * materialize(seq, w, dw)
     tally.equal(lhs, rhs)
     return tally.result()
 
@@ -161,10 +158,9 @@ def r_matrix_checks(seq: TwistSequence, witness: Morphism = None) -> CheckResult
     w = witness if witness is not None else default_witness(seq.n)
     d = w.dim
     tally = Tally(f"rmatrix[{seq.name},N={seq.n}]")
-    f2 = materialize(seq, w, w)
-    f_inv = materialize(seq, w, w, inverse=True)
+    co = TwistedCoalgebra(seq, w)
     p = swap_matrix(d)
-    r = p * f2 * p * f_inv
+    r = p * co.f_mat * p * co.f_inv
     r21 = p * r * p
     tally.equal(r21 * r, SparseMatrix.identity(d * d))
     ident = SparseMatrix.identity(d)
@@ -180,22 +176,20 @@ def coassociativity_check(
 ) -> CheckResult:
     """(D_F x id)D_F = (id x D_F)D_F on the given elements, re-derived."""
     w = witness if witness is not None else default_witness(seq.n)
-    d = w.dim
-    dw = delta_morphism(w, w)
-    ident = SparseMatrix.identity(d)
+    ident = SparseMatrix.identity(w.dim)
     tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
 
-    f2 = materialize(seq, w, w)
-    f2i = materialize(seq, w, w, inverse=True)
-    left_outer = kron(f2, ident) * materialize(seq, dw, w)
-    left_outer_inv = materialize(seq, dw, w, inverse=True) * kron(f2i, ident)
-    right_outer = kron(ident, f2) * materialize(seq, w, dw)
-    right_outer_inv = materialize(seq, w, dw, inverse=True) * kron(ident, f2i)
-    dd_left = delta_morphism(dw, w)
-    dd_right = delta_morphism(w, dw)
+    co = TwistedCoalgebra(seq, w)
+    left = TwistedCoalgebra(seq, co.delta, w)
+    right = TwistedCoalgebra(seq, w, co.delta)
+    # the three-leg twists F12 (D x id)(F) and F23 (id x D)(F), built once
+    left_outer = kron(co.f_mat, ident) * left.f_mat
+    left_outer_inv = left.f_inv * kron(co.f_inv, ident)
+    right_outer = kron(ident, co.f_mat) * right.f_mat
+    right_outer_inv = right.f_inv * kron(ident, co.f_inv)
     for x in xs:
-        lhs = left_outer * eval_expr(x, dd_left) * left_outer_inv
-        rhs = right_outer * eval_expr(x, dd_right) * right_outer_inv
+        lhs = left_outer * eval_expr(x, left.delta) * left_outer_inv
+        rhs = right_outer * eval_expr(x, right.delta) * right_outer_inv
         tally.equal(lhs, rhs)
     return tally.result()
 
@@ -302,24 +296,19 @@ def antipode_checks(
     tally = Tally(f"antipode[{seq.name},N={seq.n}]")
 
     v = twist_antipode_correction(seq, w, bound)
+    dual_left = TwistedCoalgebra(seq, wdual, w)
+    dual_right = TwistedCoalgebra(seq, w, wdual)
     # independent route: contract (id x S)(F) materialized
-    g0 = _partial_transpose(materialize(seq, w, wdual), d, 2)
+    g0 = _partial_transpose(dual_right.f_mat, d, 2)
     tally.equal(_contract_legs(g0, d), v)
     v_inv = v.inverse()
 
-    f_dual_left = materialize(seq, wdual, w)
-    f_dual_left_inv = materialize(seq, wdual, w, inverse=True)
-    f_dual_right = materialize(seq, w, wdual)
-    f_dual_right_inv = materialize(seq, w, wdual, inverse=True)
-    delta_dual_left = delta_morphism(wdual, w)
-    delta_dual_right = delta_morphism(w, wdual)
-
     for x in generators:
         eps_side = ident.scale(counit_eval(x))
-        g = f_dual_left * eval_expr(x, delta_dual_left) * f_dual_left_inv
+        g = dual_left.coproduct(x)
         sandwich = kron(v, ident) * _partial_transpose(g, d, 1) * kron(v_inv, ident)
         tally.equal(_contract_legs(sandwich, d), eps_side)
-        g = f_dual_right * eval_expr(x, delta_dual_right) * f_dual_right_inv
+        g = dual_right.coproduct(x)
         sandwich = kron(ident, v) * _partial_transpose(g, d, 2) * kron(ident, v_inv)
         tally.equal(_contract_legs(sandwich, d), eps_side)
     return tally.result()
@@ -339,19 +328,16 @@ def verify_dragging(n: int, witness: Morphism = None) -> CheckResult:
     w = witness if witness is not None else default_witness(n)
     tally = Tally(f"dragging[E0~,N={n}]")
 
-    j1 = sequence(jordanian_factor(n, 2))
-    m_j1 = materialize(j1, w, w)
-    m_j1_inv = materialize(j1, w, w, inverse=True)
-    m_e02 = materialize_factor(extension_factor(n, 1, 2), w, w)
-    m_e0n1 = materialize_factor(extension_factor(n, 1, n - 1), w, w)
-    lhs = m_j1 * m_e02 * m_e0n1 * m_j1_inv
+    j1 = TwistedCoalgebra(sequence(jordanian_factor(n, 2)), w)
+    row1 = [materialize_factor(extension_factor(n, 1, r), w, w) for r in range(2, n)]
+    row2 = [materialize_factor(extension_factor(n, 2, r), w, w) for r in range(3, n - 1)]
+    # row1's ends are the corner extensions E(1,2,N) and E(1,N-1,N)
+    lhs = j1.conjugate(row1[0] * row1[-1])
     rhs = materialize_factor(external_factor(n, "E0tilde"), w, w)
     tally.equal(lhs, rhs)
 
-    row2 = [materialize_factor(extension_factor(n, 2, r), w, w) for r in range(3, n - 1)]
-    row1 = [materialize_factor(extension_factor(n, 1, r), w, w) for r in range(2, n)]
     for m1 in row2:
-        tally.equal(m1 * m_j1, m_j1 * m1)
+        tally.equal(m1 * j1.f_mat, j1.f_mat * m1)
         for m0 in row1 + row2:
             tally.equal(m1 * m0, m0 * m1)
     return tally.result()

@@ -356,22 +356,15 @@ def verify_diagram(n: int, r: int, witness: Morphism = None) -> CheckResult:
     tally = Tally(f"diagram[N={n},r={r}]")
     gens = heisenberg_pair_generators(n, r)
 
-    coalgebras = {}
-
-    def coalgebra(state_id):
-        if state_id not in coalgebras:
-            coalgebras[state_id] = TwistedCoalgebra(
-                costructure_table(state_id, n, r).twist_recipe, w
-            )
-        return coalgebras[state_id]
-
+    sources = {
+        state_id: TwistedCoalgebra(costructure_table(state_id, n, r).twist_recipe, w)
+        for state_id in dict.fromkeys(edge[0] for edge in DIAGRAM_EDGES)
+    }
     for src, label, dst in DIAGRAM_EDGES:
-        src_co = coalgebra(src)
-        m = materialize_factor(_edge_factor(label, n, r), w, w)
-        m_inv = materialize_factor(_edge_factor(label, n, r), w, w, inverse=True)
+        edge = TwistedCoalgebra(sequence(_edge_factor(label, n, r)), w)
         dst_table = costructure_table(dst, n, r)
         for slot, _ in dst_table.entries:
-            got = m * src_co.coproduct(gens[slot]) * m_inv
+            got = edge.conjugate(sources[src].coproduct(gens[slot]))
             tally.equal(got, expected_entry(dst_table, slot, w))
 
     base = sequence(jordanian_factor(n, 1), jordanian_factor(n, 2))

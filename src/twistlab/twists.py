@@ -7,7 +7,7 @@ algebra first), so the materialized product puts later factors on the left:
     materialize([f0, f1, ..., fk]) = M(fk) ... M(f1) M(f0)
 
 Inverses are exact per-factor exp(-argument) products, never generic matrix
-inversion.
+inversion; hopf.TwistedCoalgebra is the one caller that asks for them.
 """
 
 from dataclasses import dataclass

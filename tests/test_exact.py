@@ -144,6 +144,15 @@ def test_inverse_small():
     assert m.inverse() * m == I2
 
 
+def test_scalar_product_is_a_type_error():
+    # `*` is the matrix product only; scale() is the one scaling path
+    for scalar in (2, rat(1, 2)):
+        with pytest.raises(TypeError):
+            I2 * scalar
+        with pytest.raises(TypeError):
+            scalar * I2
+
+
 def test_dump_round_trip_examples():
     assert dump_matrix_text(I2) == "dim 2\n1 1 1 1\n2 2 1 1\n"
     assert dump_matrix_text(SparseMatrix.zero(3)) == "dim 3\n"

@@ -4,8 +4,10 @@ import pytest
 
 from twistlab.errors import ConfigInvalid
 from twistlab.exact import SparseMatrix, kron
+from twistlab.hopf import Tally
 from twistlab.rationals import rat
 from twistlab.report import (
+    SUITE_NAMES,
     SuiteConfig,
     config_from_dict,
     core_property_checks,
@@ -111,3 +113,34 @@ def test_config_from_dict():
     assert cfg.witness == "doubled"
     with pytest.raises(ConfigInvalid):
         config_from_dict({"suites": ["core"]})
+
+
+# Tally.equal plus Tally.nonzero calls per suite at N = 6, r = 3, alpha = 1/3
+# in the fundamental witness; a change that drops or adds a comparison
+# must update this table on purpose.
+SUITE_COMPARISONS = {
+    "twist-axioms": 12, "chain": 22, "nine-states": 84, "diagram": 115,
+    "rmatrix": 6, "antipode": 14, "matreshka": 19, "transitions": 58,
+}
+
+
+def test_comparison_table_covers_every_suite_but_core():
+    assert set(SUITE_COMPARISONS) == set(SUITE_NAMES) - {"core"}
+
+
+@pytest.mark.parametrize("suite,count", sorted(SUITE_COMPARISONS.items()))
+def test_comparisons_per_suite(suite, count, monkeypatch):
+    calls = []
+
+    def counted(original):
+        def method(self, *args):
+            calls.append(args)
+            return original(self, *args)
+        return method
+
+    for name in ("equal", "nonzero"):
+        monkeypatch.setattr(Tally, name, counted(getattr(Tally, name)))
+    cfg = SuiteConfig(n=6, suites=(suite,), r_values=(3,), alpha_values=(rat(1, 3),))
+    report = run_suite(cfg)
+    assert all(res.passed for res in report.results)
+    assert len(calls) == count
