@@ -1,7 +1,7 @@
 """Command line interface: `twistlab verify` and `twistlab dump`.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 structural
-error (invalid configuration or arguments).
+error (invalid configuration or arguments, or an unwritable output).
 """
 
 import argparse
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TwistlabError as exc:
+    except (TwistlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,8 @@ Product, sum, Kronecker product and the leg embeddings run on Python ints
 only (which cannot overflow); Rationals are taken or returned only at the
 boundaries: from_entries, scale, indexing, entries(), the dump format and
 the small-dimension inverse.  Also here: analytic functions (exp, log(1+m),
-(1+m)^q) of nilpotent matrices as finite series.
+(1+m)^q) of nilpotent matrices as finite series, each summed in place over
+one common denominator.
 """
 
 from dataclasses import dataclass
@@ -195,6 +196,13 @@ class SparseMatrix:
         orows = other.rows
         rows: dict = {}
         for i, arow in self.rows.items():
+            if len(arow) == 1:
+                # One term: the row is a*brow, and products of nonzero ints are nonzero.
+                ((k, a),) = arow.items()
+                brow = orows.get(k)
+                if brow is not None:
+                    rows[i] = dict(brow) if a == 1 else {j: a * b for j, b in brow.items()}
+                continue
             acc: dict = {}
             get = acc.get
             for k, a in arow.items():
@@ -336,7 +344,10 @@ def nilpotency_index(m: SparseMatrix) -> int:
 
 
 def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix) -> SparseMatrix:
-    """Finite-series value of fn on a nilpotent matrix, exactly."""
+    """Finite-series value of fn on a nilpotent matrix, exactly.
+
+    The series is summed in place over one running common denominator.
+    """
     if fn.kind == "exp":
         coeff = lambda k: rat(1, factorial(k))
     elif fn.kind == "log1p":
@@ -344,12 +355,20 @@ def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix) -> SparseMatrix:
     else:
         q = fn.exponent
         coeff = lambda k: binomial_general(q, k)
-    out = SparseMatrix.zero(m.dim) if fn.kind == "log1p" else SparseMatrix.identity(m.dim)
+    rows: dict = {} if fn.kind == "log1p" else {i: {i: 1} for i in range(1, m.dim + 1)}
+    den = 1
     for k, power in enumerate(_powers(m), 1):
         c = coeff(k)
         if c != 0:
-            out = out + power.scale(c)
-    return out
+            term_den = power.den * c.denominator
+            f = lcm(den, term_den) // den
+            if f != 1:
+                for row in rows.values():
+                    for j in row:
+                        row[j] *= f
+                den *= f
+            _add_into(rows, power.rows, c.numerator * (den // term_den))
+    return SparseMatrix(m.dim, rows, den)
 
 
 # -- dump format -----------------------------------------------------------

@@ -201,14 +201,15 @@ def materialize(
 ) -> SparseMatrix:
     """Product of factor exponentials; later (outer) factors on the left.
 
-    The inverse is the reversed product of exp(-argument) factors and is a
-    two-sided exact inverse of the forward product.
+    The product starts at the first factor's exponential (k factors take k - 1
+    products; the empty sequence is the identity).  The inverse is the reversed
+    product of exp(-argument) factors, a two-sided exact inverse.
     """
-    out = SparseMatrix.identity(left.dim * right.dim)
-    if not inverse:
-        for f in seq.factors:
-            out = materialize_factor(f, left, right) * out
-    else:
-        for f in seq.factors:
-            out = out * materialize_factor(f, left, right, inverse=True)
+    if not seq.factors:
+        return SparseMatrix.identity(left.dim * right.dim)
+    first, *rest = seq.factors
+    out = materialize_factor(first, left, right, inverse)
+    for f in rest:
+        m = materialize_factor(f, left, right, inverse)
+        out = out * m if inverse else m * out
     return out

@@ -166,3 +166,21 @@ def test_check_that_raises_aborts_with_exit_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: m^4 != 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump", "--twist", "jordanian", "--n", "3", "--out", "{tmp}/missing/x.mat"],
+    ["tables", "--n", "6", "--r", "3", "--out", "{tmp}/missing/t.json"],
+    ["verify", "--n", "3", "--suites", "rmatrix", "--alpha", "1/2",
+     "--dump-dir", "{tmp}/file.txt/dumps"],
+], ids=["dump", "tables", "verify"])
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    from twistlab import cli
+
+    (tmp_path / "file.txt").write_text("a file, not a directory\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(tmp_path) in captured.err

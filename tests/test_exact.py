@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twistlab import exact
 
@@ -22,7 +22,7 @@ from twistlab.exact import (
     swap_matrix,
 )
 from twistlab.hopf import Tally
-from twistlab.rationals import factorial, rat
+from twistlab.rationals import binomial_general, factorial, rat
 
 
 def unit(dim, i, j, v=1):
@@ -282,6 +282,21 @@ def ref_kron(a, b, db):
     }
 
 
+# A and B mix rows of one entry with longer rows
+A = SparseMatrix(4, {1: {2: 1}, 2: {3: -3}, 3: {1: 2, 4: 5}, 4: {4: 7}}, 2)
+B = SparseMatrix(4, {2: {1: 1, 3: -1}, 3: {3: 5}, 1: {1: 3, 2: 1, 4: -1}}, 3)
+
+
+# rows of one entry: a == 1, a != 1 (negative too), a missing row of b, and
+# mixed with longer rows
+@example(A, B, rat(1, 2))
+@example(B, A, rat(-1))
+@example(SparseMatrix(4, {1: {2: 1}, 2: {3: 1}}, 1), B, rat(2))
+@example(SparseMatrix(4, {1: {2: -1}, 3: {3: -2}, 4: {1: 9}}, 5), B, rat(3))
+@example(SparseMatrix(4, {4: {4: 1}, 1: {4: -1}}, 1), B, rat(1))
+@example(A, SparseMatrix.identity(4), rat(1))
+@example(SparseMatrix.identity(4), A, rat(1))
+@example(swap_matrix(2), A, rat(-3, 4))
 @given(square_matrices(), square_matrices(), rationals)
 def test_kernels_are_canonical_and_match_fraction_reference(a, b, q):
     fa, fb = as_fractions(a), as_fractions(b)
@@ -338,3 +353,54 @@ def test_kernels_run_on_ints_only(monkeypatch):
     for m in results:
         assert all(type(v) is int for row in m.rows.values() for v in row.values())
         assert_canonical(m)
+
+
+# -- in-place series and single-term rows ------------------------------------
+
+SERIES = [EXP, LOG1P] + [pow1p(q) for q in (rat(-3, 2), rat(-1), rat(1, 3), rat(2))]
+
+
+def series_coeff(fn, k):
+    if fn.kind == "exp":
+        return rat(1, factorial(k))
+    if fn.kind == "log1p":
+        return rat((-1) ** (k + 1), k)
+    return binomial_general(fn.exponent, k)
+
+
+def streaming_series(fn, m):
+    """The series summed one new matrix per term: out + c_k * m^k."""
+    out = SparseMatrix.zero(m.dim) if fn.kind == "log1p" else SparseMatrix.identity(m.dim)
+    power, k = m, 1
+    while not power.is_zero():
+        c = series_coeff(fn, k)
+        if c != 0:
+            out = out + power.scale(c)
+        power, k = power * m, k + 1
+    return out
+
+
+@st.composite
+def sized_nilpotents(draw):
+    return draw(nilpotent_matrices(dim=draw(st.integers(2, 5))))
+
+
+# scaled full shifts: the term denominators grow term by term (1, 2, 6, 24
+# for exp; 1, 2, 3, 4 for log1p), so the stored sum is rescaled in place
+@example(full_shift(5), EXP)
+@example(full_shift(5).scale(rat(-3, 4)), LOG1P)
+@example(full_shift(5).scale(rat(1, 2)), pow1p(rat(1, 3)))
+@example(full_shift(5).scale(rat(-3, 4)), pow1p(rat(-3, 2)))
+@given(sized_nilpotents(), st.sampled_from(SERIES))
+def test_series_matches_streaming_sum(m, fn):
+    got = analytic_apply(fn, m)
+    assert_canonical(got)
+    assert got == streaming_series(fn, m)
+
+
+def test_single_term_row_products_do_not_alias_their_operand():
+    a = SparseMatrix.identity(3)
+    b = SparseMatrix.from_entries(3, {(1, 2): rat(1, 2), (2, 3): 1})
+    got = a * b
+    assert got == b
+    assert all(got.rows[i] is not b.rows[i] for i in got.rows)

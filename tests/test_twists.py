@@ -1,5 +1,6 @@
 import pytest
 
+from twistlab import twists
 from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import eval_expr, fundamental_morphism, gen, mul, counit_eval
@@ -124,3 +125,48 @@ def test_alternative_chain_structure():
     assert names[0] == "J(2,5)"
     assert "E'(2,1,5)" in names and "E'(2,6,5)" in names
     assert "J(1,6)" in names
+
+
+def test_materialize_makes_one_product_per_extra_factor(monkeypatch):
+    f5 = fundamental_morphism(5)
+    chain = chain_twist(5, 1).factors
+    identity = SparseMatrix.identity(25)
+    # the product from the identity, one factor at a time, as the reference
+    forward_ref, inverse_ref = [identity], [identity]
+    for f in chain:
+        forward_ref.append(materialize_factor(f, f5, f5) * forward_ref[-1])
+        inverse_ref.append(inverse_ref[-1] * materialize_factor(f, f5, f5, inverse=True))
+
+    products = []
+    counting = [True]
+    matmul = SparseMatrix.__mul__
+    factor = twists.materialize_factor
+
+    def counted(a, b):
+        if counting[0]:
+            products.append((a.dim, b.dim))
+        return matmul(a, b)
+
+    def uncounted_factor(*args, **kwargs):
+        # the series inside a factor exponential makes products of its own
+        counting[0] = False
+        try:
+            return factor(*args, **kwargs)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    monkeypatch.setattr(twists, "materialize_factor", uncounted_factor)
+    got = {}
+    for k in range(len(chain) + 1):
+        seq = sequence(*chain[:k], n=5)
+        for inverse in (False, True):
+            products.clear()
+            got[k, inverse] = materialize(seq, f5, f5, inverse=inverse)
+            assert len(products) == max(k - 1, 0), (k, inverse)
+    monkeypatch.undo()
+    assert got[0, False] == got[0, True] == identity
+    for k in range(len(chain) + 1):
+        assert got[k, False] == forward_ref[k]
+        assert got[k, True] == inverse_ref[k]
+        assert got[k, False] * got[k, True] == identity
