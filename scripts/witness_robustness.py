@@ -13,7 +13,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from twistlab.report import SuiteConfig, run_suite
+from twistlab.report import WITNESSES, SuiteConfig, run_suite
 
 SUITES = ("twist-axioms", "chain", "nine-states")
 
@@ -21,7 +21,7 @@ SUITES = ("twist-axioms", "chain", "nine-states")
 def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 6
     verdicts = {}
-    for witness in ("fundamental", "doubled"):
+    for witness in WITNESSES:
         t0 = time.perf_counter()
         rep = run_suite(SuiteConfig(n=n, suites=SUITES, witness=witness))
         verdicts[witness] = {r.name: r.passed for r in rep.results}

@@ -9,7 +9,6 @@ from .exact import (
     LOG1P,
     SparseMatrix,
     analytic_apply,
-    embed_leg,
     kron,
     nilpotency_index,
     pow1p,

@@ -9,11 +9,11 @@ import json
 import sys
 
 from .errors import ConfigInvalid, TwistlabError
-from .expr import delta_morphism, fundamental_morphism
 from .rationals import parse_rat
 from .roots import carrier_column
 from .report import (
     SUITE_NAMES,
+    WITNESSES,
     SuiteConfig,
     config_from_dict,
     dump_matrix,
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suites", help=f"comma list from {','.join(SUITE_NAMES)}")
     v.add_argument("--r", help="comma list of column indices r")
     v.add_argument("--alpha", help="comma list of rationals like 1/3")
-    v.add_argument("--witness", choices=("fundamental", "doubled"))
+    v.add_argument("--witness", choices=tuple(WITNESSES))
     v.add_argument("--format", dest="fmt", choices=("text", "json"))
     v.add_argument("--dump-dir", help="directory for materialized twist dumps")
 
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--r", type=int, default=None, help="carrier column (extended)")
     d.add_argument("--alpha", default="1/2", help="carrier split (extended)")
     d.add_argument("--p", type=int, default=1, help="chain depth (chain)")
-    d.add_argument("--witness", choices=("fundamental", "doubled"), default="fundamental")
+    d.add_argument("--witness", choices=tuple(WITNESSES), default="fundamental")
     d.add_argument("--out", required=True, help="output path")
 
     t = sub.add_parser("tables", help="export costructure tables as JSON")
@@ -123,8 +123,7 @@ def _dump_twist(args) -> int:
         seq = sequence(external_factor(n, "E0tilde"))
     else:
         seq = sequence(external_factor(n, "E1tilde"))
-    f = fundamental_morphism(n)
-    w = f if args.witness == "fundamental" else delta_morphism(f, f)
+    w = WITNESSES[args.witness](n)
     dump_matrix(materialize(seq, w, w), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -9,10 +9,11 @@ comparison, and "residual" checks are exact by construction.
 
 Product, sum, Kronecker product and the leg embeddings run on Python ints
 only (which cannot overflow); Rationals are taken or returned only at the
-boundaries: from_entries, scale, indexing, entries(), the dump format and
-the small-dimension inverse.  Also here: analytic functions (exp, log(1+m),
-(1+m)^q) of nilpotent matrices as finite series, each summed in place over
-one common denominator.
+boundaries: from_entries, scale, indexing, entries() and the dump format.
+Also here: analytic functions (exp, log(1+m), (1+m)^q) of nilpotent
+matrices as finite series, each summed in place over one common
+denominator.  There is no generic matrix inverse: every inverse the package
+needs is of the form 1 + nilpotent and is taken as the series (1+m)^-1.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .errors import DimensionMismatch, LegOutOfRange, NotNilpotent
-from .rationals import Rational, ZERO, ONE, binomial_general, factorial, rat
+from .rationals import Rational, ZERO, binomial_general, factorial, rat
 
 
 @dataclass(frozen=True)
@@ -230,31 +231,6 @@ class SparseMatrix:
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
         return self * other - other * self
 
-    def inverse(self) -> "SparseMatrix":
-        """Exact Gauss-Jordan inverse; intended for small dimensions."""
-        d = self.dim
-        a = [[self[i, j] for j in range(1, d + 1)] for i in range(1, d + 1)]
-        inv = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if a[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                inv[col], inv[pivot] = inv[pivot], inv[col]
-            p = a[col][col]
-            if p != 1:
-                a[col] = [x / p for x in a[col]]
-                inv[col] = [x / p for x in inv[col]]
-            for r in range(d):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return SparseMatrix.from_entries(
-            d, {(i + 1, j + 1): inv[i][j] for i in range(d) for j in range(d)}
-        )
-
 
 # -- tensor kernels -------------------------------------------------------
 
@@ -276,19 +252,6 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                     for l, vb in brow.items():
                         row[base_j + l] = va * vb
     return SparseMatrix(a.dim * b.dim, rows, a.den * b.den)
-
-
-def embed_leg(m: SparseMatrix, leg: int, legs: int) -> SparseMatrix:
-    """I x ... x m x ... x I with m at position `leg`; all legs of m.dim."""
-    if not 1 <= leg <= legs:
-        raise LegOutOfRange(f"leg {leg} outside 1..{legs}")
-    d = m.dim
-    out = m
-    for _ in range(leg - 1):
-        out = kron(SparseMatrix.identity(d), out)
-    for _ in range(legs - leg):
-        out = kron(out, SparseMatrix.identity(d))
-    return out
 
 
 def embed_pair(m: SparseMatrix, d: int, legs: tuple) -> SparseMatrix:

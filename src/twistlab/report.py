@@ -18,7 +18,7 @@ from .exact import (
     parse_matrix_text,
     pow1p,
 )
-from .expr import Morphism, delta_morphism, fundamental_morphism, gen
+from .expr import Morphism, coproduct_morphism, fundamental_morphism, gen
 from .hopf import (
     Tally,
     antipode_checks,
@@ -64,6 +64,9 @@ SUITE_NAMES = tuple(SUITE_MIN_N)
 
 DEFAULT_ALPHAS = (rat(0), rat(1, 3), rat(1, 2), rat(2, 5))
 
+# witness name -> its representation of gl(N); "doubled" is x -> x(x)1 + 1(x)x
+WITNESSES = {"fundamental": fundamental_morphism, "doubled": coproduct_morphism}
+
 
 @dataclass
 class SuiteConfig:
@@ -90,7 +93,7 @@ class SuiteConfig:
             need = SUITE_MIN_N[name]
             if self.n < need:
                 raise ConfigInvalid(f"suite {name!r} requires N >= {need}")
-        if self.witness not in ("fundamental", "doubled"):
+        if self.witness not in WITNESSES:
             raise ConfigInvalid(f"unknown witness {self.witness!r}")
         if self.output not in ("text", "json"):
             raise ConfigInvalid(f"unknown output format {self.output!r}")
@@ -104,8 +107,7 @@ class SuiteConfig:
         return tuple(range(3, self.n - 1))
 
     def build_witness(self) -> Morphism:
-        f = fundamental_morphism(self.n)
-        return f if self.witness == "fundamental" else delta_morphism(f, f)
+        return WITNESSES[self.witness](self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -374,16 +376,27 @@ def load_matrix(path: str) -> SparseMatrix:
         return parse_matrix_text(fh.read())
 
 
+def _config_int(value, key: str) -> int:
+    # int() would truncate 6.7 to 6 and read True as 1
+    if isinstance(value, (bool, float)):
+        raise ConfigInvalid(f"{key!r} needs an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> SuiteConfig:
     try:
         # a string would be split into characters below
         for key in ("suites", "r_values", "alpha_values"):
             if key in data and not isinstance(data[key], list):
                 raise ConfigInvalid(f"{key!r} must be a list, got {data[key]!r}")
+        # a list would reach the WITNESSES lookup unhashable, a number os.makedirs
+        for key in ("witness", "output", "dump_dir"):
+            if data.get(key) is not None and not isinstance(data[key], str):
+                raise ConfigInvalid(f"{key!r} must be a string, got {data[key]!r}")
         return SuiteConfig(
-            n=int(data["n"]),
+            n=_config_int(data["n"], "n"),
             suites=tuple(data["suites"]),
-            r_values=tuple(int(r) for r in data.get("r_values", ())),
+            r_values=tuple(_config_int(r, "r_values") for r in data.get("r_values", ())),
             alpha_values=tuple(
                 parse_rat(str(a)) for a in data.get("alpha_values", DEFAULT_ALPHAS)
             ),

@@ -28,7 +28,7 @@ from .expr import (
     sigma_power,
     sigma_exponential,
 )
-from .rationals import rat
+from .rationals import HALF, rat
 from .roots import cartan_element, carrier_generators, chain_plan
 
 
@@ -86,13 +86,12 @@ def jordanian_factor(n: int, k: int) -> TwistFactor:
     )
 
 
-def extension_factor(n: int, k: int, r: int, beta=rat(1, 2)) -> TwistFactor:
-    """exp(E_{k,r} x E_{r,N-k+1} e^{-beta*sigma_{k,N-k+1}}); beta = 1/2 in chains."""
+def extension_factor(n: int, k: int, r: int) -> TwistFactor:
+    """exp(E_{k,r} x E_{r,N-k+1} e^{-sigma_{k,N-k+1}/2}), the canonical beta = 1/2."""
     top = n - k + 1
     if not (1 <= k < r < top <= n):
         raise IndexOutOfRange(f"extension (k={k}, r={r}) invalid for gl({n})")
-    beta = rat(beta)
-    right = mul(gen(r, top), sigma_power(-beta, k, top))
+    right = mul(gen(r, top), sigma_power(-HALF, k, top))
     return twist_factor(f"E({k},{r},{top})", n, [(gen(k, r), right)])
 
 
@@ -138,29 +137,28 @@ def external_factor(n: int, which: str) -> TwistFactor:
     """
     if n < 6:
         raise NotApplicable("external factors need N > 5")
-    half = rat(1, 2)
     if which == "E0tilde":
         first = add(
             gen(1, 2),
-            mul(scal(half), gen(1, n - 1)),
+            mul(scal(HALF), gen(1, n - 1)),
             mul(gen(1, n - 1), cartan_element(n, 2, n - 1)),
         )
-        term1 = (first, mul(gen(2, n), sigma_exponential((-half, 1, n), (-half, 2, n - 1))))
+        term1 = (first, mul(gen(2, n), sigma_exponential((-HALF, 1, n), (-HALF, 2, n - 1))))
         term2 = (
             gen(1, n - 1),
-            mul(gen(n - 1, n), sigma_exponential((-half, 1, n), (half, 2, n - 1))),
+            mul(gen(n - 1, n), sigma_exponential((-HALF, 1, n), (HALF, 2, n - 1))),
         )
         return twist_factor("E0~", n, [term1, term2])
     if which == "E1tilde":
         first = add(
             gen(2, 1),
-            mul(scal(half), gen(2, n)),
+            mul(scal(HALF), gen(2, n)),
             mul(gen(2, n), cartan_element(n, 1, n)),
         )
-        term1 = (first, mul(gen(1, n - 1), sigma_exponential((-half, 1, n), (-half, 2, n - 1))))
+        term1 = (first, mul(gen(1, n - 1), sigma_exponential((-HALF, 1, n), (-HALF, 2, n - 1))))
         term2 = (
             gen(2, n),
-            mul(gen(n, n - 1), sigma_exponential((half, 1, n), (-half, 2, n - 1))),
+            mul(gen(n, n - 1), sigma_exponential((HALF, 1, n), (-HALF, 2, n - 1))),
         )
         return twist_factor("E1~", n, [term1, term2])
     raise ValueError(f"unknown external factor {which!r}")
@@ -177,7 +175,7 @@ def alternative_chain(n: int) -> TwistSequence:
         raise NotApplicable("alternative chain needs N > 5")
     factors = [jordanian_factor(n, 2)]
     for r in (1, *range(3, n - 1), n):
-        right = mul(gen(r, n - 1), sigma_power(rat(-1, 2), 2, n - 1))
+        right = mul(gen(r, n - 1), sigma_power(-HALF, 2, n - 1))
         factors.append(twist_factor(f"E'(2,{r},{n-1})", n, [(gen(2, r), right)]))
     factors.append(jordanian_factor(n, 1))
     factors.extend(extension_factor(n, 1, r) for r in range(3, n - 1))

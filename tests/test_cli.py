@@ -130,9 +130,14 @@ def test_tables_rejects_small_n():
     (["--config", "{tmp}/zero_alpha.json"], "bad config"),
     (["--n", "3", "--suites", "twist-axioms", "--alpha", ","], "no alpha values"),
     (["--config", "{tmp}/no_alphas.json"], "no alpha values"),
+    (["--config", "{tmp}/int_dump_dir.json"], "'dump_dir' must be a string, got 5"),
+    (["--config", "{tmp}/list_witness.json"], "'witness' must be a string"),
+    (["--config", "{tmp}/float_n.json"], "'n' needs an integer, got 6.7"),
+    (["--config", "{tmp}/float_r.json"], "'r_values' needs an integer, got 3.9"),
 ], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
         "config-string-suites", "config-string-alphas", "config-alpha-zero-den",
-        "alpha-empty", "config-alphas-empty"])
+        "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
+        "config-float-n", "config-float-r"])
 def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     from twistlab import cli
 
@@ -146,6 +151,16 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     )
     (tmp_path / "no_alphas.json").write_text(
         json.dumps({"n": 3, "suites": ["twist-axioms"], "alpha_values": []})
+    )
+    (tmp_path / "int_dump_dir.json").write_text(
+        json.dumps({"n": 3, "suites": ["rmatrix"], "dump_dir": 5})
+    )
+    (tmp_path / "list_witness.json").write_text(
+        json.dumps({"n": 3, "suites": ["rmatrix"], "witness": ["doubled"]})
+    )
+    (tmp_path / "float_n.json").write_text(json.dumps({"n": 6.7, "suites": ["rmatrix"]}))
+    (tmp_path / "float_r.json").write_text(
+        json.dumps({"n": 6, "suites": ["nine-states"], "r_values": [3.9]})
     )
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(["verify", *argv]) == 2

@@ -6,14 +6,13 @@ from hypothesis import example, given, strategies as st
 
 from twistlab import exact
 
-from twistlab.errors import LegOutOfRange, NotNilpotent
+from twistlab.errors import NotNilpotent
 from twistlab.exact import (
     EXP,
     LOG1P,
     SparseMatrix,
     analytic_apply,
     dump_matrix_text,
-    embed_leg,
     embed_pair,
     kron,
     nilpotency_index,
@@ -117,13 +116,6 @@ def test_non_nilpotent_is_rejected(m):
         analytic_apply(LOG1P, m)
 
 
-def test_embed_leg():
-    assert embed_leg(E12, 1, 2) == kron(E12, I2)
-    assert embed_leg(E12, 2, 2) == kron(I2, E12)
-    with pytest.raises(LegOutOfRange):
-        embed_leg(E12, 3, 2)
-
-
 def test_embed_pair_13_matches_permuted_23():
     # moving leg 1 to leg 2 with the flip on legs (1,2) turns R12 into R21 etc.
     m = kron(E12, H2) + kron(H2, H2)
@@ -136,12 +128,6 @@ def test_swap_conjugation():
     p = swap_matrix(2)
     assert p * p == SparseMatrix.identity(4)
     assert p * kron(E12, H2) * p == kron(H2, E12)
-
-
-def test_inverse_small():
-    m = SparseMatrix.from_entries(2, {(1, 1): 1, (1, 2): rat(1, 2), (2, 2): 1})
-    assert m * m.inverse() == I2
-    assert m.inverse() * m == I2
 
 
 def test_scalar_product_is_a_type_error():

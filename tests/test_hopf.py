@@ -215,6 +215,18 @@ def test_antipode_rejects_non_nilpotent_expansion():
         antipode_checks(bad, [gen(1, 2)])
 
 
+def test_antipode_rejects_a_v_that_is_not_unipotent():
+    from twistlab.errors import NotNilpotent
+
+    # exp(E21 x E12) gives v = diag(1, 0): v - 1 is not nilpotent, so the
+    # series for v^-1 has no finite sum
+    bad = sequence(twist_factor("X", 2, [(gen(2, 1), gen(1, 2))]))
+    assert twist_antipode_correction(bad, fundamental_morphism(2)) == \
+        SparseMatrix.from_entries(2, {(1, 1): 1})
+    with pytest.raises(NotNilpotent):
+        antipode_checks(bad, [gen(1, 2)])
+
+
 def test_dragging_identity():
     assert verify_dragging(6).passed
     with pytest.raises(NotApplicable):

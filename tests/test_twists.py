@@ -5,12 +5,15 @@ from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import eval_expr, fundamental_morphism, gen, mul, counit_eval
 from twistlab.rationals import rat
+from twistlab.roots import carrier_column
 from twistlab.twists import (
     alternative_chain,
     chain_twist,
     extended_twist_generic,
     extension_factor,
     external_factor,
+    generic_extension_factor,
+    generic_jordanian_factor,
     jordanian_factor,
     materialize,
     materialize_factor,
@@ -61,6 +64,15 @@ def test_extension_terms_shape():
 def test_extension_bad_indices():
     with pytest.raises(IndexOutOfRange):
         extension_factor(6, 1, 6)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_generic_factors_at_one_half_are_the_canonical_ones(n):
+    # the transition schemes check the canonical scheme as the alpha = 1/2 pass
+    r = carrier_column(n)
+    half = rat(1, 2)
+    assert generic_jordanian_factor(n, r, half).terms == jordanian_factor(n, 1).terms
+    assert generic_extension_factor(n, r, half).terms == extension_factor(n, 1, r).terms
 
 
 def test_chain_factor_order_n6():
