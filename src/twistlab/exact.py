@@ -2,10 +2,14 @@
 
 Square matrices with 1-based indices.  A matrix is one positive int
 denominator `den` and row-major nested dicts of int numerators, so entry
-(i, j) is rows[i][j] / den.  The form is canonical: no stored zeros,
-gcd(den, every numerator) == 1, and the zero matrix has den == 1.  Equal
-matrices therefore have equal (dim, den, rows), equality is a dict
-comparison, and "residual" checks are exact by construction.
+(i, j) is rows[i][j] / den.  Kernels store no zeros and no empty rows, and
+the zero matrix has den == 1, but they do not divide out common factors:
+a product's den is the product of its operands' dens.  The canonical form
+(gcd(den, every numerator) == 1) is reached by `reduced()`, and only the
+matrices that are held (materialized twists, cached expression values and
+generator images) are reduced.  `==` compares values: equal dens compare
+numerators directly, different dens compare the reduced forms, so
+"residual" checks are exact.
 
 Product, sum, Kronecker product and the leg embeddings run on Python ints
 only (which cannot overflow); Rationals are taken or returned only at the
@@ -48,7 +52,7 @@ def pow1p(exponent) -> AnalyticFnSpec:
 
 
 def _reduced(rows: dict, den: int):
-    """The canonical (rows, den): gcd(den, numerators) divided out, zero has den 1."""
+    """The canonical (rows, den): gcd(den, numerators) divided out."""
     if den == 1 or not rows:
         return rows, 1
     g = gcd(den, *chain.from_iterable(map(dict.values, rows.values())))
@@ -79,15 +83,21 @@ class SparseMatrix:
 
     Entry (i, j) is rows[i][j] / den: `rows` maps row -> col -> nonzero int
     numerator and `den` is one positive int for the whole matrix.  The
-    constructor reduces to the canonical form, so every kernel only has to
-    avoid storing zeros.
+    constructor stores both as given (the zero matrix gets den 1); reduced()
+    returns the canonical form, and == compares values whatever the dens.
     """
 
     __slots__ = ("dim", "den", "rows")
 
     def __init__(self, dim: int, rows=None, den: int = 1):
         self.dim = dim
-        self.rows, self.den = _reduced(rows if rows is not None else {}, den)
+        self.rows = rows if rows is not None else {}
+        self.den = den if self.rows else 1
+
+    def reduced(self) -> "SparseMatrix":
+        """The canonical form: gcd(den, every numerator) == 1."""
+        rows, den = _reduced(self.rows, self.den)
+        return self if den == self.den else SparseMatrix(self.dim, rows, den)
 
     # -- construction -----------------------------------------------------
 
@@ -146,7 +156,13 @@ class SparseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.den == other.den and self.rows == other.rows
+        if self.dim != other.dim:
+            return False
+        if self.den == other.den:
+            # equal values over one den have equal numerators
+            return self.rows == other.rows
+        a, b = self.reduced(), other.reduced()
+        return a.den == b.den and a.rows == b.rows
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -117,7 +117,7 @@ class Morphism:
         key = (i, j)
         got = self._cache.get(key)
         if got is None:
-            got = self._gen_image(i, j)
+            got = self._gen_image(i, j).reduced()
             self._cache[key] = got
         return got
 
@@ -192,7 +192,7 @@ def eval_expr(e: Expr, phi: Morphism) -> SparseMatrix:
         out = analytic_apply(e.fn, eval_expr(e.arg, phi))
     else:
         raise TypeError(f"not an expression: {e!r}")
-    phi._cache[e] = out
+    out = phi._cache[e] = out.reduced()
     return out
 
 

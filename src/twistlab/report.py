@@ -384,6 +384,8 @@ def _config_int(value, key: str) -> int:
 
 
 def config_from_dict(data: dict) -> SuiteConfig:
+    if not isinstance(data, dict):
+        raise ConfigInvalid(f"a config is a JSON object, got {data!r}")
     try:
         # a string would be split into characters below
         for key in ("suites", "r_values", "alpha_values"):
@@ -404,5 +406,9 @@ def config_from_dict(data: dict) -> SuiteConfig:
             output=data.get("output", "text"),
             dump_dir=data.get("dump_dir"),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except ConfigInvalid:
+        raise
+    except KeyError as exc:
+        raise ConfigInvalid(f"bad config: missing key {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigInvalid(f"bad config: {exc}") from exc

@@ -201,7 +201,8 @@ def materialize(
 
     The product starts at the first factor's exponential (k factors take k - 1
     products; the empty sequence is the identity).  The inverse is the reversed
-    product of exp(-argument) factors, a two-sided exact inverse.
+    product of exp(-argument) factors, a two-sided exact inverse.  The result
+    is held by its callers, so it is returned reduced to canonical form.
     """
     if not seq.factors:
         return SparseMatrix.identity(left.dim * right.dim)
@@ -210,4 +211,4 @@ def materialize(
     for f in rest:
         m = materialize_factor(f, left, right, inverse)
         out = out * m if inverse else m * out
-    return out
+    return out.reduced()

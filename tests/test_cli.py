@@ -134,10 +134,12 @@ def test_tables_rejects_small_n():
     (["--config", "{tmp}/list_witness.json"], "'witness' must be a string"),
     (["--config", "{tmp}/float_n.json"], "'n' needs an integer, got 6.7"),
     (["--config", "{tmp}/float_r.json"], "'r_values' needs an integer, got 3.9"),
+    (["--config", "{tmp}/no_n.json"], "bad config: missing key 'n'"),
+    (["--config", "{tmp}/list.json"], "a config is a JSON object, got [6]"),
 ], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
         "config-string-suites", "config-string-alphas", "config-alpha-zero-den",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
-        "config-float-n", "config-float-r"])
+        "config-float-n", "config-float-r", "config-missing-n", "config-list"])
 def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     from twistlab import cli
 
@@ -162,11 +164,13 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     (tmp_path / "float_r.json").write_text(
         json.dumps({"n": 6, "suites": ["nine-states"], "r_values": [3.9]})
     )
+    (tmp_path / "no_n.json").write_text(json.dumps({"suites": ["rmatrix"]}))
+    (tmp_path / "list.json").write_text(json.dumps([6]))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(["verify", *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert message in err
+    # the message follows the one prefix directly: no "bad config: " wrapped around it
+    assert err.startswith(f"config error: {message}")
 
 
 def test_check_that_raises_aborts_with_exit_two(monkeypatch, capsys):

@@ -223,15 +223,22 @@ def test_no_stored_zeros_and_reduced(m):
 # -- (den, int numerators) canonical form ------------------------------------
 
 
-def assert_canonical(m):
+def assert_well_formed(m):
+    """What every kernel output keeps: int den >= 1, nonzero int numerators,
+    no empty rows, and den 1 for the zero matrix."""
     values = [v for row in m.rows.values() for v in row.values()]
     assert type(m.den) is int and m.den >= 1
     assert all(m.rows.values()), "empty row stored"
     assert all(type(v) is int and v != 0 for v in values)
+    if not values:
+        assert m.den == 1
+
+
+def assert_canonical(m):
+    assert_well_formed(m)
+    values = [v for row in m.rows.values() for v in row.values()]
     if values:
         assert gcd(m.den, *values) == 1
-    else:
-        assert m.den == 1
 
 
 # a dict-of-Fraction reference for every kernel, independent of exact.py
@@ -296,7 +303,8 @@ def test_kernels_are_canonical_and_match_fraction_reference(a, b, q):
         (-a, {k: -v for k, v in fa.items()}),
     ]
     for got, want in cases:
-        assert_canonical(got)
+        assert_well_formed(got)
+        assert_canonical(got.reduced())
         assert as_fractions(got) == want
         assert {(i, j): v for i, j, v in got.entries()} == want
     assert all(a[i, j] == fa.get((i, j), 0) for i in range(1, 4) for j in range(1, 4))
@@ -380,7 +388,8 @@ def sized_nilpotents(draw):
 @given(sized_nilpotents(), st.sampled_from(SERIES))
 def test_series_matches_streaming_sum(m, fn):
     got = analytic_apply(fn, m)
-    assert_canonical(got)
+    assert_well_formed(got)
+    assert_canonical(got.reduced())
     assert got == streaming_series(fn, m)
 
 
@@ -390,3 +399,45 @@ def test_single_term_row_products_do_not_alias_their_operand():
     got = a * b
     assert got == b
     assert all(got.rows[i] is not b.rows[i] for i in got.rows)
+
+
+# -- deferred reduction: == compares values, held matrices are canonical -----
+
+
+def test_equality_across_denominators():
+    doubled = SparseMatrix(2, {1: {1: 2}, 2: {2: 2}}, 2)
+    assert doubled.den == 2  # stored as given
+    assert doubled == SparseMatrix.identity(2)
+    assert SparseMatrix.identity(2) == doubled
+    assert doubled.reduced().den == 1
+    assert SparseMatrix(2, {1: {1: 1}}, 2) != SparseMatrix(2, {1: {1: 1}, 2: {2: 1}}, 2)
+    assert SparseMatrix(2, {1: {1: 1}}, 2) != SparseMatrix(2, {1: {1: 1}}, 3)
+    assert SparseMatrix(2, {}, 5).den == 1
+    # the same value over different dens leaves no residual
+    tally = Tally("dens")
+    tally.equal(SparseMatrix(2, {1: {2: 3}}, 6), SparseMatrix.unit(2, 1, 2, rat(1, 2)))
+    tally.equal(kron(H2, H2), kron(H2.scale(2), H2.scale(2)).scale(rat(1, 4)))
+    assert tally.residual == 0
+    tally.equal(SparseMatrix(2, {1: {2: 3}}, 6), SparseMatrix(2, {1: {2: 3}}, 5))
+    assert tally.residual == 1
+
+
+def test_held_matrices_are_canonical():
+    from twistlab.expr import Morphism, gen, mul, sigma_power
+    from twistlab.hopf import TwistedCoalgebra
+    from twistlab.twists import chain_twist, materialize
+
+    seq = chain_twist(6, 1)
+    w = Morphism(6, 6, lambda i, j: SparseMatrix(6, {i: {j: 2}}, 2), name="unreduced")
+    forward = materialize(seq, w, w)
+    inverse = materialize(seq, w, w, inverse=True)
+    assert_canonical(forward)
+    assert_canonical(inverse)
+    assert forward * inverse == SparseMatrix.identity(36)
+    co = TwistedCoalgebra(seq, w)
+    for x in (gen(1, 6), mul(gen(2, 3), sigma_power(rat(-1, 2), 1, 6))):
+        co.coproduct(x)
+    for phi in (w, co.delta):
+        assert phi._cache
+        for value in phi._cache.values():
+            assert_canonical(value)

@@ -22,7 +22,13 @@ from twistlab.states import (
     verify_state,
     verify_transition_schemes,
 )
-from twistlab.twists import extension_factor, jordanian_factor, sequence
+from twistlab.twists import (
+    extension_factor,
+    external_factor,
+    jordanian_factor,
+    materialize_factor,
+    sequence,
+)
 
 
 def unit(dim, i, j, v=1):
@@ -105,6 +111,28 @@ def test_locality_of_extensions():
 def test_diagram_n6():
     res = verify_diagram(6, 3)
     assert res.passed, res
+
+
+@pytest.mark.parametrize("n, r", [(6, 3), (7, 3), (7, 4)])
+def test_diagram_commutators_on_nilpotent_parts(n, r):
+    # [1 + a, 1 + b] = [a, b]: the diagram's commutators of whole factors equal
+    # those of their nilpotent parts, zero exactly for the pairs (Ei, Eit)
+    deep = delta_morphism(fundamental_morphism(n), fundamental_morphism(n))
+    one = SparseMatrix.identity(deep.dim ** 2)
+    whole = {
+        "E0": extension_factor(n, 1, r), "E1": extension_factor(n, 2, r),
+        "E0t": external_factor(n, "E0tilde"), "E1t": external_factor(n, "E1tilde"),
+    }
+    whole = {label: materialize_factor(f, deep, deep) for label, f in whole.items()}
+    for i in (0, 1):
+        mi = whole[f"E{i}"]
+        for j in (0, 1):
+            mj = whole[f"E{j}t"]
+            comm = (mi - one).commutator(mj - one)
+            assert comm == mi * mj - mj * mi
+            assert comm.is_zero() == (i == j)
+            if i != j:
+                assert comm.nnz == (mi * mj - mj * mi).nnz
 
 
 def test_diagram_rejects_small_n():
