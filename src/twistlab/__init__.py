@@ -19,10 +19,8 @@ from .expr import (
     Prod,
     Scalar,
     Sum,
-    antipode_eval,
     contragredient_morphism,
     coproduct_morphism,
-    counit_eval,
     delta_morphism,
     eval_expr,
     fundamental_morphism,

@@ -6,6 +6,11 @@ generator E_ij and extends structurally, so the same tree can be evaluated in
 the fundamental representation, under a coproduct (two legs), under the
 contragredient, or any composition of those.  Fn nodes denote analytic
 functions of 1 + subexpression: sigma = log(1+E), e^{-b*sigma} = (1+E)^{-b}.
+
+eval_expr is the one interpreter of a tree.  The Hopf maps of U(gl(N)) are
+morphisms it evaluates under: the coproduct is delta_morphism, the counit is
+zero_morphism (a 1x1 matrix, eps(x) times the identity), and the antipode is
+contragredient_morphism followed by a transpose, w(S(x)) = w*(x)^T.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from typing import Callable, Tuple, Union
 
 from .errors import IndexOutOfRange
 from .exact import AnalyticFnSpec, SparseMatrix, analytic_apply, kron
-from .rationals import ONE, Rational, ZERO, rat
+from .rationals import Rational, rat
 
 Expr = Union["Gen", "Scalar", "Sum", "Prod", "Fn"]
 
@@ -194,63 +199,6 @@ def eval_expr(e: Expr, phi: Morphism) -> SparseMatrix:
         raise TypeError(f"not an expression: {e!r}")
     out = phi._cache[e] = out.reduced()
     return out
-
-
-def counit_eval(e: Expr) -> Rational:
-    """Counit: generators to 0, scalars to themselves, structural elsewhere."""
-    if isinstance(e, Gen):
-        return ZERO
-    if isinstance(e, Scalar):
-        return e.value
-    if isinstance(e, Sum):
-        out = ZERO
-        for t in e.terms:
-            out = out + counit_eval(t)
-        return out
-    if isinstance(e, Prod):
-        out = ONE
-        for f in e.factors:
-            out = out * counit_eval(f)
-            if out == 0:
-                return ZERO
-        return out
-    if isinstance(e, Fn):
-        c = counit_eval(e.arg)
-        if e.fn.kind == "log1p":
-            if c == 0:
-                return ZERO
-            raise ValueError("counit of log1p at nonzero argument is irrational")
-        if e.fn.kind == "pow1p":
-            if c == 0:
-                return ONE
-            q = e.fn.exponent
-            if q.denominator == 1:
-                return (ONE + c) ** int(q)
-            raise ValueError("counit of fractional power at nonzero argument")
-        if c == 0:
-            return ONE
-        raise ValueError("counit of exp at nonzero argument is irrational")
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def antipode_transform(e: Expr) -> Expr:
-    """Tree-level antipode: S(E_ij) = -E_ij, anti-multiplicative on products."""
-    if isinstance(e, Gen):
-        return mul(scal(-1), e)
-    if isinstance(e, Scalar):
-        return e
-    if isinstance(e, Sum):
-        return add(*[antipode_transform(t) for t in e.terms])
-    if isinstance(e, Prod):
-        return mul(*[antipode_transform(f) for f in reversed(e.factors)])
-    if isinstance(e, Fn):
-        # powers of a single element commute, so S passes inside the series
-        return Fn(e.fn, antipode_transform(e.arg))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def antipode_eval(e: Expr, phi: Morphism) -> SparseMatrix:
-    return eval_expr(antipode_transform(e), phi)
 
 
 def eval_tensor_pairs(pairs, left: Morphism, right: Morphism) -> SparseMatrix:

@@ -24,9 +24,7 @@ from .exact import (
 from .expr import (
     Expr,
     Morphism,
-    antipode_eval,
     contragredient_morphism,
-    counit_eval,
     delta_morphism,
     eval_expr,
     eval_tensor_pairs,
@@ -256,7 +254,8 @@ def _factor_term_expansion(factor, w: Morphism, wdual: Morphism, bound: int):
 def twist_antipode_correction(
     seq: TwistSequence, witness: Morphism = None, bound: int = None
 ) -> SparseMatrix:
-    """v = sum f^(1) S(f^(2)) from the finite multi-index expansion of F."""
+    """v = sum f^(1) S(f^(2)) from the finite multi-index expansion of F,
+    with S(y) evaluated as the transposed contragredient image w*(y)^T."""
     w = witness if witness is not None else fundamental_morphism(seq.n)
     wdual = contragredient_morphism(w)
     bound = bound if bound is not None else 2 * seq.n
@@ -271,7 +270,7 @@ def twist_antipode_correction(
         ]
     v = SparseMatrix.zero(w.dim)
     for coeff, us, ws in combined:
-        term = eval_expr(mul(*us), w) * antipode_eval(mul(*ws), w)
+        term = eval_expr(mul(*us), w) * eval_expr(mul(*ws), wdual).transpose()
         v = v + term.scale(coeff)
     return v
 
@@ -287,9 +286,11 @@ def antipode_checks(
     symbolic expansion above and is cross-checked against the same
     contraction applied to F itself.  v^-1 is the finite series
     (1 + (v - 1))^-1, so a v - 1 that is not nilpotent raises NotNilpotent.
+    The counit side is x under the zero morphism, a 1x1 eps(x), times 1.
     """
     w = witness if witness is not None else fundamental_morphism(seq.n)
     wdual = contragredient_morphism(w)
+    eps = zero_morphism(seq.n)
     d = w.dim
     ident = SparseMatrix.identity(d)
     tally = Tally(f"antipode[{seq.name},N={seq.n}]")
@@ -303,7 +304,7 @@ def antipode_checks(
     v_inv = analytic_apply(pow1p(-1), v - ident)
 
     for x in generators:
-        eps_side = ident.scale(counit_eval(x))
+        eps_side = kron(eval_expr(x, eps), ident)
         g = dual_left.coproduct(x)
         sandwich = kron(v, ident) * _partial_transpose(g, d, 1) * kron(v_inv, ident)
         tally.equal(_contract_legs(sandwich, d), eps_side)

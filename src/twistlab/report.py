@@ -376,11 +376,11 @@ def load_matrix(path: str) -> SparseMatrix:
         return parse_matrix_text(fh.read())
 
 
-def _config_int(value, key: str) -> int:
-    # int() would truncate 6.7 to 6 and read True as 1
+def _config_exact(value, key: str, kind: str = "an integer"):
+    # int() would truncate 6.7 to 6 and read True as 1; parse_rat would get '0.5'
     if isinstance(value, (bool, float)):
-        raise ConfigInvalid(f"{key!r} needs an integer, got {value!r}")
-    return int(value)
+        raise ConfigInvalid(f"{key!r} needs {kind}, got {value!r}")
+    return value
 
 
 def config_from_dict(data: dict) -> SuiteConfig:
@@ -396,11 +396,12 @@ def config_from_dict(data: dict) -> SuiteConfig:
             if data.get(key) is not None and not isinstance(data[key], str):
                 raise ConfigInvalid(f"{key!r} must be a string, got {data[key]!r}")
         return SuiteConfig(
-            n=_config_int(data["n"], "n"),
+            n=int(_config_exact(data["n"], "n")),
             suites=tuple(data["suites"]),
-            r_values=tuple(_config_int(r, "r_values") for r in data.get("r_values", ())),
+            r_values=tuple(int(_config_exact(r, "r_values")) for r in data.get("r_values", ())),
             alpha_values=tuple(
-                parse_rat(str(a)) for a in data.get("alpha_values", DEFAULT_ALPHAS)
+                parse_rat(str(_config_exact(a, "alpha_values", "an integer or a 'p/q' string")))
+                for a in data.get("alpha_values", DEFAULT_ALPHAS)
             ),
             witness=data.get("witness", "fundamental"),
             output=data.get("output", "text"),

@@ -19,7 +19,7 @@ from .expr import (
     Expr,
     Morphism,
     add,
-    counit_eval,
+    eval_expr,
     eval_tensor_pairs,
     gen,
     mul,
@@ -27,6 +27,7 @@ from .expr import (
     sigma,
     sigma_power,
     sigma_exponential,
+    zero_morphism,
 )
 from .rationals import HALF, rat
 from .roots import cartan_element, carrier_generators, chain_plan
@@ -43,8 +44,9 @@ class TwistFactor:
 
 def twist_factor(name: str, n: int, terms) -> TwistFactor:
     terms = tuple(terms)
+    eps = zero_morphism(n)
     for left, _ in terms:
-        if counit_eval(left) != 0:
+        if not eval_expr(left, eps).is_zero():
             raise ValueError(f"{name}: left leg has nonzero counit")
     return TwistFactor(name, n, terms)
 

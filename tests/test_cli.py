@@ -136,10 +136,15 @@ def test_tables_rejects_small_n():
     (["--config", "{tmp}/float_r.json"], "'r_values' needs an integer, got 3.9"),
     (["--config", "{tmp}/no_n.json"], "bad config: missing key 'n'"),
     (["--config", "{tmp}/list.json"], "a config is a JSON object, got [6]"),
+    (["--config", "{tmp}/float_alpha.json"],
+     "'alpha_values' needs an integer or a 'p/q' string, got 0.5"),
+    (["--config", "{tmp}/bool_alpha.json"],
+     "'alpha_values' needs an integer or a 'p/q' string, got True"),
 ], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
         "config-string-suites", "config-string-alphas", "config-alpha-zero-den",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
-        "config-float-n", "config-float-r", "config-missing-n", "config-list"])
+        "config-float-n", "config-float-r", "config-missing-n", "config-list",
+        "config-float-alpha", "config-bool-alpha"])
 def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     from twistlab import cli
 
@@ -166,6 +171,10 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     )
     (tmp_path / "no_n.json").write_text(json.dumps({"suites": ["rmatrix"]}))
     (tmp_path / "list.json").write_text(json.dumps([6]))
+    for name, alpha in (("float_alpha", 0.5), ("bool_alpha", True)):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"n": 3, "suites": ["rmatrix"], "alpha_values": [alpha]})
+        )
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(["verify", *argv]) == 2
     err = capsys.readouterr().err

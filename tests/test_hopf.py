@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from twistlab.errors import DimensionMismatch, NotApplicable
 from twistlab.exact import SparseMatrix
 from twistlab.expr import (
+    add,
     contragredient_morphism,
     delta_morphism,
     eval_expr,
@@ -193,6 +194,13 @@ def test_antipode_correction_value_jordanian_2():
 def test_antipode_extended_3():
     h, a, b, e = carrier_generators(3, 2, rat(1, 2))
     res = antipode_checks(extended_twist_generic(3, 2, rat(1, 2)), [h, a, b, e])
+    assert res.passed, res
+
+
+def test_antipode_counit_side_on_elements_with_nonzero_counit():
+    # every element the suites pass has counit 0; these have eps = 3/2 and 2
+    xs = [add(scal(rat(3, 2)), gen(1, 3)), scal(2)]
+    res = antipode_checks(sequence(jordanian_factor(3, 1)), xs)
     assert res.passed, res
 
 

@@ -3,9 +3,18 @@ import pytest
 from twistlab import twists
 from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
-from twistlab.expr import eval_expr, fundamental_morphism, gen, mul, counit_eval
+from twistlab.expr import (
+    add,
+    eval_expr,
+    fundamental_morphism,
+    gen,
+    mul,
+    scal,
+    sigma,
+    zero_morphism,
+)
 from twistlab.rationals import rat
-from twistlab.roots import carrier_column
+from twistlab.roots import carrier_column, cartan_element
 from twistlab.twists import (
     alternative_chain,
     chain_twist,
@@ -18,6 +27,7 @@ from twistlab.twists import (
     materialize,
     materialize_factor,
     sequence,
+    twist_factor,
 )
 
 
@@ -58,7 +68,15 @@ def test_extension_terms_shape():
     assert eval_expr(left, f6) == unit(6, 1, 3)
     # right leg is E_36 (1 + E_16)^{-1/2} = e36 exactly in the fundamental
     assert eval_expr(right, f6) == unit(6, 3, 6)
-    assert counit_eval(left) == 0
+    assert eval_expr(left, zero_morphism(6)).is_zero()
+
+
+def test_twist_factor_rejects_a_left_leg_with_nonzero_counit():
+    for left in (add(scal(1), gen(1, 2)), scal(rat(1, 2))):
+        with pytest.raises(ValueError, match="bad: left leg has nonzero counit"):
+            twist_factor("bad", 3, [(left, sigma(1, 3))])
+    h = cartan_element(3, 1, 3)
+    assert twist_factor("J", 3, [(h, sigma(1, 3))]).terms == ((h, sigma(1, 3)),)
 
 
 def test_extension_bad_indices():
