@@ -82,9 +82,19 @@ def test_counit_values():
     assert counit(scal(rat(3, 2))) == rat(3, 2)
     assert counit(mul(scal(2), gen(1, 2))) == 0
     assert counit(sigma(1, 2)) == 0
-    assert counit(add(scal(1), mul(scal(rat(-2, 3)), gen(2, 2), gen(1, 2)))) == 1
-    assert counit(Fn(pow1p(rat(1, 2)), gen(1, 3))) == 1
-    assert counit(mul(sigma_power(rat(-1, 2), 1, 3), scal(4))) == 4
+
+
+def test_counit_matches_zero_morphism():
+    cases = [
+        (gen(1, 2), 0),
+        (scal(rat(3, 2)), rat(3, 2)),
+        (add(scal(1), mul(scal(rat(-2, 3)), gen(2, 2), gen(1, 2))), 1),
+        (Fn(pow1p(rat(1, 2)), gen(1, 3)), 1),
+        (mul(sigma_power(rat(-1, 2), 1, 3), scal(4)), 4),
+    ]
+    z = zero_morphism(3)
+    for e, c in cases:
+        assert eval_expr(e, z) == SparseMatrix.identity(1).scale(c)
 
 
 def test_antipode_on_generator_and_product():
