@@ -14,10 +14,13 @@ numerators directly, different dens compare the reduced forms, so
 Product, sum, Kronecker product and the leg embeddings run on Python ints
 only (which cannot overflow); Rationals are taken or returned only at the
 boundaries: from_entries, scale, indexing, entries() and the dump format.
-Also here: analytic functions (exp, log(1+m), (1+m)^q) of nilpotent
-matrices as finite series, each summed in place over one common
+Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
+nilpotent matrices as finite series, each summed in place over one common
 denominator.  There is no generic matrix inverse: every inverse the package
 needs is of the form 1 + nilpotent and is taken as the series (1+m)^-1.
+Unipotent elements 1 + a are carried as their nilpotent part a (EXPM1 gives
+exp(m) - 1), and `unipotent_product` multiplies two of them as
+(1 + a)(1 + b) - 1 = ab + a + b, so no identity is built or multiplied.
 """
 
 from dataclasses import dataclass
@@ -31,19 +34,20 @@ from .rationals import Rational, ZERO, binomial_general, factorial, rat
 
 @dataclass(frozen=True)
 class AnalyticFnSpec:
-    """One of exp(m), log(1+m), (1+m)^q; q rational, only for pow1p."""
+    """One of exp(m), exp(m) - 1, log(1+m), (1+m)^q; q rational, only for pow1p."""
 
-    kind: str  # "exp" | "log1p" | "pow1p"
+    kind: str  # "exp" | "expm1" | "log1p" | "pow1p"
     exponent: Optional[Rational] = None
 
     def __post_init__(self):
-        if self.kind not in ("exp", "log1p", "pow1p"):
+        if self.kind not in ("exp", "expm1", "log1p", "pow1p"):
             raise ValueError(f"unknown analytic kind {self.kind!r}")
         if (self.kind == "pow1p") != (self.exponent is not None):
-            raise ValueError("pow1p takes an exponent, exp/log1p do not")
+            raise ValueError("pow1p takes an exponent, exp/expm1/log1p do not")
 
 
 EXP = AnalyticFnSpec("exp")
+EXPM1 = AnalyticFnSpec("expm1")
 LOG1P = AnalyticFnSpec("log1p")
 
 
@@ -248,6 +252,18 @@ class SparseMatrix:
         return self * other - other * self
 
 
+def unipotent_product(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """(1 + a)(1 + b) - 1 = ab + a + b, over the den a.den * b.den.
+
+    a and b are nilpotent parts; the sum goes into the product's fresh rows
+    in place.  A zero product comes back with den 1, so its den is not used.
+    """
+    rows = (a * b).rows
+    _add_into(rows, a.rows, b.den)
+    _add_into(rows, b.rows, a.den)
+    return SparseMatrix(a.dim, rows, a.den * b.den)
+
+
 # -- tensor kernels -------------------------------------------------------
 
 
@@ -325,16 +341,18 @@ def nilpotency_index(m: SparseMatrix) -> int:
 def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix) -> SparseMatrix:
     """Finite-series value of fn on a nilpotent matrix, exactly.
 
-    The series is summed in place over one running common denominator.
+    The series is summed in place over one running common denominator; it
+    starts from the identity for exp and pow1p and from zero for expm1 and
+    log1p, which have no constant term.
     """
-    if fn.kind == "exp":
+    if fn.kind in ("exp", "expm1"):
         coeff = lambda k: rat(1, factorial(k))
     elif fn.kind == "log1p":
         coeff = lambda k: rat((-1) ** (k + 1), k)
     else:
         q = fn.exponent
         coeff = lambda k: binomial_general(q, k)
-    rows: dict = {} if fn.kind == "log1p" else {i: {i: 1} for i in range(1, m.dim + 1)}
+    rows: dict = {i: {i: 1} for i in range(1, m.dim + 1)} if fn.kind in ("exp", "pow1p") else {}
     den = 1
     for k, power in enumerate(_powers(m), 1):
         c = coeff(k)

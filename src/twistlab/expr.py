@@ -14,6 +14,7 @@ contragredient_morphism followed by a transpose, w(S(x)) = w*(x)^T.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Tuple, Union
 
 from .errors import IndexOutOfRange
@@ -144,8 +145,13 @@ def fundamental_morphism(n: int) -> Morphism:
     return Morphism(n, n, lambda i, j: SparseMatrix.unit(n, i, j), name=f"fund({n})")
 
 
+@cache
 def zero_morphism(n: int) -> Morphism:
-    """Sends every generator to 0 in dim 1; realizes the counit."""
+    """Sends every generator to 0 in dim 1; realizes the counit.
+
+    One morphism per n, so its cache of evaluated expressions is shared by
+    every caller (morphisms are immutable by convention).
+    """
     return Morphism(n, 1, lambda i, j: SparseMatrix.zero(1), name=f"zero({n})")
 
 

@@ -384,17 +384,15 @@ def verify_diagram(n: int, r: int, witness: Morphism = None) -> CheckResult:
     # asymmetry is witnessed one tensor level up, where [internal, external]
     # vanishes exactly for i = j and is visibly nonzero otherwise.
     # Each factor is 1 + a with a nilpotent, and [1 + a, 1 + b] = [a, b]
-    # exactly, so the commutators are taken on the nilpotent parts: a few
-    # hundred entries instead of the whole identity of (V x V) x (V x V).
+    # exactly, so the commutators are taken on the nilpotent parts.
     deep = delta_morphism(w, w)
-    one = SparseMatrix.identity(deep.dim ** 2)
 
-    def nilpotent_part(label):
-        return materialize_factor(_edge_factor(label, n, r), deep, deep) - one
+    def part(label):
+        return materialize_factor(_edge_factor(label, n, r), deep, deep)
 
-    externals = [nilpotent_part("E0t"), nilpotent_part("E1t")]
+    externals = [part("E0t"), part("E1t")]
     for i, label in enumerate(("E0", "E1")):
-        mi = nilpotent_part(label)
+        mi = part(label)
         for j, mj in enumerate(externals):
             comm = mi.commutator(mj)
             if i == j:

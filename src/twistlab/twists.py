@@ -6,15 +6,19 @@ algebra first), so the materialized product puts later factors on the left:
 
     materialize([f0, f1, ..., fk]) = M(fk) ... M(f1) M(f0)
 
-Inverses are exact per-factor exp(-argument) products, never generic matrix
-inversion; hopf.TwistedCoalgebra is the one caller that asks for them.
+Each factor is 1 + a with a nilpotent, and F is built as its nilpotent part
+F - 1: materialize_factor gives a = exp(argument) - 1, and nilpotent_part
+folds the parts with (1 + a)(1 + b) - 1 = ab + a + b, so no identity of the
+legs' space is built until materialize adds it once.  Inverses are exact
+per-factor exp(-argument) parts folded in reverse order, never generic
+matrix inversion; hopf.TwistedCoalgebra is the one caller that asks for them.
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import IndexOutOfRange, NotApplicable
-from .exact import SparseMatrix, analytic_apply, EXP
+from .exact import EXPM1, SparseMatrix, analytic_apply, unipotent_product
 from .expr import (
     Expr,
     Morphism,
@@ -190,27 +194,40 @@ def alternative_chain(n: int) -> TwistSequence:
 def materialize_factor(
     factor: TwistFactor, left: Morphism, right: Morphism, inverse: bool = False
 ) -> SparseMatrix:
+    """The factor's nilpotent part exp(+-argument) - 1 in the given legs."""
     arg = eval_tensor_pairs(factor.terms, left, right)
     if inverse:
         arg = -arg
-    return analytic_apply(EXP, arg)
+    return analytic_apply(EXPM1, arg)
+
+
+def nilpotent_part(
+    seq: TwistSequence, left: Morphism, right: Morphism, inverse: bool = False
+) -> SparseMatrix:
+    """F - 1 (or F^-1 - 1), folded from the factors' nilpotent parts.
+
+    The fold starts at the first factor's part (k factors take k - 1
+    products; the empty sequence gives zero) and puts later factors on the
+    left, or on the right for the inverse, the reversed product of
+    exp(-argument) factors.
+    """
+    if not seq.factors:
+        return SparseMatrix.zero(left.dim * right.dim)
+    first, *rest = seq.factors
+    out = materialize_factor(first, left, right, inverse)
+    for f in rest:
+        m = materialize_factor(f, left, right, inverse)
+        out = unipotent_product(out, m) if inverse else unipotent_product(m, out)
+    return out
 
 
 def materialize(
     seq: TwistSequence, left: Morphism, right: Morphism, inverse: bool = False
 ) -> SparseMatrix:
-    """Product of factor exponentials; later (outer) factors on the left.
+    """F (or its two-sided exact inverse): the nilpotent part plus the identity.
 
-    The product starts at the first factor's exponential (k factors take k - 1
-    products; the empty sequence is the identity).  The inverse is the reversed
-    product of exp(-argument) factors, a two-sided exact inverse.  The result
-    is held by its callers, so it is returned reduced to canonical form.
+    The result is held by its callers, so it is returned reduced to
+    canonical form.
     """
-    if not seq.factors:
-        return SparseMatrix.identity(left.dim * right.dim)
-    first, *rest = seq.factors
-    out = materialize_factor(first, left, right, inverse)
-    for f in rest:
-        m = materialize_factor(f, left, right, inverse)
-        out = out * m if inverse else m * out
-    return out.reduced()
+    identity = SparseMatrix.identity(left.dim * right.dim)
+    return (nilpotent_part(seq, left, right, inverse) + identity).reduced()

@@ -9,6 +9,7 @@ from twistlab import exact
 from twistlab.errors import NotNilpotent
 from twistlab.exact import (
     EXP,
+    EXPM1,
     LOG1P,
     SparseMatrix,
     analytic_apply,
@@ -19,6 +20,7 @@ from twistlab.exact import (
     parse_matrix_text,
     pow1p,
     swap_matrix,
+    unipotent_product,
 )
 from twistlab.hopf import Tally
 from twistlab.rationals import binomial_general, factorial, rat
@@ -391,6 +393,46 @@ def test_series_matches_streaming_sum(m, fn):
     assert_well_formed(got)
     assert_canonical(got.reduced())
     assert got == streaming_series(fn, m)
+
+
+@example(full_shift(5))
+@example(full_shift(5).scale(rat(-3, 4)))
+@given(sized_nilpotents())
+def test_expm1_is_exp_without_its_constant_term(m):
+    got = analytic_apply(EXPM1, m)
+    assert_well_formed(got)
+    assert got + SparseMatrix.identity(m.dim) == analytic_apply(EXP, m)
+
+
+# -- unipotent products (1 + a)(1 + b) - 1 -------------------------------------
+
+E12_3 = unit(3, 1, 2)
+B3 = SparseMatrix(3, {1: {2: 1, 3: -1}, 3: {3: 5}}, 3)
+
+
+# ab = 0 over different dens (the zero product has den 1, so its den must not
+# be the result's), a + b + ab = 0, and a zero operand on either side
+@example(E12_3.scale(rat(1, 2)), E12_3.scale(rat(1, 3)))
+@example(E12_3, -E12_3)
+@example(SparseMatrix.zero(3), B3)
+@example(B3, SparseMatrix.zero(3))
+@given(square_matrices(), square_matrices())
+def test_unipotent_product_matches_fraction_reference(a, b):
+    fa, fb = as_fractions(a), as_fractions(b)
+    got = unipotent_product(a, b)
+    assert_well_formed(got)
+    assert as_fractions(got) == ref_add(ref_add(ref_mul(fa, fb), fa), fb)
+    ident = SparseMatrix.identity(a.dim)
+    assert got == (ident + a) * (ident + b) - ident
+
+
+def test_unipotent_product_den_edge_cases():
+    half, third = E12_3.scale(rat(1, 2)), E12_3.scale(rat(1, 3))
+    assert unipotent_product(half, third) == E12_3.scale(rat(5, 6))
+    zero = unipotent_product(E12_3, -E12_3)
+    assert zero.is_zero() and zero.den == 1
+    assert unipotent_product(SparseMatrix.zero(3), half) == half
+    assert unipotent_product(third, SparseMatrix.zero(3)) == third
 
 
 def test_single_term_row_products_do_not_alias_their_operand():

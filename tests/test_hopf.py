@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistlab.errors import DimensionMismatch, NotApplicable
-from twistlab.exact import SparseMatrix
+from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
     add,
     contragredient_morphism,
@@ -30,9 +30,11 @@ from twistlab.roots import carrier_generators, cartan_element
 from twistlab.twists import (
     chain_twist,
     extended_twist_generic,
+    extension_factor,
     external_factor,
     generic_extension_factor,
     jordanian_factor,
+    materialize,
     sequence,
     twist_factor,
 )
@@ -65,6 +67,40 @@ def test_cocycle_fails_for_bare_extension():
     res = cocycle_check(sequence(generic_extension_factor(3, 2, rat(1, 2))))
     assert not res.passed
     assert res.residual_nnz > 0
+
+
+def _failing_cocycles(n):
+    """An extension without its Jordanian, and a Jordanian followed by an
+    extension whose sigma power is -1 instead of -1/2."""
+    wrong = twist_factor(
+        f"E'(1,2,{n})", n, [(gen(1, 2), mul(gen(2, n), sigma_power(-1, 1, n)))]
+    )
+    return {
+        "bare": sequence(extension_factor(n, 1, 2)),
+        "wrong-power": sequence(jordanian_factor(n, 1), wrong),
+    }
+
+
+@pytest.mark.parametrize("witness, twist, residual, dims", [
+    ("fundamental", "bare", 2, 64),
+    ("fundamental", "wrong-power", 2, 64),
+    ("doubled", "bare", 1541, 4096),
+    ("doubled", "wrong-power", 1509, 4096),
+])
+def test_cocycle_residual_is_that_of_the_whole_products(witness, twist, residual, dims):
+    # the check compares nilpotent parts, (1 + x) - (1 + y) = x - y, so its
+    # residual is the nnz of F12 (D x id)(F) - F23 (id x D)(F) built whole
+    f = fundamental_morphism(4)
+    w = f if witness == "fundamental" else delta_morphism(f, f)
+    seq = _failing_cocycles(4)[twist]
+    res = cocycle_check(seq, witness=w)
+    assert (res.passed, res.residual_nnz, res.dims) == (False, residual, dims)
+    ident = SparseMatrix.identity(w.dim)
+    dw = delta_morphism(w, w)
+    f2 = materialize(seq, w, w)
+    lhs = kron(f2, ident) * materialize(seq, dw, w)
+    rhs = kron(ident, f2) * materialize(seq, w, dw)
+    assert (lhs - rhs).nnz == residual
 
 
 def test_cocycle_extension_over_jordanian_base():
@@ -279,11 +315,12 @@ def test_alternative_chain_drags_to_second_external():
         right = mul(gen(r, n - 1), sigma_power(rat(-1, 2), 2, n - 1))
         return twist_factor(f"E'(2,{r},{n - 1})", n, [(gen(2, r), right)])
 
+    ident = SparseMatrix.identity(n * n)
     lhs = (
         m_j0
-        * materialize_factor(corner(1), w, w)
-        * materialize_factor(corner(n), w, w)
+        * (materialize_factor(corner(1), w, w) + ident)
+        * (materialize_factor(corner(n), w, w) + ident)
         * m_j0_inv
     )
-    rhs = materialize_factor(external_factor(n, "E1tilde"), w, w)
+    rhs = materialize_factor(external_factor(n, "E1tilde"), w, w) + ident
     assert lhs == rhs

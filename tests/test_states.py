@@ -123,7 +123,7 @@ def test_diagram_commutators_on_nilpotent_parts(n, r):
         "E0": extension_factor(n, 1, r), "E1": extension_factor(n, 2, r),
         "E0t": external_factor(n, "E0tilde"), "E1t": external_factor(n, "E1tilde"),
     }
-    whole = {label: materialize_factor(f, deep, deep) for label, f in whole.items()}
+    whole = {label: materialize_factor(f, deep, deep) + one for label, f in whole.items()}
     for i in (0, 1):
         mi = whole[f"E{i}"]
         for j in (0, 1):

@@ -5,6 +5,7 @@ from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
     add,
+    delta_morphism,
     eval_expr,
     fundamental_morphism,
     gen,
@@ -37,14 +38,14 @@ def unit(dim, i, j, v=1):
 
 def test_jordanian_2_materialized():
     f2 = fundamental_morphism(2)
-    m = materialize_factor(jordanian_factor(2, 1), f2, f2)
+    m = materialize(sequence(jordanian_factor(2, 1)), f2, f2)
     h = SparseMatrix.from_entries(2, {(1, 1): rat(1, 2), (2, 2): rat(-1, 2)})
     assert m == SparseMatrix.identity(4) + kron(h, unit(2, 1, 2))
 
 
 def test_jordanian_6_unipotent():
     f6 = fundamental_morphism(6)
-    m = materialize_factor(jordanian_factor(6, 1), f6, f6)
+    m = materialize(sequence(jordanian_factor(6, 1)), f6, f6)
     off = m - SparseMatrix.identity(36)
     assert not off.is_zero()
     assert (off * off).is_zero()
@@ -57,8 +58,23 @@ def test_jordanian_bad_step():
 
 def test_extension_3_materialized():
     f3 = fundamental_morphism(3)
-    m = materialize_factor(extension_factor(3, 1, 2), f3, f3)
+    m = materialize(sequence(extension_factor(3, 1, 2)), f3, f3)
     assert m == SparseMatrix.identity(9) + kron(unit(3, 1, 2), unit(3, 2, 3))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_materialize_factor_is_the_nilpotent_part(inverse):
+    f6 = fundamental_morphism(6)
+    doubled = delta_morphism(f6, f6)
+    factors = [
+        jordanian_factor(6, 1), extension_factor(6, 1, 3), external_factor(6, "E0tilde"),
+        generic_jordanian_factor(6, 3, rat(1, 3)), generic_extension_factor(6, 3, rat(1, 3)),
+    ]
+    for f in factors:
+        for left, right in ((f6, f6), (doubled, f6)):
+            ident = SparseMatrix.identity(left.dim * right.dim)
+            whole = materialize(sequence(f), left, right, inverse=inverse)
+            assert materialize_factor(f, left, right, inverse=inverse) == whole - ident
 
 
 def test_extension_terms_shape():
@@ -164,8 +180,9 @@ def test_materialize_makes_one_product_per_extra_factor(monkeypatch):
     # the product from the identity, one factor at a time, as the reference
     forward_ref, inverse_ref = [identity], [identity]
     for f in chain:
-        forward_ref.append(materialize_factor(f, f5, f5) * forward_ref[-1])
-        inverse_ref.append(inverse_ref[-1] * materialize_factor(f, f5, f5, inverse=True))
+        forward_ref.append((materialize_factor(f, f5, f5) + identity) * forward_ref[-1])
+        inverse_part = materialize_factor(f, f5, f5, inverse=True)
+        inverse_ref.append(inverse_ref[-1] * (inverse_part + identity))
 
     products = []
     counting = [True]
