@@ -1,4 +1,4 @@
-"""Command line interface: `twistlab verify` and `twistlab dump`.
+"""Command line interface: `twistlab verify`, `twistlab dump`, `twistlab tables`.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 structural
 error (invalid configuration or arguments, or an unwritable output).

@@ -9,10 +9,6 @@ class NotNilpotent(TwistlabError):
     """A finite series was requested for a matrix that is not nilpotent."""
 
 
-class LegOutOfRange(TwistlabError, ValueError):
-    """Tensor-leg index outside the declared number of legs."""
-
-
 class IndexOutOfRange(TwistlabError, ValueError):
     """Generator index outside [1, N]."""
 

@@ -11,9 +11,10 @@ generator images) are reduced.  `==` compares values: equal dens compare
 numerators directly, different dens compare the reduced forms, so
 "residual" checks are exact.
 
-Product, sum, Kronecker product and the leg embeddings run on Python ints
-only (which cannot overflow); Rationals are taken or returned only at the
-boundaries: from_entries, scale, indexing, entries() and the dump format.
+Product, sum, Kronecker product and the embedding on legs (1, 3) run on
+Python ints only (which cannot overflow); Rationals are taken or returned
+only at the boundaries: from_entries, scale, indexing, entries() and the
+dump format.
 Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
 nilpotent matrices as finite series, each summed in place over one common
 denominator.  There is no generic matrix inverse: every inverse the package
@@ -28,7 +29,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterator, Optional
 
-from .errors import DimensionMismatch, LegOutOfRange, NotNilpotent
+from .errors import DimensionMismatch, NotNilpotent
 from .rationals import Rational, ZERO, binomial_general, factorial, rat
 
 
@@ -286,15 +287,8 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.dim * b.dim, rows, a.den * b.den)
 
 
-def embed_pair(m: SparseMatrix, d: int, legs: tuple) -> SparseMatrix:
-    """Place a two-leg operator m (dim d*d) on the given legs of a 3-fold space."""
-    i, j = legs
-    if (i, j) == (1, 2):
-        return kron(m, SparseMatrix.identity(d))
-    if (i, j) == (2, 3):
-        return kron(SparseMatrix.identity(d), m)
-    if (i, j) != (1, 3):
-        raise LegOutOfRange(f"unsupported leg pair {legs}")
+def embed_pair(m: SparseMatrix, d: int) -> SparseMatrix:
+    """Place a two-leg operator m (dim d*d) on legs 1 and 3 of a 3-fold space."""
     rows: dict = {}
     for ab, row in m.rows.items():
         a, b_ = divmod(ab - 1, d)

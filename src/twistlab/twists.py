@@ -9,9 +9,7 @@ algebra first), so the materialized product puts later factors on the left:
 Each factor is 1 + a with a nilpotent, and F is built as its nilpotent part
 F - 1: materialize_factor gives a = exp(argument) - 1, and nilpotent_part
 folds the parts with (1 + a)(1 + b) - 1 = ab + a + b, so no identity of the
-legs' space is built until materialize adds it once.  Inverses are exact
-per-factor exp(-argument) parts folded in reverse order, never generic
-matrix inversion; hopf.TwistedCoalgebra is the one caller that asks for them.
+legs' space is built until materialize adds it once.
 """
 
 from dataclasses import dataclass
@@ -191,43 +189,34 @@ def alternative_chain(n: int) -> TwistSequence:
 # -- materialization --------------------------------------------------------
 
 
-def materialize_factor(
-    factor: TwistFactor, left: Morphism, right: Morphism, inverse: bool = False
-) -> SparseMatrix:
-    """The factor's nilpotent part exp(+-argument) - 1 in the given legs."""
-    arg = eval_tensor_pairs(factor.terms, left, right)
-    if inverse:
-        arg = -arg
-    return analytic_apply(EXPM1, arg)
+def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism) -> SparseMatrix:
+    """The factor's nilpotent part exp(argument) - 1 in the given legs."""
+    return analytic_apply(EXPM1, eval_tensor_pairs(factor.terms, left, right))
 
 
-def nilpotent_part(
-    seq: TwistSequence, left: Morphism, right: Morphism, inverse: bool = False
-) -> SparseMatrix:
-    """F - 1 (or F^-1 - 1), folded from the factors' nilpotent parts.
+def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism) -> SparseMatrix:
+    """F - 1, folded from the factors' nilpotent parts.
 
     The fold starts at the first factor's part (k factors take k - 1
     products; the empty sequence gives zero) and puts later factors on the
-    left, or on the right for the inverse, the reversed product of
-    exp(-argument) factors.
+    left.  Every twist in scope is unipotent in the legs it is used in (F - 1
+    is nilpotent), which is what lets callers invert F as the finite series
+    (1 + (F - 1))^-1.
     """
     if not seq.factors:
         return SparseMatrix.zero(left.dim * right.dim)
     first, *rest = seq.factors
-    out = materialize_factor(first, left, right, inverse)
+    out = materialize_factor(first, left, right)
     for f in rest:
-        m = materialize_factor(f, left, right, inverse)
-        out = unipotent_product(out, m) if inverse else unipotent_product(m, out)
+        out = unipotent_product(materialize_factor(f, left, right), out)
     return out
 
 
-def materialize(
-    seq: TwistSequence, left: Morphism, right: Morphism, inverse: bool = False
-) -> SparseMatrix:
-    """F (or its two-sided exact inverse): the nilpotent part plus the identity.
+def materialize(seq: TwistSequence, left: Morphism, right: Morphism) -> SparseMatrix:
+    """F: the nilpotent part plus the identity.
 
     The result is held by its callers, so it is returned reduced to
     canonical form.
     """
     identity = SparseMatrix.identity(left.dim * right.dim)
-    return (nilpotent_part(seq, left, right, inverse) + identity).reduced()
+    return (nilpotent_part(seq, left, right) + identity).reduced()

@@ -103,6 +103,20 @@ def test_cocycle_residual_is_that_of_the_whole_products(witness, twist, residual
     assert (lhs - rhs).nnz == residual
 
 
+@pytest.mark.parametrize("witness, twist, residual, dims", [
+    ("fundamental", "bare", 4, 64),
+    ("fundamental", "wrong-power", 5, 64),
+    ("doubled", "bare", 3016, 4096),
+    ("doubled", "wrong-power", 3528, 4096),
+])
+def test_coassociativity_fails_for_a_non_cocycle(witness, twist, residual, dims):
+    f = fundamental_morphism(4)
+    w = f if witness == "fundamental" else delta_morphism(f, f)
+    gens = [gen(1, 2), gen(1, 4), gen(2, 4), cartan_element(4, 1, 4)]
+    res = coassociativity_check(_failing_cocycles(4)[twist], gens, witness=w)
+    assert (res.passed, res.residual_nnz, res.dims) == (False, residual, dims)
+
+
 def test_cocycle_extension_over_jordanian_base():
     base = sequence(jordanian_factor(3, 1))
     ext = sequence(generic_extension_factor(3, 2, rat(1, 2)))
@@ -303,24 +317,20 @@ def test_alternative_chain_drags_to_second_external():
     # J0-conjugation of the s=1 and s=N maximal-set factors reproduces the
     # second external factor, mirroring the first dragging identity
     from twistlab.expr import fundamental_morphism, gen, mul, sigma_power
-    from twistlab.twists import materialize, materialize_factor, twist_factor
+    from twistlab.twists import materialize_factor, twist_factor
 
     n = 6
     w = fundamental_morphism(n)
-    j0 = sequence(jordanian_factor(n, 1))
-    m_j0 = materialize(j0, w, w)
-    m_j0_inv = materialize(j0, w, w, inverse=True)
+    j0 = TwistedCoalgebra(sequence(jordanian_factor(n, 1)), w)
 
     def corner(r):
         right = mul(gen(r, n - 1), sigma_power(rat(-1, 2), 2, n - 1))
         return twist_factor(f"E'(2,{r},{n - 1})", n, [(gen(2, r), right)])
 
     ident = SparseMatrix.identity(n * n)
-    lhs = (
-        m_j0
-        * (materialize_factor(corner(1), w, w) + ident)
+    lhs = j0.conjugate(
+        (materialize_factor(corner(1), w, w) + ident)
         * (materialize_factor(corner(n), w, w) + ident)
-        * m_j0_inv
     )
     rhs = materialize_factor(external_factor(n, "E1tilde"), w, w) + ident
     assert lhs == rhs

@@ -1,12 +1,17 @@
+import hashlib
+
 import pytest
 
 from twistlab import twists
-from twistlab.errors import IndexOutOfRange, NotApplicable
-from twistlab.exact import SparseMatrix, kron
+from twistlab.errors import IndexOutOfRange, NotApplicable, NotNilpotent
+from twistlab.exact import EXP, EXPM1, SparseMatrix, analytic_apply, dump_matrix_text, kron
 from twistlab.expr import (
     add,
+    contragredient_morphism,
+    coproduct_morphism,
     delta_morphism,
     eval_expr,
+    eval_tensor_pairs,
     fundamental_morphism,
     gen,
     mul,
@@ -14,8 +19,11 @@ from twistlab.expr import (
     sigma,
     zero_morphism,
 )
+from twistlab.hopf import TwistedCoalgebra
 from twistlab.rationals import rat
+from twistlab.report import WITNESSES
 from twistlab.roots import carrier_column, cartan_element
+from twistlab.states import costructure_table
 from twistlab.twists import (
     alternative_chain,
     chain_twist,
@@ -34,6 +42,14 @@ from twistlab.twists import (
 
 def unit(dim, i, j, v=1):
     return SparseMatrix.unit(dim, i, j, v)
+
+
+def reversed_factor_inverse(seq, left, right):
+    """F^-1 as the reversed product of the factors' exp(-argument)."""
+    out = SparseMatrix.identity(left.dim * right.dim)
+    for f in seq.factors:
+        out = out * analytic_apply(EXP, -eval_tensor_pairs(f.terms, left, right))
+    return out
 
 
 def test_jordanian_2_materialized():
@@ -64,6 +80,8 @@ def test_extension_3_materialized():
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_materialize_factor_is_the_nilpotent_part(inverse):
+    # F - 1 of a one-factor twist is its part exp(argument) - 1, and the
+    # series inverse gives F^-1 - 1 = exp(-argument) - 1
     f6 = fundamental_morphism(6)
     doubled = delta_morphism(f6, f6)
     factors = [
@@ -73,8 +91,12 @@ def test_materialize_factor_is_the_nilpotent_part(inverse):
     for f in factors:
         for left, right in ((f6, f6), (doubled, f6)):
             ident = SparseMatrix.identity(left.dim * right.dim)
-            whole = materialize(sequence(f), left, right, inverse=inverse)
-            assert materialize_factor(f, left, right, inverse=inverse) == whole - ident
+            co = TwistedCoalgebra(sequence(f), left, right)
+            if inverse:
+                arg = eval_tensor_pairs(f.terms, left, right)
+                assert co.f_inv - ident == analytic_apply(EXPM1, -arg)
+            else:
+                assert materialize_factor(f, left, right) == co.f_mat - ident
 
 
 def test_extension_terms_shape():
@@ -133,7 +155,7 @@ def test_materialize_inverse_exact():
     f6 = fundamental_morphism(6)
     seq = chain_twist(6, 1)
     m = materialize(seq, f6, f6)
-    m_inv = materialize(seq, f6, f6, inverse=True)
+    m_inv = TwistedCoalgebra(seq, f6).f_inv
     ident = SparseMatrix.identity(36)
     assert m * m_inv == ident
     assert m_inv * m == ident
@@ -178,11 +200,9 @@ def test_materialize_makes_one_product_per_extra_factor(monkeypatch):
     chain = chain_twist(5, 1).factors
     identity = SparseMatrix.identity(25)
     # the product from the identity, one factor at a time, as the reference
-    forward_ref, inverse_ref = [identity], [identity]
+    forward_ref = [identity]
     for f in chain:
         forward_ref.append((materialize_factor(f, f5, f5) + identity) * forward_ref[-1])
-        inverse_part = materialize_factor(f, f5, f5, inverse=True)
-        inverse_ref.append(inverse_ref[-1] * (inverse_part + identity))
 
     products = []
     counting = [True]
@@ -204,16 +224,115 @@ def test_materialize_makes_one_product_per_extra_factor(monkeypatch):
 
     monkeypatch.setattr(SparseMatrix, "__mul__", counted)
     monkeypatch.setattr(twists, "materialize_factor", uncounted_factor)
-    got = {}
+    got = []
     for k in range(len(chain) + 1):
-        seq = sequence(*chain[:k], n=5)
-        for inverse in (False, True):
-            products.clear()
-            got[k, inverse] = materialize(seq, f5, f5, inverse=inverse)
-            assert len(products) == max(k - 1, 0), (k, inverse)
+        products.clear()
+        got.append(materialize(sequence(*chain[:k], n=5), f5, f5))
+        assert len(products) == max(k - 1, 0), k
     monkeypatch.undo()
-    assert got[0, False] == got[0, True] == identity
-    for k in range(len(chain) + 1):
-        assert got[k, False] == forward_ref[k]
-        assert got[k, True] == inverse_ref[k]
-        assert got[k, False] * got[k, True] == identity
+    assert got == forward_ref
+
+
+def _chain_prefixes():
+    f5 = fundamental_morphism(5)
+    chain = chain_twist(5, 1).factors
+    return [(sequence(*chain[:k], n=5), f5, f5) for k in range(len(chain) + 1)]
+
+
+def _state_in_mixed_doubled_legs():
+    doubled = coproduct_morphism(6)
+    recipe = costructure_table("E1E0E1tJ1J0", 6, 3).twist_recipe
+    return [
+        (recipe, doubled, fundamental_morphism(6)),
+        (recipe, contragredient_morphism(doubled), doubled),
+    ]
+
+
+@pytest.mark.parametrize("cases", [_chain_prefixes, _state_in_mixed_doubled_legs],
+                         ids=["chain-prefixes", "state-mixed-doubled"])
+def test_series_inverse_is_the_reversed_product_of_factor_inverses(cases):
+    for seq, left, right in cases():
+        ident = SparseMatrix.identity(left.dim * right.dim)
+        co = TwistedCoalgebra(seq, left, right)
+        assert co.f_inv == reversed_factor_inverse(seq, left, right), seq.name
+        assert co.f_mat * co.f_inv == ident
+        assert co.f_inv * co.f_mat == ident
+
+
+def test_series_inverse_needs_a_unipotent_twist():
+    # each factor is unipotent, but exp(E12 x E12) exp(E21 x E21) is not:
+    # F - 1 is not nilpotent, so F has no finite-series inverse
+    fa = twist_factor("a", 2, [(gen(1, 2), gen(1, 2))])
+    fb = twist_factor("b", 2, [(gen(2, 1), gen(2, 1))])
+    for f in (fa, fb):
+        TwistedCoalgebra(sequence(f))
+    with pytest.raises(NotNilpotent):
+        TwistedCoalgebra(sequence(fa, fb))
+
+
+# sha256 of dump_matrix_text of F and of F^-1 at N = 6, per (witness, twist)
+# of `twistlab dump`; F is what `dump` writes
+DUMP_HASHES = {
+    ("fundamental", "jordanian"): (
+        "f9af5f1529772e57f81bc87206e7665d5e743d1d39ac77e942df3758839685ac",
+        "4119be27a672614fc246bc31afcba5f344838163d2ad1c80d8d9be000c0a5fc1",
+    ),
+    ("fundamental", "extended"): (
+        "fe9f8ffb6a08c6efc61ca5e436b6e7e666a815edb1893986c32abc8d708f49bc",
+        "ddec03a754866d0479b46b6f32e5256ea33816b9946b02e3dd413879a73d7ebf",
+    ),
+    ("fundamental", "chain"): (
+        "727dcda74cd6bbbafec5204c9163436b261892ace46b1aaada47e741d2ed14d8",
+        "3f416e4297a6a6b3bcd5643570c461ca2bcf7308f8a53704d1680ea9bdf80ea3",
+    ),
+    ("fundamental", "external0"): (
+        "fe9a163dfe730ea96ecd339bf94f2beb503992b91b14f106520247f459c25177",
+        "26c3b48ab71d1be417daddd59f741dfdc1b44a11bd76d01f0b05f86f5dea3c28",
+    ),
+    ("fundamental", "external1"): (
+        "e00e889d1463db7142d630191ed04e85d7f47d8e8bac2c2b9a358da1ac09d3bb",
+        "a980e57c5d266bfb2d1274d9bc302ad75818ec73debf170075f1b231763df35f",
+    ),
+    ("doubled", "jordanian"): (
+        "0e53dedb09a28754e79305e38a746a4e1210a6ac1eb9d2d65be6ddf8a7216dc4",
+        "0a8a52598c4a0570b59d957072b28bfe000cf3e22cc1f297c8a2cbfeab06ae79",
+    ),
+    ("doubled", "extended"): (
+        "5af39112f9146880fe2566641ada7ec710cf9158e8021e3354a77f636015e020",
+        "654fdf0cdbc50e95d14bf0f2e338938f11d910691680f2f19923d88010c48aaf",
+    ),
+    ("doubled", "chain"): (
+        "36f3d8f18438d09bc8b7d3f7ec220256039915a9ae1ff2faa6a6d5c43bb402e3",
+        "b79bf43395f69bfe0fd55039a76933b35f6e77b23e165d85b337c9c39433c293",
+    ),
+    ("doubled", "external0"): (
+        "8b3b48bf6558bed5d6319f954b8150f38d5163c8c9fb6e76308ef93f872e9e64",
+        "d73bbb81353944381c66e2f7fc31978aeb8c04399b4972b67ec833ecfb4da020",
+    ),
+    ("doubled", "external1"): (
+        "49cac72a988947c4a03a0004f1a5c83bb1a119c5e5c4a9d264cceee8fda20106",
+        "b64e86e9784b5aaba888fcda7c47c3d928b5779fbf33818d963e7e68dcedcf26",
+    ),
+}
+
+
+def test_dumped_twists_and_their_inverses_keep_their_bytes():
+    n = 6
+    dumpable = {
+        "jordanian": sequence(jordanian_factor(n, 1)),
+        "extended": extended_twist_generic(n, carrier_column(n), rat(1, 2)),
+        "chain": chain_twist(n, 1),
+        "external0": sequence(external_factor(n, "E0tilde")),
+        "external1": sequence(external_factor(n, "E1tilde")),
+    }
+    got = {}
+    for wname, build in WITNESSES.items():
+        w = build(n)
+        for name, seq in dumpable.items():
+            co = TwistedCoalgebra(seq, w)
+            assert co.f_mat == materialize(seq, w, w)
+            got[wname, name] = tuple(
+                hashlib.sha256(dump_matrix_text(m).encode()).hexdigest()
+                for m in (co.f_mat, co.f_inv)
+            )
+    assert got == DUMP_HASHES
