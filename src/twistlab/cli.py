@@ -30,7 +30,18 @@ from .twists import (
     sequence,
 )
 
-DUMPABLE = ("jordanian", "extended", "chain", "external0", "external1")
+# dump --twist name -> builder of its sequence from the parsed arguments
+DUMPABLE = {
+    "jordanian": lambda args: sequence(jordanian_factor(args.n, 1)),
+    "extended": lambda args: extended_twist_generic(
+        args.n,
+        args.r if args.r is not None else carrier_column(args.n),
+        _parse(args.alpha, parse_rat, "--alpha"),
+    ),
+    "chain": lambda args: chain_twist(args.n, args.p),
+    "external0": lambda args: sequence(external_factor(args.n, "E0tilde")),
+    "external1": lambda args: sequence(external_factor(args.n, "E1tilde")),
+}
 
 
 def _split_csv(text):
@@ -111,19 +122,8 @@ def _verify_config(args) -> SuiteConfig:
 
 
 def _dump_twist(args) -> int:
-    n = args.n
-    if args.twist == "jordanian":
-        seq = sequence(jordanian_factor(n, 1))
-    elif args.twist == "extended":
-        r = args.r if args.r is not None else carrier_column(n)
-        seq = extended_twist_generic(n, r, _parse(args.alpha, parse_rat, "--alpha"))
-    elif args.twist == "chain":
-        seq = chain_twist(n, args.p)
-    elif args.twist == "external0":
-        seq = sequence(external_factor(n, "E0tilde"))
-    else:
-        seq = sequence(external_factor(n, "E1tilde"))
-    w = WITNESSES[args.witness](n)
+    seq = DUMPABLE[args.twist](args)
+    w = WITNESSES[args.witness](args.n)
     dump_matrix(materialize(seq, w, w), args.out)
     print(f"wrote {args.out}")
     return 0

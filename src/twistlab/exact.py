@@ -26,11 +26,11 @@ exp(m) - 1), and `unipotent_product` multiplies two of them as
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Iterator, Optional
 
 from .errors import DimensionMismatch, NotNilpotent
-from .rationals import Rational, ZERO, binomial_general, factorial, rat
+from .rationals import Rational, ZERO, binomial_general, rat
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ leg-doubled witness) can be substituted.
 import time
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import factorial
 
 from .errors import ExpansionOverflow, NotApplicable, NotNilpotent
 from .exact import (
@@ -34,7 +35,7 @@ from .expr import (
     mul,
     zero_morphism,
 )
-from .rationals import ONE, rat, factorial
+from .rationals import ONE, rat
 from .twists import (
     TwistSequence,
     extension_factor,

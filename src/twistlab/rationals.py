@@ -9,6 +9,7 @@ use them: exact.py keeps int numerators over one common denominator.
 """
 
 from fractions import Fraction
+from math import factorial
 
 Rational = Fraction
 # a single scalar backend; the benchmark reports this flag as its name
@@ -38,13 +39,6 @@ def parse_rat(text: str):
         num, den = text.split("/", 1)
         return rat(int(num), int(den))
     return rat(int(text))
-
-
-def factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 def binomial_general(q, k: int):

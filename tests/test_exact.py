@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,7 +23,7 @@ from twistlab.exact import (
     unipotent_product,
 )
 from twistlab.hopf import Tally
-from twistlab.rationals import binomial_general, factorial, rat
+from twistlab.rationals import binomial_general, rat
 
 
 def unit(dim, i, j, v=1):

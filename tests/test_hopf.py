@@ -6,6 +6,7 @@ from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
     add,
     contragredient_morphism,
+    coproduct_morphism,
     delta_morphism,
     eval_expr,
     fundamental_morphism,
@@ -289,6 +290,13 @@ def test_dragging_identity():
     assert verify_dragging(6).passed
     with pytest.raises(NotApplicable):
         verify_dragging(5)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 7: the second-row extensions E(2,r,N-1) do not commute with "
+    "J(2,N-1), E(1,2,N) and E(1,N-1,N); the fundamental witness hides it"))
+def test_dragging_fails_in_the_doubled_witness():
+    assert verify_dragging(6, coproduct_morphism(6)).passed
 
 
 def test_coassociativity_extended():

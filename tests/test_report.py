@@ -8,6 +8,8 @@ from twistlab.hopf import Tally
 from twistlab.rationals import rat
 from twistlab.report import (
     SUITE_NAMES,
+    SUITES,
+    WITNESSES,
     SuiteConfig,
     config_from_dict,
     core_property_checks,
@@ -144,3 +146,35 @@ def test_comparisons_per_suite(suite, count, monkeypatch):
     report = run_suite(cfg)
     assert all(res.passed for res in report.results)
     assert len(calls) == count
+
+
+# doubled diagram is left out: about 58 s at N = 6, almost all of it in the
+# asymmetry lift (ROADMAP item 7); the part of it that fails is
+# test_hopf.py::test_dragging_fails_in_the_doubled_witness
+LEFT_OUT = {("diagram", "doubled")}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_runs_the_same_checks_in_every_witness(suite):
+    min_n, _ = SUITES[suite]
+    names = {}
+    for witness in WITNESSES:
+        if (suite, witness) in LEFT_OUT:
+            continue
+        # r must lie in 3..N-2; the suites that read it start at N = 6
+        cfg = SuiteConfig(n=min_n, suites=(suite,), r_values=(3,) if min_n >= 5 else (),
+                          witness=witness)
+        report = run_suite(cfg)
+        assert [r.name for r in report.results if not r.passed] == []
+        names[witness] = [r.name for r in report.results]
+    assert all(got == names["fundamental"] for got in names.values())
+
+
+def test_a_suite_named_twice_runs_once():
+    strip = lambda rep: [
+        {k: v for k, v in chk.items() if k != "elapsed"} for chk in rep.to_dict()["checks"]
+    ]
+    once = run_suite(SuiteConfig(n=4, suites=("chain",)))
+    twice = run_suite(SuiteConfig(n=4, suites=("chain", "chain")))
+    assert len(once.results) == 7
+    assert strip(twice) == strip(once)

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from twistlab import twists
+from twistlab.cli import DUMPABLE, build_parser
 from twistlab.errors import IndexOutOfRange, NotApplicable, NotNilpotent
 from twistlab.exact import EXP, EXPM1, SparseMatrix, analytic_apply, dump_matrix_text, kron
 from twistlab.expr import (
@@ -317,13 +318,12 @@ DUMP_HASHES = {
 
 
 def test_dumped_twists_and_their_inverses_keep_their_bytes():
+    # the sequences `twistlab dump --twist <name> --n 6` builds, default options
     n = 6
+    parse = build_parser().parse_args
     dumpable = {
-        "jordanian": sequence(jordanian_factor(n, 1)),
-        "extended": extended_twist_generic(n, carrier_column(n), rat(1, 2)),
-        "chain": chain_twist(n, 1),
-        "external0": sequence(external_factor(n, "E0tilde")),
-        "external1": sequence(external_factor(n, "E1tilde")),
+        name: build(parse(["dump", "--twist", name, "--n", str(n), "--out", "-"]))
+        for name, build in DUMPABLE.items()
     }
     got = {}
     for wname, build in WITNESSES.items():
