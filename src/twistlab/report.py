@@ -392,6 +392,9 @@ def config_from_dict(data: dict) -> SuiteConfig:
         for key in ("suites", "r_values", "alpha_values"):
             if key in data and not isinstance(data[key], list):
                 raise ConfigInvalid(f"{key!r} must be a list, got {data[key]!r}")
+        # a list or object entry would reach the SUITES lookup unhashable
+        if not all(isinstance(s, str) for s in data.get("suites", ())):
+            raise ConfigInvalid(f"'suites' entries must be strings, got {data['suites']!r}")
         # a list would reach the WITNESSES lookup unhashable, a number os.makedirs
         for key in ("witness", "output", "dump_dir"):
             if data.get(key) is not None and not isinstance(data[key], str):

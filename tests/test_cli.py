@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,23 @@ def test_tables_export_all_states():
     ]
 
 
+# sha256 of `twistlab tables --n N --r r` stdout, all nine states
+TABLES_HASHES = {
+    (6, 3): "a024c4922a8b0223e4acc62156725fdf486dd2fb019bb7b57b0fd0888cf0c9f0",
+    (7, 4): "4d08c6a4ff5194afbccfe08f5f85a5f6f878aa1ede86179efaa3e245d737b84b",
+    (8, 5): "94cc854b7eb13c7fb69ded35f644847ea4e8cf520a2cef6f9081e1798fbbf508",
+}
+
+
+@pytest.mark.parametrize("n, r", sorted(TABLES_HASHES))
+def test_tables_output_keeps_its_bytes(capsys, n, r):
+    from twistlab import cli
+
+    assert cli.main(["tables", "--n", str(n), "--r", str(r)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_HASHES[n, r]
+
+
 def test_tables_rejects_small_n():
     res = run_cli("tables", "--n", "5", "--r", "3")
     assert res.returncode == 2
@@ -126,6 +144,10 @@ def test_tables_rejects_small_n():
     (["--config", "{tmp}/missing.json"], "cannot read --config"),
     (["--config", "{tmp}/not_json.json"], "cannot read --config"),
     (["--config", "{tmp}/string_suites.json"], "'suites' must be a list"),
+    (["--config", "{tmp}/nested_suites.json"],
+     "'suites' entries must be strings, got [['core']]"),
+    (["--config", "{tmp}/object_suites.json"],
+     "'suites' entries must be strings, got [{'a': 1}]"),
     (["--config", "{tmp}/string_alphas.json"], "'alpha_values' must be a list"),
     (["--config", "{tmp}/zero_alpha.json"], "bad config"),
     (["--n", "3", "--suites", "twist-axioms", "--alpha", ","], "no alpha values"),
@@ -141,7 +163,8 @@ def test_tables_rejects_small_n():
     (["--config", "{tmp}/bool_alpha.json"],
      "'alpha_values' needs an integer or a 'p/q' string, got True"),
 ], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
-        "config-string-suites", "config-string-alphas", "config-alpha-zero-den",
+        "config-string-suites", "config-nested-suites", "config-object-suites",
+        "config-string-alphas", "config-alpha-zero-den",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
         "config-float-n", "config-float-r", "config-missing-n", "config-list",
         "config-float-alpha", "config-bool-alpha"])
@@ -150,6 +173,8 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
 
     (tmp_path / "not_json.json").write_text("{n: 3")
     (tmp_path / "string_suites.json").write_text(json.dumps({"n": 3, "suites": "core"}))
+    (tmp_path / "nested_suites.json").write_text(json.dumps({"n": 6, "suites": [["core"]]}))
+    (tmp_path / "object_suites.json").write_text(json.dumps({"n": 6, "suites": [{"a": 1}]}))
     (tmp_path / "string_alphas.json").write_text(
         json.dumps({"n": 3, "suites": ["rmatrix"], "alpha_values": "12"})
     )

@@ -12,7 +12,9 @@ from twistlab.hopf import TwistedCoalgebra
 from twistlab.rationals import rat
 from twistlab.states import (
     Combinator,
+    DIAGRAM_EDGES,
     STATE_IDS,
+    STATES,
     combinator_eval,
     costructure_table,
     heisenberg_pair_generators,
@@ -162,3 +164,52 @@ def test_generator_slots():
     gens = heisenberg_pair_generators(6, 3)
     assert eval_expr(gens["ern"], fundamental_morphism(6)) == unit(6, 3, 6)
     assert len(gens) == 8
+
+
+# the diagram of the paper: (source state, edge label, target state)
+PAPER_EDGES = {
+    ("J1J0", "E0t", "E0tJ1J0"),
+    ("J1J0", "E1t", "E1tJ1J0"),
+    ("J1J0", "E0", "E0J1J0"),
+    ("J1J0", "E1", "E1J1J0"),
+    ("E0tJ1J0", "E0", "E0tE0J1J0"),
+    ("E0J1J0", "E0t", "E0tE0J1J0"),
+    ("E1tJ1J0", "E1", "E1E1tJ1J0"),
+    ("E1J1J0", "E1t", "E1E1tJ1J0"),
+    ("E0tE0J1J0", "E1", "E1E0E0tJ1J0"),
+    ("E1E1tJ1J0", "E0", "E1E0E1tJ1J0"),
+}
+
+
+def test_registry_gives_the_papers_diagram():
+    assert STATE_IDS == tuple(STATES) and len(STATES) == 9
+    assert len(DIAGRAM_EDGES) == 10 and set(DIAGRAM_EDGES) == PAPER_EDGES
+    squares = [sid for sid, (labels, _) in STATES.items() if len(labels) == 2]
+    assert squares == ["E0tE0J1J0", "E1E1tJ1J0"]
+    for sid, (labels, entries) in STATES.items():
+        assert sid == "".join(reversed(labels)) + "J1J0"
+        assert list(entries) == list(heisenberg_pair_generators(6, 3))
+
+
+def test_a_wrong_registry_entry_fails_the_state_and_the_diagram(monkeypatch):
+    labels, entries = STATES["E0J1J0"]
+    assert entries["ern"] == ((1, Combinator("R", i=1)),)
+    wrong = {**entries, "ern": ((1, Combinator("Pplus", i=1)),)}
+    monkeypatch.setitem(STATES, "E0J1J0", (labels, wrong))
+    assert not verify_state("E0J1J0", 6, 3).passed
+    assert not verify_diagram(6, 3).passed
+
+
+def test_diagram_builds_each_coalgebra_once(monkeypatch):
+    # seven edge sources (the two squares among them), four edge factors and
+    # the two squares' other orders
+    built = []
+    init = TwistedCoalgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwistedCoalgebra, "__init__", counting_init)
+    assert verify_diagram(6, 3).passed
+    assert len(built) == 13
