@@ -108,7 +108,7 @@ def _verify_config(args) -> SuiteConfig:
         cfg.r_values = tuple(_parse(x, int, "--r") for x in _split_csv(args.r))
     if args.alpha is not None:
         cfg.alpha_values = tuple(_parse(x, parse_rat, "--alpha") for x in _split_csv(args.alpha))
-    if args.witness is not None:
+    if args.witness:  # None, or one of the WITNESSES names
         cfg.witness = args.witness
     if args.fmt is not None:
         cfg.output = args.fmt

@@ -2,9 +2,9 @@
 
 Every check materializes both sides of an identity in a faithful
 finite-dimensional representation and compares exactly: a pass means the
-difference matrix has no stored entries at all.  The default witness is the
-fundamental representation of gl(N); any Morphism with the same N (e.g. the
-leg-doubled witness) can be substituted.
+difference matrix has no stored entries at all.  Every check takes the
+witness it runs in as an argument (the fundamental representation of gl(N),
+the leg-doubled one, ...); none picks one of its own.
 """
 
 import time
@@ -30,7 +30,6 @@ from .expr import (
     delta_morphism,
     eval_expr,
     eval_tensor_pairs,
-    fundamental_morphism,
     gen,
     mul,
     zero_morphism,
@@ -98,9 +97,9 @@ class TwistedCoalgebra:
     raises NotNilpotent.
     """
 
-    def __init__(self, seq: TwistSequence, witness: Morphism = None, right: Morphism = None):
-        self.witness = witness if witness is not None else fundamental_morphism(seq.n)
-        self.right = right if right is not None else self.witness
+    def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None):
+        self.witness = witness
+        self.right = right if right is not None else witness
         self.delta = delta_morphism(self.witness, self.right)
         self.f_mat = materialize(seq, self.witness, self.right)
         part = self.f_mat - SparseMatrix.identity(self.f_mat.dim)
@@ -117,18 +116,17 @@ class TwistedCoalgebra:
         return eval_tensor_pairs(pairs, self.witness, self.right)
 
 
-def counit_check(seq: TwistSequence, witness: Morphism = None) -> CheckResult:
+def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
     """(eps x id)(F) = (id x eps)(F) = 1; the zero morphism realizes eps.
 
     Both sides are compared as nilpotent parts F - 1 against zero, so the
     residual is that of F against the identity.
     """
-    w = witness if witness is not None else fundamental_morphism(seq.n)
     eps = zero_morphism(seq.n)
     tally = Tally(f"counit[{seq.name},N={seq.n}]")
-    zero = SparseMatrix.zero(w.dim)
-    tally.equal(nilpotent_part(seq, eps, w), zero)
-    tally.equal(nilpotent_part(seq, w, eps), zero)
+    zero = SparseMatrix.zero(witness.dim)
+    tally.equal(nilpotent_part(seq, eps, witness), zero)
+    tally.equal(nilpotent_part(seq, witness, eps), zero)
     return tally.result()
 
 
@@ -146,7 +144,7 @@ def _three_leg_parts(seq: TwistSequence, w: Morphism, dw: Morphism):
 
 
 def cocycle_check(
-    seq: TwistSequence, base: TwistSequence = None, witness: Morphism = None
+    seq: TwistSequence, witness: Morphism, base: TwistSequence = None
 ) -> CheckResult:
     """F12 (D_base x id)(F) = F23 (id x D_base)(F) in three witness legs.
 
@@ -155,27 +153,25 @@ def cocycle_check(
     built as nilpotent parts, (1 + x) - (1 + y) = x - y, so the residual is
     that of the whole products and no three-leg identity is built.
     """
-    w = witness if witness is not None else fundamental_morphism(seq.n)
     label = f"cocycle[{seq.name},N={seq.n}]" if base is None else \
         f"cocycle[{seq.name}|{base.name},N={seq.n}]"
     tally = Tally(label)
 
     if base is not None and base.factors:
-        co = TwistedCoalgebra(base, w)
+        co = TwistedCoalgebra(base, witness)
         dw = Morphism(seq.n, co.delta.dim, lambda i, j: co.coproduct(gen(i, j)),
                       name=f"delta_F[{base.name}]")
     else:
-        dw = delta_morphism(w, w)
-    tally.equal(*_three_leg_parts(seq, w, dw))
+        dw = delta_morphism(witness, witness)
+    tally.equal(*_three_leg_parts(seq, witness, dw))
     return tally.result()
 
 
-def r_matrix_checks(seq: TwistSequence, witness: Morphism = None) -> CheckResult:
+def r_matrix_checks(seq: TwistSequence, witness: Morphism) -> CheckResult:
     """R = F21 F^-1: quantum Yang-Baxter plus triangularity R21 R = 1."""
-    w = witness if witness is not None else fundamental_morphism(seq.n)
-    d = w.dim
+    d = witness.dim
     tally = Tally(f"rmatrix[{seq.name},N={seq.n}]")
-    co = TwistedCoalgebra(seq, w)
+    co = TwistedCoalgebra(seq, witness)
     p = swap_matrix(d)
     r = p * co.f_mat * p * co.f_inv
     r21 = p * r * p
@@ -188,22 +184,19 @@ def r_matrix_checks(seq: TwistSequence, witness: Morphism = None) -> CheckResult
     return tally.result()
 
 
-def coassociativity_check(
-    seq: TwistSequence, xs, witness: Morphism = None
-) -> CheckResult:
+def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckResult:
     """(D_F x id)D_F = (id x D_F)D_F on the given elements, re-derived.
 
     (D x id)D(x) and (id x D)D(x) are conjugated by the three-leg twists
     G = F12 (D x id)(F) and F23 (id x D)(F) of the cocycle check; each G^-1
     is the finite series (1 + (G - 1))^-1.
     """
-    w = witness if witness is not None else fundamental_morphism(seq.n)
     tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
 
-    dw = delta_morphism(w, w)
-    ident = SparseMatrix.identity(w.dim ** 3)
+    dw = delta_morphism(witness, witness)
+    ident = SparseMatrix.identity(witness.dim ** 3)
     sides = []
-    for legs, part in zip(((dw, w), (w, dw)), _three_leg_parts(seq, w, dw)):
+    for legs, part in zip(((dw, witness), (witness, dw)), _three_leg_parts(seq, witness, dw)):
         g = (part + ident).reduced()
         g_inv = analytic_apply(pow1p(-1), part).reduced()
         sides.append((delta_morphism(*legs), g, g_inv))
@@ -275,31 +268,30 @@ def _factor_term_expansion(factor, w: Morphism, wdual: Morphism, bound: int):
 
 
 def twist_antipode_correction(
-    seq: TwistSequence, witness: Morphism = None, bound: int = None
+    seq: TwistSequence, witness: Morphism, bound: int = None
 ) -> SparseMatrix:
     """v = sum f^(1) S(f^(2)) from the finite multi-index expansion of F,
     with S(y) evaluated as the transposed contragredient image w*(y)^T."""
-    w = witness if witness is not None else fundamental_morphism(seq.n)
-    wdual = contragredient_morphism(w)
+    wdual = contragredient_morphism(witness)
     bound = bound if bound is not None else 2 * seq.n
     combined = [(ONE, (), ())]
     # later factors multiply from the left in F, hence lead the monomials
     for factor in reversed(seq.factors):
-        expansion = _factor_term_expansion(factor, w, wdual, bound)
+        expansion = _factor_term_expansion(factor, witness, wdual, bound)
         combined = [
             (c0 * c1, us0 + us1, ws0 + ws1)
             for (c0, us0, ws0) in combined
             for (c1, us1, ws1) in expansion
         ]
-    v = SparseMatrix.zero(w.dim)
+    v = SparseMatrix.zero(witness.dim)
     for coeff, us, ws in combined:
-        term = eval_expr(mul(*us), w) * eval_expr(mul(*ws), wdual).transpose()
+        term = eval_expr(mul(*us), witness) * eval_expr(mul(*ws), wdual).transpose()
         v = v + term.scale(coeff)
     return v
 
 
 def antipode_checks(
-    seq: TwistSequence, generators, witness: Morphism = None, bound: int = None
+    seq: TwistSequence, generators, witness: Morphism, bound: int = None
 ) -> CheckResult:
     """Axiom m(S_F x id)(D_F x) = eps(x) 1 = m(id x S_F)(D_F x).
 
@@ -311,16 +303,15 @@ def antipode_checks(
     (1 + (v - 1))^-1, so a v - 1 that is not nilpotent raises NotNilpotent.
     The counit side is x under the zero morphism, a 1x1 eps(x), times 1.
     """
-    w = witness if witness is not None else fundamental_morphism(seq.n)
-    wdual = contragredient_morphism(w)
+    wdual = contragredient_morphism(witness)
     eps = zero_morphism(seq.n)
-    d = w.dim
+    d = witness.dim
     ident = SparseMatrix.identity(d)
     tally = Tally(f"antipode[{seq.name},N={seq.n}]")
 
-    v = twist_antipode_correction(seq, w, bound)
-    dual_left = TwistedCoalgebra(seq, wdual, w)
-    dual_right = TwistedCoalgebra(seq, w, wdual)
+    v = twist_antipode_correction(seq, witness, bound)
+    dual_left = TwistedCoalgebra(seq, wdual, witness)
+    dual_right = TwistedCoalgebra(seq, witness, wdual)
     # independent route: contract (id x S)(F) materialized
     g0 = _partial_transpose(dual_right.f_mat, d, 2)
     tally.equal(_contract_legs(g0, d), v)
@@ -340,7 +331,7 @@ def antipode_checks(
 # -- dragging identity ------------------------------------------------------
 
 
-def verify_dragging(n: int, witness: Morphism = None) -> CheckResult:
+def verify_dragging(witness: Morphism) -> CheckResult:
     """J1-conjugation of the corner extensions equals the external factor.
 
     Also confirms the commutation facts the rearrangement relies on: the
@@ -348,17 +339,19 @@ def verify_dragging(n: int, witness: Morphism = None) -> CheckResult:
     Factors are taken as their nilpotent parts: F(1 + x)F^-1 = 1 + FxF^-1
     and [1 + a, M] = [a, M], so every residual is that of the whole factors.
     """
+    n = witness.n
     if n < 6:
         raise NotApplicable("dragging identity needs N > 5")
-    w = witness if witness is not None else fundamental_morphism(n)
     tally = Tally(f"dragging[E0~,N={n}]")
 
-    j1 = TwistedCoalgebra(sequence(jordanian_factor(n, 2)), w)
-    row1 = [materialize_factor(extension_factor(n, 1, r), w, w) for r in range(2, n)]
-    row2 = [materialize_factor(extension_factor(n, 2, r), w, w) for r in range(3, n - 1)]
+    j1 = TwistedCoalgebra(sequence(jordanian_factor(n, 2)), witness)
+    row1 = [materialize_factor(extension_factor(n, 1, r), witness, witness)
+            for r in range(2, n)]
+    row2 = [materialize_factor(extension_factor(n, 2, r), witness, witness)
+            for r in range(3, n - 1)]
     # row1's ends are the corner extensions E(1,2,N) and E(1,N-1,N)
     lhs = j1.conjugate(unipotent_product(row1[0], row1[-1]))
-    rhs = materialize_factor(external_factor(n, "E0tilde"), w, w)
+    rhs = materialize_factor(external_factor(n, "E0tilde"), witness, witness)
     tally.equal(lhs, rhs)
 
     for m1 in row2:

@@ -32,6 +32,7 @@ from .rationals import parse_rat, rat, rat_str
 from .roots import carrier_column, carrier_generators, cartan_element
 from .states import (
     STATE_IDS,
+    heisenberg_pair_generators,
     two_jordanian_table_check,
     verify_diagram,
     verify_matreshka,
@@ -92,6 +93,10 @@ class SuiteConfig:
             return tuple(dict.fromkeys(self.r_values))
         return tuple(range(3, self.n - 1))
 
+    def effective_alpha_values(self) -> Tuple:
+        # by value, so 1/3 and 2/6 are one carrier split
+        return tuple(dict.fromkeys(rat(a) for a in self.alpha_values))
+
     def build_witness(self) -> Morphism:
         return WITNESSES[self.witness](self.n)
 
@@ -100,7 +105,7 @@ class SuiteConfig:
             "n": self.n,
             "suites": list(self.suites),
             "r_values": list(self.effective_r_values()),
-            "alpha_values": [rat_str(rat(a)) for a in self.alpha_values],
+            "alpha_values": [rat_str(a) for a in self.effective_alpha_values()],
             "witness": self.witness,
             "output": self.output,
             "dump_dir": self.dump_dir,
@@ -222,14 +227,14 @@ def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
 
 
 def _axiom_pair(seq: TwistSequence, witness) -> list:
-    return [cocycle_check(seq, witness=witness), counit_check(seq, witness=witness)]
+    return [cocycle_check(seq, witness), counit_check(seq, witness)]
 
 
 def _named_twists(cfg: SuiteConfig) -> dict:
     n = cfg.n
     out = {"jordanian": sequence(jordanian_factor(n, 1))}
-    for alpha in cfg.alpha_values:
-        out[f"extended(a={rat_str(rat(alpha))})"] = extended_twist_generic(
+    for alpha in cfg.effective_alpha_values():
+        out[f"extended(a={rat_str(alpha)})"] = extended_twist_generic(
             n, carrier_column(n), alpha
         )
     if n >= 4:
@@ -243,7 +248,7 @@ def _named_twists(cfg: SuiteConfig) -> dict:
 def _twist_axioms(cfg: SuiteConfig, w) -> list:
     n = cfg.n
     results = _axiom_pair(sequence(jordanian_factor(n, 1)), w)
-    for alpha in cfg.alpha_values:
+    for alpha in cfg.effective_alpha_values():
         seq = extended_twist_generic(n, carrier_column(n), alpha)
         results.extend(_axiom_pair(seq, w))
     if n >= 6:
@@ -261,9 +266,13 @@ def _chain(cfg: SuiteConfig, w) -> list:
     # factor-by-factor against successively twisted coproducts
     for i, f in enumerate(two.factors):
         base = TwistSequence(two.factors[:i], n)
-        results.append(cocycle_check(sequence(f), base=base, witness=w))
-    gens = [gen(*pair) for pair in _block_pairs(n)]
-    results.append(coassociativity_check(two, gens, witness=w))
+        results.append(cocycle_check(sequence(f), w, base=base))
+    # the Heisenberg block at column 3, which needs N >= 6; else three carriers
+    if n >= 6:
+        gens = list(heisenberg_pair_generators(n, 3).values())
+    else:
+        gens = [gen(1, 2), gen(1, n), gen(2, n)]
+    results.append(coassociativity_check(two, gens, w))
     p_max = (n - 2) // 2
     if p_max > 1:
         results.extend(_axiom_pair(chain_twist(n, p_max), w))
@@ -273,23 +282,21 @@ def _chain(cfg: SuiteConfig, w) -> list:
 def _rmatrix(cfg: SuiteConfig, w) -> list:
     n = cfg.n
     results = [
-        r_matrix_checks(sequence(jordanian_factor(n, 1)), witness=w),
-        r_matrix_checks(extended_twist_generic(n, carrier_column(n), rat(1, 2)), witness=w),
+        r_matrix_checks(sequence(jordanian_factor(n, 1)), w),
+        r_matrix_checks(extended_twist_generic(n, carrier_column(n), rat(1, 2)), w),
     ]
     if n >= 4:
-        results.append(r_matrix_checks(chain_twist(n, 1), witness=w))
+        results.append(r_matrix_checks(chain_twist(n, 1), w))
     return results
 
 
 def _antipode(cfg: SuiteConfig, w) -> list:
     n = cfg.n
     jord_gens = [cartan_element(n, 1, n), gen(1, n)]
-    results = [antipode_checks(sequence(jordanian_factor(n, 1)), jord_gens, witness=w)]
+    results = [antipode_checks(sequence(jordanian_factor(n, 1)), jord_gens, w)]
     ext_gens = list(carrier_generators(n, carrier_column(n), rat(1, 2)))
     results.append(
-        antipode_checks(
-            extended_twist_generic(n, carrier_column(n), rat(1, 2)), ext_gens, witness=w
-        )
+        antipode_checks(extended_twist_generic(n, carrier_column(n), rat(1, 2)), ext_gens, w)
     )
     return results
 
@@ -301,17 +308,16 @@ SUITES = {
     "core": (2, lambda cfg, w: core_property_checks(cases=200)),
     "twist-axioms": (3, _twist_axioms),
     "chain": (4, _chain),
-    "nine-states": (6, lambda cfg, w: [two_jordanian_table_check(cfg.n, witness=w)] + [
-        verify_state(sid, cfg.n, r, witness=w)
-        for r in cfg.effective_r_values() for sid in STATE_IDS
+    "nine-states": (6, lambda cfg, w: [two_jordanian_table_check(w)] + [
+        verify_state(sid, r, w) for r in cfg.effective_r_values() for sid in STATE_IDS
     ]),
-    "diagram": (6, lambda cfg, w: [verify_dragging(cfg.n, witness=w)] + [
-        verify_diagram(cfg.n, r, witness=w) for r in cfg.effective_r_values()
+    "diagram": (6, lambda cfg, w: [verify_dragging(w)] + [
+        verify_diagram(r, w) for r in cfg.effective_r_values()
     ]),
     "rmatrix": (3, _rmatrix),
     "antipode": (3, _antipode),
-    "matreshka": (4, lambda cfg, w: [verify_matreshka(cfg.n, witness=w)]),
-    "transitions": (3, lambda cfg, w: [verify_transition_schemes(cfg.n, witness=w)]),
+    "matreshka": (4, lambda cfg, w: [verify_matreshka(w)]),
+    "transitions": (3, lambda cfg, w: [verify_transition_schemes(w)]),
 }
 SUITE_NAMES = tuple(SUITES)
 
@@ -342,12 +348,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     return SuiteReport(cfg, results, time.perf_counter() - t0)
 
 
-def _block_pairs(n: int):
-    if n >= 6:
-        return [(1, 3), (2, 3), (1, n - 1), (1, n), (2, n - 1), (2, n), (3, n - 1), (3, n)]
-    return [(1, 2), (1, n), (2, n)]
-
-
 def _slug(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name).strip("_")
 
@@ -355,9 +355,8 @@ def _slug(name: str) -> str:
 # -- emission ------------------------------------------------------------------
 
 
-def emit_report(rep: SuiteReport, fmt: str = None) -> str:
-    fmt = fmt or rep.config.output
-    if fmt == "json":
+def emit_report(rep: SuiteReport) -> str:
+    if rep.config.output == "json":
         return json.dumps(rep.to_dict(), indent=2)
     lines = []
     for r in rep.results:

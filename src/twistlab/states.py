@@ -17,7 +17,6 @@ from .expr import (
     delta_morphism,
     eval_expr,
     eval_tensor_pairs,
-    fundamental_morphism,
     gen,
     mul,
     scal,
@@ -28,6 +27,7 @@ from .rationals import HALF, rat
 from .roots import carrier_column, carrier_generators, cartan_element
 from .twists import (
     TwistSequence,
+    chain_twist,
     extended_twist_generic,
     extension_factor,
     external_factor,
@@ -92,11 +92,8 @@ def combinator_terms(c: Combinator, L: Optional[Expr], n: int):
     raise ValueError(f"unknown combinator kind {k!r}")
 
 
-def combinator_eval(
-    c: Combinator, L: Optional[Expr], n: int, witness: Morphism = None
-) -> SparseMatrix:
-    w = witness if witness is not None else fundamental_morphism(n)
-    return eval_tensor_pairs(combinator_terms(c, L, n), w, w)
+def combinator_eval(c: Combinator, L: Optional[Expr], witness: Morphism) -> SparseMatrix:
+    return eval_tensor_pairs(combinator_terms(c, L, witness.n), witness, witness)
 
 
 # -- the nine states ---------------------------------------------------------
@@ -256,40 +253,35 @@ def table_payload(state_id: str, n: int, r: int) -> dict:
     }
 
 
-def expected_entry(
-    table: CostructureTable, slot: str, witness: Morphism = None
-) -> SparseMatrix:
-    w = witness if witness is not None else fundamental_morphism(table.n)
+def expected_entry(table: CostructureTable, slot: str, witness: Morphism) -> SparseMatrix:
     gens = heisenberg_pair_generators(table.n, table.r)
-    out = SparseMatrix.zero(w.dim * w.dim)
+    out = SparseMatrix.zero(witness.dim * witness.dim)
     for sign, comb in table.entry(slot):
-        m = combinator_eval(comb, gens[slot], table.n, w)
+        m = combinator_eval(comb, gens[slot], witness)
         out = out + (m if sign == 1 else m.scale(sign))
     return out
 
 
-def verify_state(
-    state_id: str, n: int, r: int, witness: Morphism = None
-) -> CheckResult:
+def verify_state(state_id: str, r: int, witness: Morphism) -> CheckResult:
     """Exact entry-by-entry comparison of one state table."""
+    n = witness.n
     table = costructure_table(state_id, n, r)
-    w = witness if witness is not None else fundamental_morphism(n)
     tally = Tally(f"state[{state_id},N={n},r={r}]")
-    co = TwistedCoalgebra(table.twist_recipe, w)
+    co = TwistedCoalgebra(table.twist_recipe, witness)
     gens = heisenberg_pair_generators(n, r)
     for slot, _ in table.entries:
-        tally.equal(co.coproduct(gens[slot]), expected_entry(table, slot, w))
+        tally.equal(co.coproduct(gens[slot]), expected_entry(table, slot, witness))
     return tally.result()
 
 
-def two_jordanian_table_check(n: int, witness: Morphism = None) -> CheckResult:
+def two_jordanian_table_check(witness: Morphism) -> CheckResult:
     """The full two-row block after the 2-Jordanian twist: J1J0's table at
     every column, each generator compared once."""
+    n = witness.n
     if n <= 5:
         raise NotApplicable("the two-row block table needs N > 5")
-    w = witness if witness is not None else fundamental_morphism(n)
     tally = Tally(f"2jordanian[N={n}]")
-    co = TwistedCoalgebra(costructure_table("J1J0", n, 3).twist_recipe, w)
+    co = TwistedCoalgebra(costructure_table("J1J0", n, 3).twist_recipe, witness)
     seen = set()
     for r in range(3, n - 1):
         table = costructure_table("J1J0", n, r)
@@ -297,7 +289,7 @@ def two_jordanian_table_check(n: int, witness: Morphism = None) -> CheckResult:
             # the four slots outside column r are the same at every r
             if g not in seen:
                 seen.add(g)
-                tally.equal(co.coproduct(g), expected_entry(table, slot, w))
+                tally.equal(co.coproduct(g), expected_entry(table, slot, witness))
     return tally.result()
 
 
@@ -314,35 +306,35 @@ DIAGRAM_EDGES = tuple(
 )
 
 
-def verify_diagram(n: int, r: int, witness: Morphism = None) -> CheckResult:
+def verify_diagram(r: int, witness: Morphism) -> CheckResult:
     """Edges reproduce target tables; squares commute; commutation is i=j only.
 
     The squares are the two-label states, each against its labels applied
     in the other order.  Each state coalgebra and each edge-factor
     coalgebra is built once.
     """
+    n = witness.n
     _require_state_args(n, r)
-    w = witness if witness is not None else fundamental_morphism(n)
     tally = Tally(f"diagram[N={n},r={r}]")
     gens = heisenberg_pair_generators(n, r)
     squares = [sid for sid, (labels, _) in STATES.items() if len(labels) == 2]
 
     deformed = {}
     for sid in dict.fromkeys([src for src, _, _ in DIAGRAM_EDGES] + squares):
-        co = TwistedCoalgebra(costructure_table(sid, n, r).twist_recipe, w)
+        co = TwistedCoalgebra(costructure_table(sid, n, r).twist_recipe, witness)
         deformed[sid] = {slot: co.coproduct(g) for slot, g in gens.items()}
     factors = {label: build(n, r) for label, build in EDGE_FACTORS.items()}
-    edges = {label: TwistedCoalgebra(sequence(f), w) for label, f in factors.items()}
+    edges = {label: TwistedCoalgebra(sequence(f), witness) for label, f in factors.items()}
     for src, label, dst in DIAGRAM_EDGES:
         dst_table = costructure_table(dst, n, r)
         for slot, _ in dst_table.entries:
             got = edges[label].conjugate(deformed[src][slot])
-            tally.equal(got, expected_entry(dst_table, slot, w))
+            tally.equal(got, expected_entry(dst_table, slot, witness))
 
     base = sequence(jordanian_factor(n, 1), jordanian_factor(n, 2))
     for sid in squares:
         swapped = TwistedCoalgebra(
-            base.then(*[factors[label] for label in reversed(STATES[sid][0])]), w
+            base.then(*[factors[label] for label in reversed(STATES[sid][0])]), witness
         )
         for slot, g in gens.items():
             tally.equal(deformed[sid][slot], swapped.coproduct(g))
@@ -352,7 +344,7 @@ def verify_diagram(n: int, r: int, witness: Morphism = None) -> CheckResult:
     # vanishes exactly for i = j and is visibly nonzero otherwise.
     # Each factor is 1 + a with a nilpotent, and [1 + a, 1 + b] = [a, b]
     # exactly, so the commutators are taken on the nilpotent parts.
-    deep = delta_morphism(w, w)
+    deep = delta_morphism(witness, witness)
     part = {label: materialize_factor(f, deep, deep) for label, f in factors.items()}
     for i in (0, 1):
         for j in (0, 1):
@@ -367,17 +359,13 @@ def verify_diagram(n: int, r: int, witness: Morphism = None) -> CheckResult:
 # -- matreshka and transition schemes ----------------------------------------
 
 
-def verify_matreshka(n: int, witness: Morphism = None) -> CheckResult:
+def verify_matreshka(witness: Morphism) -> CheckResult:
     """After the first chain step the nested block turns primitive again."""
+    n = witness.n
     if n < 4:
         raise NotApplicable("matreshka needs N >= 4")
-    w = witness if witness is not None else fundamental_morphism(n)
     tally = Tally(f"matreshka[N={n}]")
-    step0 = sequence(
-        jordanian_factor(n, 1),
-        *[extension_factor(n, 1, r) for r in range(2, n)],
-    )
-    co = TwistedCoalgebra(step0, w)
+    co = TwistedCoalgebra(chain_twist(n, 0), witness)
     block = range(2, n)
     xs = [gen(i, j) for i in block for j in block if i != j]
     xs += [cartan_element(n, i, j) for i in block for j in block if i < j]
@@ -388,11 +376,11 @@ def verify_matreshka(n: int, witness: Morphism = None) -> CheckResult:
     return tally.result()
 
 
-def verify_transition_schemes(n: int, witness: Morphism = None) -> CheckResult:
+def verify_transition_schemes(witness: Morphism) -> CheckResult:
     """Before/after coproduct patterns of the one-pair and two-row schemes."""
+    n = witness.n
     if n < 3:
         raise NotApplicable("transition schemes need N >= 3")
-    w = witness if witness is not None else fundamental_morphism(n)
     tally = Tally(f"transitions[N={n}]")
     r = carrier_column(n)
     one = scal(1)
@@ -403,11 +391,11 @@ def verify_transition_schemes(n: int, witness: Morphism = None) -> CheckResult:
     for alpha in (HALF, rat(1, 3), rat(2, 5)):
         beta = 1 - alpha
         _, a, b, e = carrier_generators(n, r, alpha)
-        co_j = TwistedCoalgebra(sequence(generic_jordanian_factor(n, r, alpha)), w)
+        co_j = TwistedCoalgebra(sequence(generic_jordanian_factor(n, r, alpha)), witness)
         tally.equal(co_j.coproduct(a), co_j.expected([(a, sigma_power(alpha, 1, n)), (one, a)]))
         tally.equal(co_j.coproduct(b), co_j.expected([(b, sigma_power(beta, 1, n)), (one, b)]))
         tally.equal(co_j.coproduct(e), co_j.expected([(e, sigma_power(1, 1, n)), (one, e)]))
-        co_ej = TwistedCoalgebra(extended_twist_generic(n, r, alpha), w)
+        co_ej = TwistedCoalgebra(extended_twist_generic(n, r, alpha), witness)
         tally.equal(co_ej.coproduct(a), co_ej.expected([(a, sigma_power(-beta, 1, n)), (one, a)]))
         tally.equal(
             co_ej.coproduct(b),
@@ -420,7 +408,7 @@ def verify_transition_schemes(n: int, witness: Morphism = None) -> CheckResult:
         for state_id, (labels, _) in STATES.items():
             if len(labels) > 1:
                 continue
-            sub = verify_state(state_id, n, 3, w)
+            sub = verify_state(state_id, 3, witness)
             tally.residual += sub.residual_nnz
             tally.dims = max(tally.dims, sub.dims)
     return tally.result()

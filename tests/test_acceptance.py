@@ -61,15 +61,16 @@ def _criterion1_twists():
 def test_criterion_01_twist_axioms():
     t0 = time.perf_counter()
     results = []
-    for seq, _n in _criterion1_twists():
-        results.append(cocycle_check(seq))
-        results.append(counit_check(seq))
+    for seq, n in _criterion1_twists():
+        f = fundamental_morphism(n)
+        results.append(cocycle_check(seq, f))
+        results.append(counit_check(seq, f))
     elapsed = time.perf_counter() - t0
     _record(1, f"twist axioms, fundamental witness ({elapsed:.1f}s)", results)
     assert elapsed < 60.0
 
 
-def _costructure_results(n, witness=None):
+def _costructure_results(n, witness):
     results = []
     r = 2 if n == 3 else 3
     one = scal(1)
@@ -94,12 +95,13 @@ def _costructure_results(n, witness=None):
 
 
 def test_criterion_02_extended_costructure():
-    results = _costructure_results(3) + _costructure_results(6)
+    results = _costructure_results(3, fundamental_morphism(3)) + \
+        _costructure_results(6, fundamental_morphism(6))
     _record(2, "deformed costructure of the extended twist", results)
 
 
 def test_criterion_03_two_jordanian_table():
-    results = [two_jordanian_table_check(7), two_jordanian_table_check(6)]
+    results = [two_jordanian_table_check(fundamental_morphism(n)) for n in (7, 6)]
     _record(3, "2-Jordanian table, N=7 and N=6, all columns", results)
 
 
@@ -108,7 +110,7 @@ def test_criterion_04_nine_states():
     for n in (6, 7):
         for r in range(3, n - 1):
             for sid in STATE_IDS:
-                results.append(verify_state(sid, n, r))
+                results.append(verify_state(sid, r, fundamental_morphism(n)))
     _record(4, "nine deformed costructures, N=6 and 7, all r", results)
 
 
@@ -116,17 +118,17 @@ def test_criterion_05_diagram():
     results = []
     for n in (6, 7):
         for r in range(3, n - 1):
-            results.append(verify_diagram(n, r))
+            results.append(verify_diagram(r, fundamental_morphism(n)))
     _record(5, "diagram edges, squares, and commutation asymmetry", results)
 
 
 def test_criterion_06_dragging():
-    results = [verify_dragging(6), verify_dragging(7)]
+    results = [verify_dragging(fundamental_morphism(n)) for n in (6, 7)]
     _record(6, "dragging identity and commuting shortcut", results)
 
 
 def test_criterion_07_matreshka():
-    results = [verify_matreshka(n) for n in (6, 7, 8)]
+    results = [verify_matreshka(fundamental_morphism(n)) for n in (6, 7, 8)]
     _record(7, "matreshka effect on the nested block", results)
 
 
@@ -134,7 +136,7 @@ def test_criterion_08_r_matrices():
     results = []
     for seq, n in _criterion1_twists():
         if n <= 6:
-            results.append(r_matrix_checks(seq))
+            results.append(r_matrix_checks(seq, fundamental_morphism(n)))
     _record(8, "Yang-Baxter and triangularity for all N<=6 twists", results)
 
 
@@ -142,9 +144,13 @@ def test_criterion_09_antipode():
     results = []
     for n in (2, 3):
         gens = [cartan_element(n, 1, n), gen(1, n)]
-        results.append(antipode_checks(sequence(jordanian_factor(n, 1)), gens))
+        results.append(
+            antipode_checks(sequence(jordanian_factor(n, 1)), gens, fundamental_morphism(n))
+        )
     gens = list(carrier_generators(3, 2, rat(1, 2)))
-    results.append(antipode_checks(extended_twist_generic(3, 2, rat(1, 2)), gens))
+    results.append(
+        antipode_checks(extended_twist_generic(3, 2, rat(1, 2)), gens, fundamental_morphism(3))
+    )
     _record(9, "twisted antipode axiom, Jordanian and extended", results)
 
 
@@ -154,7 +160,7 @@ def test_criterion_10_coassociativity():
     results = []
     for r in (3, 4):
         gens = list(heisenberg_pair_generators(n, r).values())
-        results.append(coassociativity_check(seq, gens))
+        results.append(coassociativity_check(seq, gens, fundamental_morphism(n)))
     _record(10, "coassociativity of the 2-chain coproduct", results)
 
 
@@ -173,11 +179,11 @@ def test_criterion_11_witness_robustness():
     # criterion 2 at N=6
     results += _costructure_results(n, witness=doubled)
     # criterion 3 at N=6
-    results.append(two_jordanian_table_check(n, witness=doubled))
+    results.append(two_jordanian_table_check(doubled))
     # criterion 4 at N=6
     for r in (3, 4):
         for sid in STATE_IDS:
-            results.append(verify_state(sid, n, r, witness=doubled))
+            results.append(verify_state(sid, r, doubled))
     _record(11, "criteria 1-4 re-run in the doubled witness", results)
 
 

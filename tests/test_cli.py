@@ -47,6 +47,34 @@ def test_verify_config_file(tmp_path):
     assert json.loads(res.stdout)["config"]["n"] == 3
 
 
+def _verify_json(capsys, argv):
+    from twistlab import cli
+
+    assert cli.main(["verify", *argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for check in payload["checks"]:
+        del check["elapsed"]
+    return payload["config"], payload["checks"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_repeated_alpha_runs_once(tmp_path, capsys, source):
+    # 2/6 is the carrier split 1/3 again, so it adds no rows
+    argv = ["--n", "3", "--suites", "twist-axioms"]
+    once = _verify_json(capsys, argv + ["--alpha", "1/3"])
+    if source == "flag":
+        twice = _verify_json(capsys, argv + ["--alpha", "1/3,2/6"])
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"n": 3, "suites": ["twist-axioms"], "alpha_values": ["1/3", "2/6"]}
+        ))
+        twice = _verify_json(capsys, ["--config", str(path)])
+    assert len(once[1]) == 4
+    assert twice == once
+    assert twice[0]["alpha_values"] == ["1/3"]
+
+
 def test_structural_error_exit_two():
     res = run_cli("verify", "--n", "5", "--suites", "nine-states")
     assert res.returncode == 2
@@ -211,7 +239,7 @@ def test_check_that_raises_aborts_with_exit_two(monkeypatch, capsys):
     from twistlab import cli, report
     from twistlab.errors import NotNilpotent
 
-    def raising_check(n, witness=None):
+    def raising_check(witness):
         raise NotNilpotent("m^4 != 0 for dim 4")
 
     monkeypatch.setattr(report, "verify_matreshka", raising_check)

@@ -65,10 +65,11 @@ def test_run_suite_small():
 def test_report_formats():
     cfg = SuiteConfig(n=3, suites=("rmatrix",), alpha_values=(rat(1, 2),))
     rep = run_suite(cfg)
-    text = emit_report(rep, "text")
+    text = emit_report(rep)
     assert "PASS rmatrix" in text
     assert f"{rep.passed} passed / 0 failed" in text
-    payload = json.loads(emit_report(rep, "json"))
+    cfg.output = "json"
+    payload = json.loads(emit_report(rep))
     assert payload["summary"]["failed"] == 0
     assert payload["config"]["n"] == 3
     assert payload["config"]["alpha_values"] == ["1/2"]
@@ -79,8 +80,8 @@ def test_report_formats():
 def test_empty_report_is_valid_json():
     from twistlab.report import SuiteReport
 
-    cfg = SuiteConfig(n=6, suites=("core",))
-    payload = json.loads(emit_report(SuiteReport(cfg, []), "json"))
+    cfg = SuiteConfig(n=6, suites=("core",), output="json")
+    payload = json.loads(emit_report(SuiteReport(cfg, [])))
     assert payload["checks"] == []
     assert payload["summary"] == {"total": 0, "passed": 0, "failed": 0, "elapsed": 0.0}
 

@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+from twistlab import hopf, states
 from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
@@ -8,7 +11,7 @@ from twistlab.expr import (
     fundamental_morphism,
     gen,
 )
-from twistlab.hopf import TwistedCoalgebra
+from twistlab.hopf import TwistedCoalgebra, verify_dragging
 from twistlab.rationals import rat
 from twistlab.states import (
     Combinator,
@@ -38,14 +41,14 @@ def unit(dim, i, j, v=1):
 
 
 def test_combinator_p0():
-    got = combinator_eval(Combinator("P0"), gen(1, 3), 6)
+    got = combinator_eval(Combinator("P0"), gen(1, 3), fundamental_morphism(6))
     i6 = SparseMatrix.identity(6)
     assert got == kron(unit(6, 1, 3), i6) + kron(i6, unit(6, 1, 3))
 
 
 def test_combinator_tpp():
-    got = combinator_eval(Combinator("Tpp"), gen(1, 5), 6)
     f6 = fundamental_morphism(6)
+    got = combinator_eval(Combinator("Tpp"), gen(1, 5), f6)
     i6 = SparseMatrix.identity(6)
     half = rat(1, 2)
     right = (i6 + unit(6, 1, 6, half)) * (i6 + unit(6, 2, 5, half))
@@ -53,7 +56,7 @@ def test_combinator_tpp():
 
 
 def test_combinator_s1minus():
-    got = combinator_eval(Combinator("S1minus", r=3), None, 6)
+    got = combinator_eval(Combinator("S1minus", r=3), None, fundamental_morphism(6))
     # -E_13 x E_26 e^{-sigma_1/2}; the correction dies in the fundamental
     assert got == kron(unit(6, 1, 3, -1), unit(6, 2, 6))
 
@@ -77,30 +80,31 @@ def test_costructure_table_bounds():
 
 
 def test_verify_state_samples():
-    assert verify_state("J1J0", 6, 3).passed
-    assert verify_state("E1E0E1tJ1J0", 7, 4).passed
+    assert verify_state("J1J0", 3, fundamental_morphism(6)).passed
+    assert verify_state("E1E0E1tJ1J0", 4, fundamental_morphism(7)).passed
     with pytest.raises(NotApplicable):
-        verify_state("J1J0", 5, 3)
+        verify_state("J1J0", 3, fundamental_morphism(5))
 
 
 def test_all_states_n6():
     for sid in STATE_IDS:
         for r in (3, 4):
-            res = verify_state(sid, 6, r)
+            res = verify_state(sid, r, fundamental_morphism(6))
             assert res.passed, res
 
 
 def test_two_jordanian_table():
-    assert two_jordanian_table_check(6).passed
-    assert two_jordanian_table_check(7).passed
+    assert two_jordanian_table_check(fundamental_morphism(6)).passed
+    assert two_jordanian_table_check(fundamental_morphism(7)).passed
 
 
 def test_locality_of_extensions():
     # applying the r=3 extension leaves r'=4 generators untouched
     n = 6
     base = sequence(jordanian_factor(n, 1), jordanian_factor(n, 2))
-    co_before = TwistedCoalgebra(base)
-    co_after = TwistedCoalgebra(base.then(extension_factor(n, 1, 3)))
+    f = fundamental_morphism(n)
+    co_before = TwistedCoalgebra(base, f)
+    co_after = TwistedCoalgebra(base.then(extension_factor(n, 1, 3)), f)
     untouched = [gen(1, 4), gen(2, 4), gen(4, 5), gen(4, 6),
                  gen(1, 5), gen(1, 6), gen(2, 5), gen(2, 6)]
     for g in untouched:
@@ -111,7 +115,7 @@ def test_locality_of_extensions():
 
 
 def test_diagram_n6():
-    res = verify_diagram(6, 3)
+    res = verify_diagram(3, fundamental_morphism(6))
     assert res.passed, res
 
 
@@ -139,25 +143,25 @@ def test_diagram_commutators_on_nilpotent_parts(n, r):
 
 def test_diagram_rejects_small_n():
     with pytest.raises(NotApplicable):
-        verify_diagram(5, 3)
+        verify_diagram(3, fundamental_morphism(5))
 
 
 def test_matreshka():
-    assert verify_matreshka(6).passed
-    assert verify_matreshka(4).passed
+    assert verify_matreshka(fundamental_morphism(6)).passed
+    assert verify_matreshka(fundamental_morphism(4)).passed
     with pytest.raises(NotApplicable):
-        verify_matreshka(3)
+        verify_matreshka(fundamental_morphism(3))
 
 
 def test_transitions():
-    assert verify_transition_schemes(3).passed
-    assert verify_transition_schemes(6).passed
+    assert verify_transition_schemes(fundamental_morphism(3)).passed
+    assert verify_transition_schemes(fundamental_morphism(6)).passed
 
 
 def test_state_verification_under_doubled_witness():
     f = fundamental_morphism(6)
     doubled = delta_morphism(f, f)
-    assert verify_state("E0J1J0", 6, 3, witness=doubled).passed
+    assert verify_state("E0J1J0", 3, doubled).passed
 
 
 def test_generator_slots():
@@ -196,8 +200,9 @@ def test_a_wrong_registry_entry_fails_the_state_and_the_diagram(monkeypatch):
     assert entries["ern"] == ((1, Combinator("R", i=1)),)
     wrong = {**entries, "ern": ((1, Combinator("Pplus", i=1)),)}
     monkeypatch.setitem(STATES, "E0J1J0", (labels, wrong))
-    assert not verify_state("E0J1J0", 6, 3).passed
-    assert not verify_diagram(6, 3).passed
+    f6 = fundamental_morphism(6)
+    assert not verify_state("E0J1J0", 3, f6).passed
+    assert not verify_diagram(3, f6).passed
 
 
 def test_diagram_builds_each_coalgebra_once(monkeypatch):
@@ -211,5 +216,55 @@ def test_diagram_builds_each_coalgebra_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(TwistedCoalgebra, "__init__", counting_init)
-    assert verify_diagram(6, 3).passed
+    assert verify_diagram(3, fundamental_morphism(6)).passed
     assert len(built) == 13
+
+
+# each check that reads N from its witness, with its name at N = 7 and the
+# number of witness legs its largest compare lives in
+CHECKS_IN_GL7 = {
+    "verify_state": (lambda w: verify_state("J1J0", 3, w), "state[J1J0,N=7,r=3]", 2),
+    "two_jordanian_table_check": (two_jordanian_table_check, "2jordanian[N=7]", 2),
+    "verify_diagram": (lambda w: verify_diagram(3, w), "diagram[N=7,r=3]", 4),
+    "verify_matreshka": (verify_matreshka, "matreshka[N=7]", 2),
+    "verify_transition_schemes": (verify_transition_schemes, "transitions[N=7]", 2),
+    "verify_dragging": (verify_dragging, "dragging[E0~,N=7]", 2),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS_IN_GL7))
+def test_a_check_takes_n_from_its_witness(check):
+    run, name, legs = CHECKS_IN_GL7[check]
+    w = fundamental_morphism(7)
+    res = run(w)
+    assert (res.name, res.dims, res.passed) == (name, w.dim ** legs, True)
+
+
+def test_combinator_eval_takes_n_from_its_witness():
+    # S1minus at r = 3 is -E_13 x E_2N e^{-sigma_1/2}, whose correction dies
+    # in the fundamental: its second leg sits in the witness's last column
+    w = fundamental_morphism(7)
+    got = combinator_eval(Combinator("S1minus", r=3), None, w)
+    assert got == kron(unit(7, 1, 3, -1), unit(7, 2, 7))
+
+
+def test_no_public_check_picks_its_own_witness():
+    takes_witness = set()
+    for module in (hopf, states):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            params = inspect.signature(obj).parameters
+            if "witness" in params:
+                takes_witness.add(name)
+                assert params["witness"].default is inspect.Parameter.empty, name
+                assert "n" not in params, name
+    assert takes_witness == {
+        "TwistedCoalgebra", "counit_check", "cocycle_check", "r_matrix_checks",
+        "coassociativity_check", "twist_antipode_correction", "antipode_checks",
+        "verify_dragging", "combinator_eval", "expected_entry", "verify_state",
+        "two_jordanian_table_check", "verify_diagram", "verify_matreshka",
+        "verify_transition_schemes",
+    }

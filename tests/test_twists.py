@@ -265,10 +265,11 @@ def test_series_inverse_needs_a_unipotent_twist():
     # F - 1 is not nilpotent, so F has no finite-series inverse
     fa = twist_factor("a", 2, [(gen(1, 2), gen(1, 2))])
     fb = twist_factor("b", 2, [(gen(2, 1), gen(2, 1))])
+    f2 = fundamental_morphism(2)
     for f in (fa, fb):
-        TwistedCoalgebra(sequence(f))
+        TwistedCoalgebra(sequence(f), f2)
     with pytest.raises(NotNilpotent):
-        TwistedCoalgebra(sequence(fa, fb))
+        TwistedCoalgebra(sequence(fa, fb), f2)
 
 
 # sha256 of dump_matrix_text of F and of F^-1 at N = 6, per (witness, twist)
