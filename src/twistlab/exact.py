@@ -8,13 +8,16 @@ a product's den is the product of its operands' dens.  The canonical form
 (gcd(den, every numerator) == 1) is reached by `reduced()`, and only the
 matrices that are held (materialized twists, cached expression values and
 generator images) are reduced.  `==` compares values: equal dens compare
-numerators directly, different dens compare the reduced forms, so
-"residual" checks are exact.
+numerators directly, different dens compare the supports and then
+a * (db / g) with b * (da / g), g = gcd(da, db), so "residual" checks are
+exact and no numerator is divided.
 
 Product, sum, Kronecker product and the embedding on legs (1, 3) run on
-Python ints only (which cannot overflow); Rationals are taken or returned
+Python ints (which cannot overflow); Rationals are taken or returned
 only at the boundaries: from_entries, scale, indexing, entries() and the
-dump format.
+dump format.  The products of the large three-leg spaces run instead in
+packed.py's int64 kernel, which proves a bound before each operation and
+leaves the work to this module when it cannot (see hopf._three_leg_parts).
 Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
 nilpotent matrices as finite series, each summed in place over one common
 denominator.  There is no generic matrix inverse: every inverse the package
@@ -45,6 +48,19 @@ class AnalyticFnSpec:
             raise ValueError(f"unknown analytic kind {self.kind!r}")
         if (self.kind == "pow1p") != (self.exponent is not None):
             raise ValueError("pow1p takes an exponent, exp/expm1/log1p do not")
+
+    @property
+    def has_identity_term(self) -> bool:
+        """exp and pow1p start at 1; expm1 and log1p have no constant term."""
+        return self.kind in ("exp", "pow1p")
+
+    def coefficient(self, k: int) -> Rational:
+        """c_k, the coefficient of m^k (k >= 1) in the series."""
+        if self.kind in ("exp", "expm1"):
+            return rat(1, factorial(k))
+        if self.kind == "log1p":
+            return rat((-1) ** (k + 1), k)
+        return binomial_general(self.exponent, k)
 
 
 EXP = AnalyticFnSpec("exp")
@@ -166,8 +182,20 @@ class SparseMatrix:
         if self.den == other.den:
             # equal values over one den have equal numerators
             return self.rows == other.rows
-        a, b = self.reduced(), other.reduced()
-        return a.den == b.den and a.rows == b.rows
+        rows, orows = self.rows, other.rows
+        if rows.keys() != orows.keys() or any(
+            row.keys() != orows[i].keys() for i, row in rows.items()
+        ):
+            return False
+        # a / da == b / db  <=>  a * (db / g) == b * (da / g), with g = gcd(da, db)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        for i, row in rows.items():
+            orow = orows[i]
+            for j, v in row.items():
+                if v * fa != orow[j] * fb:
+                    return False
+        return True
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -339,17 +367,10 @@ def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix) -> SparseMatrix:
     starts from the identity for exp and pow1p and from zero for expm1 and
     log1p, which have no constant term.
     """
-    if fn.kind in ("exp", "expm1"):
-        coeff = lambda k: rat(1, factorial(k))
-    elif fn.kind == "log1p":
-        coeff = lambda k: rat((-1) ** (k + 1), k)
-    else:
-        q = fn.exponent
-        coeff = lambda k: binomial_general(q, k)
-    rows: dict = {i: {i: 1} for i in range(1, m.dim + 1)} if fn.kind in ("exp", "pow1p") else {}
+    rows: dict = {i: {i: 1} for i in range(1, m.dim + 1)} if fn.has_identity_term else {}
     den = 1
     for k, power in enumerate(_powers(m), 1):
-        c = coeff(k)
+        c = fn.coefficient(k)
         if c != 0:
             term_den = power.den * c.denominator
             f = lcm(den, term_den) // den

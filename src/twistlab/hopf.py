@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial
 
+from . import exact
 from .errors import ExpansionOverflow, NotApplicable, NotNilpotent
 from .exact import (
+    EXPM1,
     SparseMatrix,
     analytic_apply,
     embed_pair,
@@ -130,17 +132,55 @@ def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
     return tally.result()
 
 
-def _three_leg_parts(seq: TwistSequence, w: Morphism, dw: Morphism):
-    """The nilpotent parts G - 1 of F12 (dw x id)(F) and F23 (id x dw)(F).
+# Three-leg spaces of at least this many dims are built in packed.py's int64
+# kernel: the doubled witness from N = 5 (15,625 dims) on, never the
+# fundamental one (512 dims at N = 8), whose runs would only pay numpy's import.
+PACKED_FLOOR = 10_000
+
+
+def _three_leg_parts(seq: TwistSequence, w: Morphism, dw: Morphism, then):
+    """then(kernel, lhs, rhs) on the nilpotent parts G - 1 of F12 (dw x id)(F)
+    and F23 (id x dw)(F).
 
     dw is the coproduct the twist is applied over, in the witness legs; no
-    three-leg identity is built.
+    three-leg identity is built.  This is the one place a kernel is chosen:
+    from PACKED_FLOOR dims on, the parts (and whatever `then` builds from
+    them) are built in packed.py's int64 kernel, and numpy is imported only
+    here.  Without numpy, or when a packed operation cannot prove its int64
+    bound, everything is built again in exact.py's Python ints.
     """
+    if w.dim ** 3 >= PACKED_FLOOR:
+        try:
+            from . import packed
+        except ImportError:
+            packed = None
+        if packed is not None:
+            try:
+                return then(packed, *_parts_in(packed, seq, w, dw))
+            except packed.Int64Overflow:
+                pass
+    return then(exact, *_parts_in(exact, seq, w, dw))
+
+
+def _parts_in(kernel, seq: TwistSequence, w: Morphism, dw: Morphism):
     ident = SparseMatrix.identity(w.dim)
     f2 = nilpotent_part(seq, w, w)
-    lhs = unipotent_product(kron(f2, ident), nilpotent_part(seq, dw, w))
-    rhs = unipotent_product(kron(ident, f2), nilpotent_part(seq, w, dw))
+    lhs = kernel.unipotent_product(kernel.kron(f2, ident), _part_in(kernel, seq, dw, w))
+    rhs = kernel.unipotent_product(kernel.kron(ident, f2), _part_in(kernel, seq, w, dw))
     return lhs, rhs
+
+
+def _part_in(kernel, seq: TwistSequence, left: Morphism, right: Morphism):
+    """twists.nilpotent_part(seq, left, right), with its products in `kernel`."""
+    if kernel is exact:
+        return nilpotent_part(seq, left, right)
+    out = SparseMatrix.zero(left.dim * right.dim)
+    for factor in seq.factors:
+        arg = SparseMatrix.zero(out.dim)
+        for a, b in factor.terms:
+            arg = kernel.kron(eval_expr(a, left), eval_expr(b, right)) + arg
+        out = kernel.unipotent_product(kernel.analytic_apply(EXPM1, arg), out)
+    return out
 
 
 def cocycle_check(
@@ -163,7 +203,7 @@ def cocycle_check(
                       name=f"delta_F[{base.name}]")
     else:
         dw = delta_morphism(witness, witness)
-    tally.equal(*_three_leg_parts(seq, witness, dw))
+    tally.equal(*_three_leg_parts(seq, witness, dw, lambda kernel, lhs, rhs: (lhs, rhs)))
     return tally.result()
 
 
@@ -187,21 +227,31 @@ def r_matrix_checks(seq: TwistSequence, witness: Morphism) -> CheckResult:
 def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckResult:
     """(D_F x id)D_F = (id x D_F)D_F on the given elements, re-derived.
 
-    (D x id)D(x) and (id x D)D(x) are conjugated by the three-leg twists
-    G = F12 (D x id)(F) and F23 (id x D)(F) of the cocycle check; each G^-1
-    is the finite series (1 + (G - 1))^-1.
+    D is coassociative, so (D x id)D(x) = (id x D)D(x) is one three-leg
+    image, evaluated once; each side conjugates it by its three-leg twist
+    G = F12 (D x id)(F) or F23 (id x D)(F) of the cocycle check, and each
+    G^-1 is the finite series (1 + (G - 1))^-1.
     """
     tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
 
     dw = delta_morphism(witness, witness)
-    ident = SparseMatrix.identity(witness.dim ** 3)
-    sides = []
-    for legs, part in zip(((dw, witness), (witness, dw)), _three_leg_parts(seq, witness, dw)):
-        g = (part + ident).reduced()
-        g_inv = analytic_apply(pow1p(-1), part).reduced()
-        sides.append((delta_morphism(*legs), g, g_inv))
-    for x in xs:
-        lhs, rhs = (g * eval_expr(x, delta) * g_inv for delta, g, g_inv in sides)
+    delta3 = delta_morphism(dw, witness)
+
+    def conjugated(kernel, *parts):
+        sides = [
+            ((part + SparseMatrix.identity(part.dim)).reduced(),
+             kernel.analytic_apply(pow1p(-1), part).reduced())
+            for part in parts
+        ]
+        # every pair is built before any is compared, so a rerun in exact.py
+        # counts each comparison once
+        pairs = []
+        for x in xs:
+            image = eval_expr(x, delta3)
+            pairs.append(tuple(g * image * g_inv for g, g_inv in sides))
+        return pairs
+
+    for lhs, rhs in _three_leg_parts(seq, witness, dw, conjugated):
         tally.equal(lhs, rhs)
     return tally.result()
 

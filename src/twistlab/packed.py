@@ -1,0 +1,279 @@
+"""Exact sparse matrices in int64 arrays, for the products of the three-leg spaces.
+
+A `Packed` matrix holds the same value as a `SparseMatrix`: int numerators
+over one positive Python-int denominator `den`.  The nonzero entries are two
+numpy arrays, their int64 keys (row - 1) * dim + (col - 1) in ascending
+order and their int64 numerators.  Operations take `SparseMatrix` operands
+too and pack them first.
+
+int64 cannot grow, so before any array arithmetic each operation proves
+from Python ints that every value it will form fits: a product entry is a
+sum of at most (max row nnz of a) terms of at most max|a| * max|b| each,
+and a sum's entries are bounded by the same kind of sum of scaled maxima.
+Every partial sum is bounded by the sum of the absolute values of its
+terms, so one bound covers the whole reduction.  When the bound fails the
+operation divides each operand by gcd(den, numerators) and proves it again;
+when it still fails it raises `Int64Overflow`, and `hopf._three_leg_parts`
+redoes the whole computation in exact.py's Python ints.  Packing a
+SparseMatrix is checked by numpy itself, which refuses a Python int outside
+int64.  No float is formed anywhere: sums are taken by sorting the keys and
+`np.add.reduceat`.
+
+numpy is imported with this module, and only hopf._three_leg_parts imports
+it, for three-leg spaces above its size floor.
+"""
+
+from itertools import chain
+from math import gcd, lcm
+
+import numpy as np
+
+from .errors import DimensionMismatch
+from .exact import SparseMatrix, _powers
+
+INT64_MAX = 2 ** 63 - 1
+
+
+class Int64Overflow(ArithmeticError):
+    """An int64 bound failed, even after dividing out each operand's common factor."""
+
+
+class Packed:
+    """Square exact sparse matrix: numerators vals[t] at keys[t], over den."""
+
+    __slots__ = ("dim", "keys", "vals", "den")
+
+    def __init__(self, dim: int, keys, vals, den: int = 1):
+        if dim * dim > INT64_MAX:
+            raise Int64Overflow(f"keys of dim {dim} do not fit int64")
+        self.dim = dim
+        self.keys = keys
+        self.vals = vals
+        self.den = den if len(keys) else 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self.keys)
+
+    def is_zero(self) -> bool:
+        return not len(self.keys)
+
+    @property
+    def top(self) -> int:
+        """max |numerator|, as a Python int (0 for the zero matrix)."""
+        return max(int(self.vals.max()), -int(self.vals.min())) if len(self.vals) else 0
+
+    @property
+    def widest(self) -> int:
+        """The most entries in one row."""
+        if not len(self.keys):
+            return 0
+        return int(np.bincount(self.keys // self.dim).max())
+
+    def reduced(self) -> "Packed":
+        """The same value with gcd(den, every numerator) divided out."""
+        if self.den == 1:
+            return self
+        g = gcd(self.den, int(np.gcd.reduce(self.vals)))
+        if g == 1:
+            return self
+        return Packed(self.dim, self.keys, self.vals // g, self.den // g)
+
+    def to_sparse(self) -> SparseMatrix:
+        rows: dict = {}
+        r, c = np.divmod(self.keys, self.dim)
+        for i, j, v in zip((r + 1).tolist(), (c + 1).tolist(), self.vals.tolist()):
+            rows.setdefault(i, {})[j] = v
+        return SparseMatrix(self.dim, rows, self.den)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SparseMatrix):
+            return self.to_sparse() == other
+        if not isinstance(other, Packed):
+            return NotImplemented
+        if self.dim != other.dim or not np.array_equal(self.keys, other.keys):
+            return False
+        try:
+            a, b = _fitting(_cross_bound, self, other)
+        except Int64Overflow:
+            return self.to_sparse() == other.to_sparse()
+        fa, fb = _cross(a, b)
+        return np.array_equal(a.vals * fa, b.vals * fb)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Packed(dim={self.dim}, nnz={self.nnz})"
+
+    def __add__(self, other) -> "Packed":
+        a, b = _fitting(_sum_bound, *_same_dim(self, other))
+        den = lcm(a.den, b.den)
+        keys = np.concatenate((a.keys, b.keys))
+        vals = np.concatenate((a.vals * (den // a.den), b.vals * (den // b.den)))
+        return _summed(a.dim, keys, vals, den)
+
+    def __sub__(self, other) -> SparseMatrix:
+        # only a failing compare subtracts; its residual is taken in Python ints
+        return self.to_sparse() - (other.to_sparse() if isinstance(other, Packed) else other)
+
+    def __mul__(self, other) -> "Packed":
+        if not isinstance(other, (Packed, SparseMatrix)):
+            return NotImplemented
+        a, b = _fitting(lambda a, b: a.top * b.top * a.widest, *_same_dim(self, other))
+        keys, vals = _terms(a, b)
+        return _summed(a.dim, keys, vals, a.den * b.den)
+
+
+def _same_dim(a, b) -> tuple:
+    """Both operands of a sum or product, packed."""
+    a, b = pack(a), pack(b)
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    return a, b
+
+
+def _cross(a: Packed, b: Packed) -> tuple:
+    """(db / g, da / g) with g = gcd(da, db): a / da == b / db iff a * db/g == b * da/g."""
+    g = gcd(a.den, b.den)
+    return b.den // g, a.den // g
+
+
+def _cross_bound(a: Packed, b: Packed) -> int:
+    fa, fb = _cross(a, b)
+    return max(a.top * fa, b.top * fb)
+
+
+def _sum_bound(a: Packed, b: Packed) -> int:
+    den = lcm(a.den, b.den)
+    return a.top * (den // a.den) + b.top * (den // b.den)
+
+
+def _fitting(bound, *operands) -> tuple:
+    """The operands, reduced if need be, once bound(*operands) fits int64."""
+    if bound(*operands) <= INT64_MAX:
+        return operands
+    operands = tuple(m.reduced() for m in operands)
+    if bound(*operands) <= INT64_MAX:
+        return operands
+    raise Int64Overflow(f"bound {bound(*operands).bit_length()} bits")
+
+
+def _summed(dim: int, keys, vals, den: int) -> Packed:
+    """The matrix whose entry at each key is the sum of its terms, zeros dropped."""
+    if not len(keys):
+        return Packed(dim, keys, vals)
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(vals, starts)
+    keep = sums != 0
+    return Packed(dim, keys[starts][keep], sums[keep], den)
+
+
+def _terms(a: Packed, b: Packed) -> tuple:
+    """(keys, vals) of every term a_ik b_kj of the product, not yet summed.
+
+    b's keys are sorted, so row k of b is the slice starts[k]:starts[k + 1]
+    of its arrays; each entry of a is repeated once per entry of that row.
+    """
+    d = a.dim
+    starts = np.zeros(d + 1, dtype=np.int64)
+    np.cumsum(np.bincount(b.keys // d, minlength=d), out=starts[1:])
+    rows, cols = np.divmod(a.keys, d)
+    lo = starts[cols]
+    counts = starts[cols + 1] - lo
+    ends = np.cumsum(counts)
+    # position in b of each term: its entry's row start plus its offset in the row
+    pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + counts, counts)
+    keys = np.repeat(rows * d, counts) + b.keys[pos] % d
+    vals = np.repeat(a.vals, counts) * b.vals[pos]
+    return keys, vals
+
+
+def pack(m) -> Packed:
+    """A SparseMatrix as a Packed matrix (a Packed one as it is).
+
+    numpy refuses a Python int that does not fit int64 (OverflowError), so
+    the conversion is checked entry by entry; the reduced form is tried once.
+    """
+    if isinstance(m, Packed):
+        return m
+    try:
+        return _from_sparse(m)
+    except OverflowError:
+        pass
+    try:
+        return _from_sparse(m.reduced())
+    except OverflowError:
+        raise Int64Overflow("a numerator does not fit int64") from None
+
+
+def _from_sparse(m: SparseMatrix) -> Packed:
+    d = m.dim
+    lengths = np.fromiter(map(len, m.rows.values()), np.int64, len(m.rows))
+    nnz = int(lengths.sum())
+    rows = np.repeat(np.fromiter(m.rows, np.int64, len(m.rows)), lengths)
+    cols = np.fromiter(chain.from_iterable(m.rows.values()), np.int64, nnz)
+    vals = np.fromiter(chain.from_iterable(map(dict.values, m.rows.values())), np.int64, nnz)
+    keys = (rows - 1) * d + cols - 1
+    order = np.argsort(keys)
+    return Packed(d, keys[order], vals[order], m.den)
+
+
+def kron(a, b) -> Packed:
+    """Kronecker product; tensor index (p, q) maps to (p-1)*b.dim + q."""
+    a, b = _fitting(lambda a, b: a.top * b.top, pack(a), pack(b))
+    db = b.dim
+    dim = a.dim * db
+    ra, ca = np.divmod(a.keys, a.dim)
+    rb, cb = np.divmod(b.keys, db)
+    keys = ((ra[:, None] * db + rb) * dim + ca[:, None] * db + cb).ravel()
+    vals = (a.vals[:, None] * b.vals).ravel()
+    order = np.argsort(keys)
+    return Packed(dim, keys[order], vals[order], a.den * b.den)
+
+
+def unipotent_product(a, b) -> Packed:
+    """(1 + a)(1 + b) - 1 = ab + a * b.den + b * a.den over a.den * b.den, in one reduce."""
+    a, b = _fitting(
+        lambda a, b: a.top * b.top * a.widest + a.top * b.den + b.top * a.den, *_same_dim(a, b)
+    )
+    keys, vals = _terms(a, b)
+    keys = np.concatenate((keys, a.keys, b.keys))
+    vals = np.concatenate((vals, a.vals * b.den, b.vals * a.den))
+    return _summed(a.dim, keys, vals, a.den * b.den)
+
+
+def analytic_apply(fn, m) -> Packed:
+    """The finite series fn(m) of a nilpotent m (see exact.analytic_apply), in one reduce.
+
+    Every power m^k is formed first; the terms c_k m^k then go into one
+    concatenation over the lcm of their dens.
+    """
+    m = pack(m)
+    terms = [(fn.coefficient(k), p) for k, p in enumerate(_powers(m), 1)]
+    terms = [(c, p) for c, p in terms if c]
+    coeffs = [c for c, _ in terms]
+
+    def scaled(*powers):
+        """(den, the numerator factor of each term over den)."""
+        den = lcm(1, *(p.den * c.denominator for c, p in zip(coeffs, powers)))
+        return den, [c.numerator * (den // (p.den * c.denominator)) for c, p in zip(coeffs, powers)]
+
+    def bound(*powers):
+        den, factors = scaled(*powers)
+        return den * fn.has_identity_term + sum(abs(f) * p.top for f, p in zip(factors, powers))
+
+    powers = _fitting(bound, *(p for _, p in terms))
+    den, factors = scaled(*powers)
+    keys = [p.keys for p in powers]
+    vals = [p.vals * f for f, p in zip(factors, powers)]
+    if fn.has_identity_term:
+        keys.append(np.arange(m.dim, dtype=np.int64) * (m.dim + 1))
+        vals.append(np.full(m.dim, den, dtype=np.int64))
+    if not keys:
+        return Packed(m.dim, m.keys[:0], m.vals[:0])
+    return _summed(m.dim, np.concatenate(keys), np.concatenate(vals), den)

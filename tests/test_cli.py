@@ -265,3 +265,22 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert str(tmp_path) in captured.err
+
+
+def test_fundamental_runs_never_import_numpy(tmp_path):
+    # numpy serves only the three-leg spaces of the doubled witness from N = 5;
+    # every suite in the fundamental witness, with dumps, must not pay its import
+    code = (
+        "import sys\n"
+        "from twistlab.cli import main\n"
+        "from twistlab.report import SUITES\n"
+        f"rc = main(['verify', '--n', '8', '--suites', ','.join(SUITES), '--alpha', '0,1/3',"
+        f" '--dump-dir', {str(tmp_path)!r}])\n"
+        "print(rc, 'numpy' in sys.modules, 'twistlab.packed' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=240)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False False"

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from twistlab import exact
 
-from twistlab.errors import NotNilpotent
+from twistlab.errors import DimensionMismatch, NotNilpotent
 from twistlab.exact import (
     EXP,
     EXPM1,
@@ -482,3 +482,111 @@ def test_held_matrices_are_canonical():
         assert phi._cache
         for value in phi._cache.values():
             assert_canonical(value)
+
+
+# -- the int64 kernel of the three-leg spaces (packed.py) ---------------------
+
+try:
+    from twistlab import packed
+except ImportError:  # numpy is an optional extra
+    packed = None
+
+needs_numpy = pytest.mark.skipif(packed is None, reason="numpy is not installed")
+
+
+def unpacked(m):
+    """The SparseMatrix of a kernel result, checked to be a well-formed Packed."""
+    assert isinstance(m, packed.Packed)
+    assert m.keys.dtype == m.vals.dtype == "int64"
+    assert (m.keys[1:] > m.keys[:-1]).all(), "keys not strictly ascending"
+    got = m.to_sparse()
+    assert_well_formed(got)
+    assert (got.dim, got.nnz) == (m.dim, m.nnz)
+    return got
+
+
+def rescaled(m, k):
+    """The same value as m over den k * m.den."""
+    return SparseMatrix(m.dim, {i: {j: k * v for j, v in r.items()} for i, r in m.rows.items()},
+                        k * m.den)
+
+
+@needs_numpy
+@example(A, B)
+@example(B, SparseMatrix.zero(4))
+@example(SparseMatrix.zero(4), A)
+@given(square_matrices(), square_matrices())
+def test_packed_ops_equal_their_sparse_counterparts(a, b):
+    pa, pb = packed.pack(a), packed.pack(b)
+    assert unpacked(pa) == a and pa.den == a.den
+    cases = [
+        (pa + pb, a + b),
+        (pa + b, a + b),
+        (pa * pb, a * b),
+        (pa * b, a * b),
+        (packed.kron(a, b), kron(a, b)),
+        (packed.kron(pa, b), kron(a, b)),
+        (packed.unipotent_product(pa, pb), unipotent_product(a, b)),
+        (pa.reduced(), a.reduced()),
+    ]
+    for got, want in cases:
+        assert as_fractions(unpacked(got)) == as_fractions(want)
+        assert got == packed.pack(want)
+    assert (pa == pb) == (a == b) == (as_fractions(a) == as_fractions(b))
+    assert (pa != pb) == (a != b)
+    assert pa == a
+    if a != b:
+        assert (pa - pb).nnz == (a - b).nnz
+
+
+@needs_numpy
+@example(full_shift(5).scale(rat(-3, 4)), EXPM1)
+@example(full_shift(5).scale(rat(1, 2)), pow1p(-1))
+@given(sized_nilpotents(), st.sampled_from(SERIES + [EXPM1]))
+def test_packed_series_equal_analytic_apply(m, fn):
+    got = packed.analytic_apply(fn, m)
+    assert as_fractions(unpacked(got)) == as_fractions(analytic_apply(fn, m))
+
+
+@needs_numpy
+def test_packed_ops_reject_what_exact_rejects():
+    with pytest.raises(NotNilpotent):
+        packed.analytic_apply(EXPM1, SparseMatrix.from_entries(2, {(1, 2): 1, (2, 1): 1}))
+    for op in (lambda a, b: a + b, lambda a, b: a * b, packed.unipotent_product):
+        with pytest.raises(DimensionMismatch):
+            op(packed.pack(A), packed.pack(E12))
+
+
+@needs_numpy
+@given(square_matrices(), square_matrices(), st.integers(2, 9), st.integers(2, 9))
+def test_packed_equality_cross_multiplies(a, b, k, l):
+    # the same values over other dens, and different values over them
+    for x, y in ((a, b), (a, a), (b, b)):
+        want = as_fractions(x) == as_fractions(y)
+        assert (rescaled(x, k) == rescaled(y, l)) == want
+        assert (packed.pack(rescaled(x, k)) == packed.pack(rescaled(y, l))) == want
+
+
+@needs_numpy
+def test_packed_ops_reduce_before_they_give_up():
+    big = 2 ** 40
+    # value 3/2 stored over 2^41: the product bound fails until the 2^40 is divided out
+    a = SparseMatrix(3, {1: {2: 3 * big}, 2: {3: -big}}, 2 * big)
+    assert packed.pack(a) * packed.pack(a) == a * a
+    assert packed.unipotent_product(a, a) == unipotent_product(a, a)
+    assert packed.kron(a, a) == kron(a, a)
+    assert packed.pack(a) == packed.pack(a.reduced())
+    # numerators coprime to the den: nothing divides out, so the kernel raises
+    odd = SparseMatrix(3, {1: {2: big + 1}, 2: {3: big - 1}}, 2 * big)
+    with pytest.raises(packed.Int64Overflow):
+        packed.pack(odd) * packed.pack(odd)
+    with pytest.raises(packed.Int64Overflow):
+        packed.pack(SparseMatrix(3, {1: {2: 2 ** 63 + 1}}, 2))
+    with pytest.raises(packed.Int64Overflow):  # keys row * dim + col would wrap
+        packed.pack(SparseMatrix(2 ** 32))
+    # a compare whose cross products leave int64 is taken in Python ints instead
+    near = SparseMatrix(3, {1: {2: big + 3}, 2: {3: big - 1}}, 3 ** 25)
+    p_odd, p_near = packed.pack(odd), packed.pack(near)
+    assert packed._cross_bound(p_odd, p_near) > packed.INT64_MAX
+    assert p_odd != p_near
+    assert p_odd == packed.pack(odd)

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +124,75 @@ def test_coassociativity_fails_for_a_non_cocycle(witness, twist, residual, dims)
     gens = [gen(1, 2), gen(1, 4), gen(2, 4), cartan_element(4, 1, 4)]
     res = coassociativity_check(_failing_cocycles(4)[twist], gens, witness=w)
     assert (res.passed, res.residual_nnz, res.dims) == (False, residual, dims)
+
+
+# Doubled witness at N = 5: 15,625-dim three-leg spaces, above hopf.PACKED_FLOOR.
+# The residuals are those the Python kernel gives.
+THREE_LEG_N5 = [
+    ("cocycle", "bare", 2765),
+    ("cocycle", "wrong-power", 2717),
+    ("cocycle", "jordanian", 0),
+    ("coassoc", "bare", 5490),
+    ("coassoc", "wrong-power", 6490),
+    ("coassoc", "jordanian", 0),
+]
+
+
+def _three_leg_n5(check, twist):
+    w = coproduct_morphism(5)
+    seq = jordanian(5) if twist == "jordanian" else _failing_cocycles(5)[twist]
+    if check == "cocycle":
+        res = cocycle_check(seq, w)
+    else:
+        gens = [gen(1, 2), gen(1, 5), gen(2, 5), cartan_element(5, 1, 5)]
+        res = coassociativity_check(seq, gens, w)
+    return [res.passed, res.residual_nnz, res.dims]
+
+
+@pytest.mark.parametrize("limit, kernels", [
+    (None, ["packed"]),
+    (2 ** 10, ["packed", "exact"]),
+], ids=["int64", "forced-fallback"])
+@pytest.mark.parametrize("check, twist, residual", THREE_LEG_N5)
+def test_three_leg_checks_above_the_packed_floor(check, twist, residual, limit, kernels,
+                                                 monkeypatch):
+    packed = pytest.importorskip("twistlab.packed")
+    from twistlab import hopf
+
+    used = []
+    parts_in = hopf._parts_in
+
+    def spy(kernel, *args):
+        used.append(kernel.__name__.rsplit(".", 1)[-1])
+        return parts_in(kernel, *args)
+
+    monkeypatch.setattr(hopf, "_parts_in", spy)
+    if limit is not None:
+        # no case can finish within 2^10, so the packed run raises (part way, or at
+        # its first product) and the Python kernel redoes it
+        monkeypatch.setattr(packed, "INT64_MAX", limit)
+    assert _three_leg_n5(check, twist) == [residual == 0, residual, 15625]
+    assert used == kernels
+
+
+def test_three_leg_checks_without_numpy():
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from test_hopf import THREE_LEG_N5, _three_leg_n5\n"
+        "rows = [[c, t, *_three_leg_n5(c, t)] for c, t, _ in THREE_LEG_N5]\n"
+        "print(json.dumps([rows, 'twistlab.packed' in sys.modules]))\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(here, "..", "src"), here, env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=240)
+    assert res.returncode == 0, res.stderr
+    rows, imported = json.loads(res.stdout.splitlines()[-1])
+    assert not imported
+    assert rows == [[c, t, r == 0, r, 15625] for c, t, r in THREE_LEG_N5]
 
 
 def test_cocycle_extension_over_jordanian_base():
