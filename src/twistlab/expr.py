@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Tuple, Union
 
+from . import exact
 from .errors import IndexOutOfRange
 from .exact import AnalyticFnSpec, SparseMatrix, analytic_apply, kron
 from .rationals import Rational, rat
@@ -24,31 +25,53 @@ from .rationals import Rational, rat
 Expr = Union["Gen", "Scalar", "Sum", "Prod", "Fn"]
 
 
+def _hash_once(node) -> int:
+    """A tree node's hash, computed on first use and then kept.
+
+    Nodes key every Morphism's cache of evaluated expressions.  The hash a
+    dataclass generates rehashes the node's whole subtree on each lookup, and
+    a Scalar's Fraction runs a modular pow for it; a kept hash costs one dict
+    read, and hashing a new node reads its children's kept hashes.  Most
+    nodes are built and never hashed, so none is hashed at construction.
+    """
+    fields = vars(node)
+    h = fields.get("_hash")
+    if h is None:
+        # the instance dict holds the fields alone until the hash joins them
+        h = fields["_hash"] = hash(tuple(fields.values()))
+    return h
+
+
 @dataclass(frozen=True)
 class Gen:
     i: int
     j: int
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class Scalar:
     value: Rational
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class Sum:
     terms: Tuple[Expr, ...]
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class Prod:
     factors: Tuple[Expr, ...]
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class Fn:
     fn: AnalyticFnSpec
     arg: Expr
+    __hash__ = _hash_once
 
 
 def gen(i: int, j: int) -> Gen:
@@ -207,9 +230,14 @@ def eval_expr(e: Expr, phi: Morphism) -> SparseMatrix:
     return out
 
 
-def eval_tensor_pairs(pairs, left: Morphism, right: Morphism) -> SparseMatrix:
-    """Sum of kron(eval(a), eval(b)) over two-leg terms (a, b)."""
+def eval_tensor_pairs(pairs, left: Morphism, right: Morphism, kernel=exact):
+    """Sum of kron(eval(a), eval(b)) over two-leg terms (a, b).
+
+    The legs are evaluated in exact.py; the krons and the sum are taken in
+    `kernel` (exact.py, or packed.py, whose matrices add a SparseMatrix on
+    their right).
+    """
     out = SparseMatrix.zero(left.dim * right.dim)
     for a, b in pairs:
-        out = out + kron(eval_expr(a, left), eval_expr(b, right))
+        out = kernel.kron(eval_expr(a, left), eval_expr(b, right)) + out
     return out

@@ -9,13 +9,12 @@ the leg-doubled one, ...); none picks one of its own.
 
 import time
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from math import factorial
 
 from . import exact
 from .errors import ExpansionOverflow, NotApplicable, NotNilpotent
 from .exact import (
-    EXPM1,
     SparseMatrix,
     analytic_apply,
     embed_pair,
@@ -42,7 +41,6 @@ from .twists import (
     extension_factor,
     external_factor,
     jordanian_factor,
-    materialize,
     materialize_factor,
     nilpotent_part,
     sequence,
@@ -96,16 +94,19 @@ class TwistedCoalgebra:
     coproduct(x) is the deformed coproduct D_F(x) = F D(x) F^-1 with D(x)
     evaluated in the same legs.  F must be unipotent in those legs: F^-1 is
     the finite series (1 + (F - 1))^-1, and an F - 1 that is not nilpotent
-    raises NotNilpotent.
+    raises NotNilpotent.  F, F^-1, every conjugation and `expected` are built
+    in `kernel`: exact.py, or the packed.py that kernel_check hands a check.
     """
 
-    def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None):
+    def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None,
+                 kernel=exact):
         self.witness = witness
         self.right = right if right is not None else witness
+        self.kernel = kernel
         self.delta = delta_morphism(self.witness, self.right)
-        self.f_mat = materialize(seq, self.witness, self.right)
-        part = self.f_mat - SparseMatrix.identity(self.f_mat.dim)
-        self.f_inv = analytic_apply(pow1p(-1), part).reduced()
+        part = nilpotent_part(seq, self.witness, self.right, kernel).reduced()
+        self.f_mat = (part + SparseMatrix.identity(part.dim)).reduced()
+        self.f_inv = kernel.analytic_apply(pow1p(-1), part).reduced()
 
     def conjugate(self, m: SparseMatrix) -> SparseMatrix:
         return self.f_mat * m * self.f_inv
@@ -114,8 +115,8 @@ class TwistedCoalgebra:
         return self.conjugate(eval_expr(x, self.delta))
 
     def expected(self, pairs) -> SparseMatrix:
-        """Evaluate a symbolic two-leg sum in the same pair of legs."""
-        return eval_tensor_pairs(pairs, self.witness, self.right)
+        """Evaluate a symbolic two-leg sum in the same pair of legs and kernel."""
+        return eval_tensor_pairs(pairs, self.witness, self.right, self.kernel)
 
 
 def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
@@ -132,55 +133,57 @@ def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
     return tally.result()
 
 
-# Three-leg spaces of at least this many dims are built in packed.py's int64
-# kernel: the doubled witness from N = 5 (15,625 dims) on, never the
-# fundamental one (512 dims at N = 8), whose runs would only pay numpy's import.
-PACKED_FLOOR = 10_000
+# Spaces of at least this many dims are built in packed.py's int64 kernel.
+# In the doubled witness that is every two-leg space from N = 6 (1,296 dims)
+# and every three-leg one from N = 4 (4,096); in the fundamental witness the
+# three-leg spaces from N = 11 (1,331) on.  Fundamental runs up to N = 10,
+# and so every run of the benchmark's fund-sweep, never import numpy.
+PACKED_FLOOR = 1_200
 
 
-def _three_leg_parts(seq: TwistSequence, w: Morphism, dw: Morphism, then):
-    """then(kernel, lhs, rhs) on the nilpotent parts G - 1 of F12 (dw x id)(F)
-    and F23 (id x dw)(F).
+def kernel_check(tally: Tally, dim: int, pairs) -> CheckResult:
+    """tally's result once it has compared each (lhs, rhs) that pairs(kernel) yields.
 
-    dw is the coproduct the twist is applied over, in the witness legs; no
-    three-leg identity is built.  This is the one place a kernel is chosen:
-    from PACKED_FLOOR dims on, the parts (and whatever `then` builds from
-    them) are built in packed.py's int64 kernel, and numpy is imported only
-    here.  Without numpy, or when a packed operation cannot prove its int64
-    bound, everything is built again in exact.py's Python ints.
+    This is the one place a kernel is chosen.  A check whose largest space
+    has at least PACKED_FLOOR dims gets packed.py's int64 kernel, and numpy
+    is imported only here; a smaller one gets exact.py.  pairs(kernel) builds
+    every matrix in that kernel and yields each pair as soon as it is built,
+    so no pair is held past its comparison.  Without numpy, or when a packed
+    operation cannot prove its int64 bound, the whole check is built again
+    in exact.py's Python ints.  The pairs the packed kernel compared before
+    it gave up were exact, so the rerun skips that many: each comparison is
+    made, and counted, once.
     """
-    if w.dim ** 3 >= PACKED_FLOOR:
+    done = 0
+    if dim >= PACKED_FLOOR:
         try:
             from . import packed
         except ImportError:
             packed = None
         if packed is not None:
             try:
-                return then(packed, *_parts_in(packed, seq, w, dw))
+                for lhs, rhs in pairs(packed):
+                    tally.equal(lhs, rhs)
+                    done += 1
+                return tally.result()
             except packed.Int64Overflow:
                 pass
-    return then(exact, *_parts_in(exact, seq, w, dw))
+    for lhs, rhs in islice(pairs(exact), done, None):
+        tally.equal(lhs, rhs)
+    return tally.result()
 
 
 def _parts_in(kernel, seq: TwistSequence, w: Morphism, dw: Morphism):
+    """The nilpotent parts G - 1 of F12 (dw x id)(F) and F23 (id x dw)(F), in `kernel`.
+
+    dw is the coproduct the twist is applied over, in the witness legs; no
+    three-leg identity is built.
+    """
     ident = SparseMatrix.identity(w.dim)
-    f2 = nilpotent_part(seq, w, w)
-    lhs = kernel.unipotent_product(kernel.kron(f2, ident), _part_in(kernel, seq, dw, w))
-    rhs = kernel.unipotent_product(kernel.kron(ident, f2), _part_in(kernel, seq, w, dw))
+    f2 = nilpotent_part(seq, w, w, kernel)
+    lhs = kernel.unipotent_product(kernel.kron(f2, ident), nilpotent_part(seq, dw, w, kernel))
+    rhs = kernel.unipotent_product(kernel.kron(ident, f2), nilpotent_part(seq, w, dw, kernel))
     return lhs, rhs
-
-
-def _part_in(kernel, seq: TwistSequence, left: Morphism, right: Morphism):
-    """twists.nilpotent_part(seq, left, right), with its products in `kernel`."""
-    if kernel is exact:
-        return nilpotent_part(seq, left, right)
-    out = SparseMatrix.zero(left.dim * right.dim)
-    for factor in seq.factors:
-        arg = SparseMatrix.zero(out.dim)
-        for a, b in factor.terms:
-            arg = kernel.kron(eval_expr(a, left), eval_expr(b, right)) + arg
-        out = kernel.unipotent_product(kernel.analytic_apply(EXPM1, arg), out)
-    return out
 
 
 def cocycle_check(
@@ -203,8 +206,8 @@ def cocycle_check(
                       name=f"delta_F[{base.name}]")
     else:
         dw = delta_morphism(witness, witness)
-    tally.equal(*_three_leg_parts(seq, witness, dw, lambda kernel, lhs, rhs: (lhs, rhs)))
-    return tally.result()
+    return kernel_check(tally, witness.dim ** 3,
+                        lambda kernel: [_parts_in(kernel, seq, witness, dw)])
 
 
 def r_matrix_checks(seq: TwistSequence, witness: Morphism) -> CheckResult:
@@ -233,27 +236,21 @@ def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckRes
     G^-1 is the finite series (1 + (G - 1))^-1.
     """
     tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
-
     dw = delta_morphism(witness, witness)
-    delta3 = delta_morphism(dw, witness)
 
-    def conjugated(kernel, *parts):
+    def pairs(kernel):
         sides = [
             ((part + SparseMatrix.identity(part.dim)).reduced(),
              kernel.analytic_apply(pow1p(-1), part).reduced())
-            for part in parts
+            for part in _parts_in(kernel, seq, witness, dw)
         ]
-        # every pair is built before any is compared, so a rerun in exact.py
-        # counts each comparison once
-        pairs = []
         for x in xs:
-            image = eval_expr(x, delta3)
-            pairs.append(tuple(g * image * g_inv for g, g_inv in sides))
-        return pairs
+            # a morphism caches every image it evaluates; one per element
+            # keeps a single three-leg image alive at a time
+            image = eval_expr(x, delta_morphism(dw, witness))
+            yield tuple(g * image * g_inv for g, g_inv in sides)
 
-    for lhs, rhs in _three_leg_parts(seq, witness, dw, conjugated):
-        tally.equal(lhs, rhs)
-    return tally.result()
+    return kernel_check(tally, witness.dim ** 3, pairs)
 
 
 # -- twisted antipode -------------------------------------------------------

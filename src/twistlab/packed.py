@@ -1,4 +1,4 @@
-"""Exact sparse matrices in int64 arrays, for the products of the three-leg spaces.
+"""Exact sparse matrices in int64 arrays, for the large spaces of the doubled witness.
 
 A `Packed` matrix holds the same value as a `SparseMatrix`: int numerators
 over one positive Python-int denominator `den`.  The nonzero entries are two
@@ -13,14 +13,16 @@ and a sum's entries are bounded by the same kind of sum of scaled maxima.
 Every partial sum is bounded by the sum of the absolute values of its
 terms, so one bound covers the whole reduction.  When the bound fails the
 operation divides each operand by gcd(den, numerators) and proves it again;
-when it still fails it raises `Int64Overflow`, and `hopf._three_leg_parts`
-redoes the whole computation in exact.py's Python ints.  Packing a
+when it still fails it raises `Int64Overflow`, and `hopf.kernel_check`
+redoes the whole check in exact.py's Python ints.  Packing a
 SparseMatrix is checked by numpy itself, which refuses a Python int outside
 int64.  No float is formed anywhere: sums are taken by sorting the keys and
 `np.add.reduceat`.
 
-numpy is imported with this module, and only hopf._three_leg_parts imports
-it, for three-leg spaces above its size floor.
+numpy is imported with this module, and only hopf.kernel_check imports it,
+for the checks whose spaces reach hopf.PACKED_FLOOR: in the doubled witness
+the two-leg state tables from N = 6 and the three-leg cocycle and
+coassociativity spaces from N = 4.
 """
 
 from itertools import chain
@@ -108,9 +110,8 @@ class Packed:
     def __add__(self, other) -> "Packed":
         a, b = _fitting(_sum_bound, *_same_dim(self, other))
         den = lcm(a.den, b.den)
-        keys = np.concatenate((a.keys, b.keys))
-        vals = np.concatenate((a.vals * (den // a.den), b.vals * (den // b.den)))
-        return _summed(a.dim, keys, vals, den)
+        return _summed(a.dim, np.concatenate((a.keys, b.keys)),
+                       np.concatenate((a.vals * (den // a.den), b.vals * (den // b.den))), den)
 
     def __sub__(self, other) -> SparseMatrix:
         # only a failing compare subtracts; its residual is taken in Python ints
@@ -120,8 +121,7 @@ class Packed:
         if not isinstance(other, (Packed, SparseMatrix)):
             return NotImplemented
         a, b = _fitting(lambda a, b: a.top * b.top * a.widest, *_same_dim(self, other))
-        keys, vals = _terms(a, b)
-        return _summed(a.dim, keys, vals, a.den * b.den)
+        return _summed(a.dim, *_terms(a, b), a.den * b.den)
 
 
 def _same_dim(a, b) -> tuple:
@@ -159,11 +159,18 @@ def _fitting(bound, *operands) -> tuple:
 
 
 def _summed(dim: int, keys, vals, den: int) -> Packed:
-    """The matrix whose entry at each key is the sum of its terms, zeros dropped."""
+    """The matrix whose entry at each key is the sum of its terms, zeros dropped.
+
+    Callers pass arrays that nothing else holds, so each unsorted array is
+    freed as soon as its sorted copy exists; that sets the peak memory of the
+    largest products.
+    """
     if not len(keys):
         return Packed(dim, keys, vals)
     order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
+    keys = keys[order]
+    vals = vals[order]
+    del order
     first = np.empty(len(keys), dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -230,10 +237,16 @@ def kron(a, b) -> Packed:
     dim = a.dim * db
     ra, ca = np.divmod(a.keys, a.dim)
     rb, cb = np.divmod(b.keys, db)
-    keys = ((ra[:, None] * db + rb) * dim + ca[:, None] * db + cb).ravel()
+    # built in place: one array of keys for all pairs of entries, not four
+    keys = ra[:, None] * db + rb
+    keys *= dim
+    keys += (ca * db)[:, None]
+    keys += cb
+    keys = keys.ravel()
     vals = (a.vals[:, None] * b.vals).ravel()
     order = np.argsort(keys)
-    return Packed(dim, keys[order], vals[order], a.den * b.den)
+    keys = keys[order]
+    return Packed(dim, keys, vals[order], a.den * b.den)
 
 
 def unipotent_product(a, b) -> Packed:
@@ -242,9 +255,8 @@ def unipotent_product(a, b) -> Packed:
         lambda a, b: a.top * b.top * a.widest + a.top * b.den + b.top * a.den, *_same_dim(a, b)
     )
     keys, vals = _terms(a, b)
-    keys = np.concatenate((keys, a.keys, b.keys))
-    vals = np.concatenate((vals, a.vals * b.den, b.vals * a.den))
-    return _summed(a.dim, keys, vals, a.den * b.den)
+    return _summed(a.dim, np.concatenate((keys, a.keys, b.keys)),
+                   np.concatenate((vals, a.vals * b.den, b.vals * a.den)), a.den * b.den)
 
 
 def analytic_apply(fn, m) -> Packed:

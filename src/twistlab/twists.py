@@ -15,8 +15,9 @@ legs' space is built until materialize adds it once.
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import IndexOutOfRange, NotApplicable
-from .exact import EXPM1, SparseMatrix, analytic_apply, unipotent_product
+from . import exact
+from .errors import DimensionMismatch, IndexOutOfRange, NotApplicable
+from .exact import EXPM1, SparseMatrix
 from .expr import (
     Expr,
     Morphism,
@@ -189,26 +190,36 @@ def alternative_chain(n: int) -> TwistSequence:
 # -- materialization --------------------------------------------------------
 
 
-def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism) -> SparseMatrix:
-    """The factor's nilpotent part exp(argument) - 1 in the given legs."""
-    return analytic_apply(EXPM1, eval_tensor_pairs(factor.terms, left, right))
+def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism, kernel=exact):
+    """The factor's nilpotent part exp(argument) - 1 in the given legs.
 
-
-def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism) -> SparseMatrix:
-    """F - 1, folded from the factors' nilpotent parts.
-
-    The fold starts at the first factor's part (k factors take k - 1
-    products; the empty sequence gives zero) and puts later factors on the
-    left.  Every twist in scope is unipotent in the legs it is used in (F - 1
-    is nilpotent), which is what lets callers invert F as the finite series
-    (1 + (F - 1))^-1.
+    `kernel` is the module whose kron, sum and series build it: exact.py,
+    or packed.py for the spaces hopf.kernel_check hands to it.
     """
+    return kernel.analytic_apply(EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel))
+
+
+def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism, kernel=exact):
+    """F - 1, folded from the factors' nilpotent parts, in `kernel`.
+
+    The legs must be representations of the twist's own gl(N): a twist of
+    gl(6) evaluated in gl(7) legs is a well-defined matrix but not that
+    twist, so it raises DimensionMismatch.  The fold starts at the first
+    factor's part (k factors take k - 1 products; the empty sequence gives
+    zero) and puts later factors on the left.  Every twist in scope is
+    unipotent in the legs it is used in (F - 1 is nilpotent), which is what
+    lets callers invert F as the finite series (1 + (F - 1))^-1.
+    """
+    if seq.n != left.n or seq.n != right.n:
+        raise DimensionMismatch(
+            f"{seq.name} is a twist of gl({seq.n}), legs are gl({left.n}) and gl({right.n})"
+        )
     if not seq.factors:
         return SparseMatrix.zero(left.dim * right.dim)
     first, *rest = seq.factors
-    out = materialize_factor(first, left, right)
+    out = materialize_factor(first, left, right, kernel=kernel)
     for f in rest:
-        out = unipotent_product(materialize_factor(f, left, right), out)
+        out = kernel.unipotent_product(materialize_factor(f, left, right, kernel=kernel), out)
     return out
 
 

@@ -159,3 +159,24 @@ def test_morphism_property_on_products(i, j, k, l):
     d = delta_morphism(f3, f3)
     assert eval_expr(mul(a, b), d) == eval_expr(a, d) * eval_expr(b, d)
 
+
+
+def test_a_node_keeps_its_hash(monkeypatch):
+    from fractions import Fraction
+
+    def build():
+        return add(mul(scal(rat(-1, 2)), gen(1, 3)), sigma_power(rat(1, 3), 2, 3))
+
+    tree, again = build(), build()
+    assert tree == again and hash(tree) == hash(again) and tree is not again
+    assert tree != add(mul(scal(rat(1, 2)), gen(1, 3)), sigma_power(rat(1, 3), 2, 3))
+    assert gen(1, 3) != scal(1) and gen(1, 3) != (1, 3)
+    # a cache lookup hashes the stored node hash alone, never a subtree or a Fraction
+    cache = {tree: "value"}
+
+    def rehash(self):
+        raise AssertionError("a stored hash was recomputed")
+
+    monkeypatch.setattr(Fraction, "__hash__", rehash)
+    assert cache[again] == "value"
+    assert eval_expr(again, zero_morphism(3)) == eval_expr(tree, zero_morphism(3))

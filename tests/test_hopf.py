@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistlab import exact as exact_kernel
 from twistlab.errors import DimensionMismatch, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
@@ -21,18 +22,22 @@ from twistlab.expr import (
     sigma_power,
 )
 from twistlab.hopf import (
+    PACKED_FLOOR,
     Tally,
     TwistedCoalgebra,
     antipode_checks,
     coassociativity_check,
     cocycle_check,
     counit_check,
+    kernel_check,
     r_matrix_checks,
     twist_antipode_correction,
     verify_dragging,
 )
 from twistlab.rationals import rat
+from twistlab.report import SuiteConfig, run_suite
 from twistlab.roots import carrier_generators, cartan_element
+from twistlab.states import STATE_IDS, costructure_table
 from twistlab.twists import (
     chain_twist,
     extended_twist_generic,
@@ -175,13 +180,86 @@ def test_three_leg_checks_above_the_packed_floor(check, twist, residual, limit, 
     assert used == kernels
 
 
+# Doubled witness at N = 6, r = 3: the nine states and the 2-Jordanian block
+# on 1,296-dim two-leg spaces, above hopf.PACKED_FLOOR, as [name, passed,
+# residual, dims, comparisons] in report order.  The rows are those the Python
+# kernel gives.
+NINE_STATES_N6 = [["2jordanian[N=6]", True, 0, 1296, 12]] + [
+    [f"state[{sid},N=6,r=3]", True, 0, 1296, 8] for sid in sorted(STATE_IDS)
+]
+
+
+def _nine_states_n6():
+    counts = {}
+    equal = Tally.equal
+
+    def counted(self, lhs, rhs):
+        counts[self.name] = counts.get(self.name, 0) + 1
+        equal(self, lhs, rhs)
+
+    Tally.equal = counted
+    try:
+        report = run_suite(SuiteConfig(n=6, suites=("nine-states",), r_values=(3,),
+                                       witness="doubled"))
+    finally:
+        Tally.equal = equal
+    return [[r.name, r.passed, r.residual_nnz, r.dims, counts.get(r.name, 0)]
+            for r in report.results]
+
+
+@pytest.mark.parametrize("limit, kernels", [
+    (None, ["packed"]),
+    (2 ** 10, ["packed", "exact"]),
+], ids=["int64", "forced-fallback"])
+def test_two_leg_state_checks_above_the_packed_floor(limit, kernels, monkeypatch):
+    packed = pytest.importorskip("twistlab.packed")
+
+    used = []
+    init = TwistedCoalgebra.__init__
+
+    def spy(self, *args, kernel=exact_kernel, **kwargs):
+        used.append(kernel.__name__.rsplit(".", 1)[-1])
+        init(self, *args, kernel=kernel, **kwargs)
+
+    monkeypatch.setattr(TwistedCoalgebra, "__init__", spy)
+    if limit is not None:
+        # F cannot be built within 2^10, so each check's packed run raises at its
+        # first product and the Python kernel redoes the whole check
+        monkeypatch.setattr(packed, "INT64_MAX", limit)
+    assert _nine_states_n6() == NINE_STATES_N6
+    assert used == kernels * len(NINE_STATES_N6)
+
+
+def test_a_fallback_part_way_compares_each_pair_once(monkeypatch):
+    packed = pytest.importorskip("twistlab.packed")
+    a, b = SparseMatrix.unit(3, 1, 2), SparseMatrix.unit(3, 2, 3)
+    built = []
+
+    def pairs(kernel):
+        for k, pair in enumerate([(a, a), (a, b), (b, b), (b, a)]):
+            built.append((kernel.__name__.rsplit(".", 1)[-1], k))
+            if kernel is packed and k == 2:
+                raise packed.Int64Overflow("bound")
+            yield pair
+
+    compared = []
+    equal = Tally.equal
+    monkeypatch.setattr(Tally, "equal", lambda self, l, r: (compared.append(1), equal(self, l, r)))
+    res = kernel_check(Tally("pairs"), PACKED_FLOOR, pairs)
+    # the rerun builds every pair again and compares only those left over
+    assert built == [("packed", 0), ("packed", 1), ("packed", 2),
+                     ("exact", 0), ("exact", 1), ("exact", 2), ("exact", 3)]
+    assert len(compared) == 4
+    assert (res.passed, res.residual_nnz, res.dims) == (False, 4, 3)
+
+
 def test_three_leg_checks_without_numpy():
     code = (
         "import json, sys\n"
         "sys.modules['numpy'] = None\n"
-        "from test_hopf import THREE_LEG_N5, _three_leg_n5\n"
+        "from test_hopf import THREE_LEG_N5, _three_leg_n5, _nine_states_n6\n"
         "rows = [[c, t, *_three_leg_n5(c, t)] for c, t, _ in THREE_LEG_N5]\n"
-        "print(json.dumps([rows, 'twistlab.packed' in sys.modules]))\n"
+        "print(json.dumps([rows, _nine_states_n6(), 'twistlab.packed' in sys.modules]))\n"
     )
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ)
@@ -190,9 +268,25 @@ def test_three_leg_checks_without_numpy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=240)
     assert res.returncode == 0, res.stderr
-    rows, imported = json.loads(res.stdout.splitlines()[-1])
+    rows, states, imported = json.loads(res.stdout.splitlines()[-1])
     assert not imported
     assert rows == [[c, t, r == 0, r, 15625] for c, t, r in THREE_LEG_N5]
+    assert states == NINE_STATES_N6
+
+
+@pytest.mark.parametrize("kernel", ["exact", "packed"])
+def test_a_twist_is_built_only_in_legs_of_its_own_n(kernel):
+    # a twist of gl(6) evaluated in gl(7) legs is some matrix, but not that twist
+    kernel = exact_kernel if kernel == "exact" else pytest.importorskip("twistlab.packed")
+    seq = sequence(jordanian_factor(6, 1))
+    f7 = fundamental_morphism(7)
+    with pytest.raises(DimensionMismatch):
+        cocycle_check(seq, f7)
+    with pytest.raises(DimensionMismatch):
+        counit_check(seq, f7)
+    with pytest.raises(DimensionMismatch):
+        TwistedCoalgebra(costructure_table("J1J0", 6, 3).twist_recipe, coproduct_morphism(7),
+                         kernel=kernel)
 
 
 def test_cocycle_extension_over_jordanian_base():

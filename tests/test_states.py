@@ -205,6 +205,23 @@ def test_a_wrong_registry_entry_fails_the_state_and_the_diagram(monkeypatch):
     assert not verify_diagram(3, f6).passed
 
 
+def test_a_flipped_sign_fails_the_same_in_both_kernels(monkeypatch):
+    # E0J1J0's e2r entry is P2+ + S1-; with the S term's sign flipped its
+    # doubled-witness residual is the nnz of 2 S1-, in int64 and in Python ints
+    pytest.importorskip("twistlab.packed")
+    labels, entries = STATES["E0J1J0"]
+    assert entries["e2r"] == ((1, Combinator("Pplus", i=2)), (1, Combinator("S1minus")))
+    flipped = {**entries, "e2r": ((1, Combinator("Pplus", i=2)), (-1, Combinator("S1minus")))}
+    monkeypatch.setitem(STATES, "E0J1J0", (labels, flipped))
+    w = delta_morphism(fundamental_morphism(6), fundamental_morphism(6))
+    rows = []
+    for floor in (hopf.PACKED_FLOOR, w.dim ** 2 + 1):
+        monkeypatch.setattr(hopf, "PACKED_FLOOR", floor)
+        res = verify_state("E0J1J0", 3, w)
+        rows.append((res.passed, res.residual_nnz, res.dims))
+    assert rows == [(False, 168, 1296)] * 2
+
+
 def test_diagram_builds_each_coalgebra_once(monkeypatch):
     # seven edge sources (the two squares among them), four edge factors and
     # the two squares' other orders
@@ -264,7 +281,9 @@ def test_no_public_check_picks_its_own_witness():
     assert takes_witness == {
         "TwistedCoalgebra", "counit_check", "cocycle_check", "r_matrix_checks",
         "coassociativity_check", "twist_antipode_correction", "antipode_checks",
-        "verify_dragging", "combinator_eval", "expected_entry", "verify_state",
+        "verify_dragging", "combinator_eval", "verify_state",
         "two_jordanian_table_check", "verify_diagram", "verify_matreshka",
         "verify_transition_schemes",
     }
+    # expected_entry evaluates in the legs (and kernel) of the coalgebra it is given
+    assert list(inspect.signature(states.expected_entry).parameters) == ["table", "slot", "co"]
