@@ -21,9 +21,5 @@ class NotApplicable(TwistlabError):
     """The requested check is undefined at this rank (e.g. needs N > 5)."""
 
 
-class ExpansionOverflow(TwistlabError):
-    """Antipode multi-index expansion exceeded its degree bound."""
-
-
 class ConfigInvalid(TwistlabError, ValueError):
     """Suite configuration rejected before any check ran."""

@@ -7,7 +7,7 @@ sl(N-2k) block; its constituent roots split that root as
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import IndexOutOfRange
 from .expr import Expr, add, gen, mul, scal
@@ -20,10 +20,6 @@ class Root:
 
     i: int
     j: int
-
-
-def all_roots(n: int) -> List[Root]:
-    return [Root(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
 def cartan_element(n: int, i: int, k: int) -> Expr:

@@ -25,6 +25,7 @@ from twistlab.hopf import (
     PACKED_FLOOR,
     Tally,
     TwistedCoalgebra,
+    _antipode_contraction,
     antipode_checks,
     coassociativity_check,
     cocycle_check,
@@ -37,7 +38,7 @@ from twistlab.hopf import (
 from twistlab.rationals import rat
 from twistlab.report import SuiteConfig, run_suite
 from twistlab.roots import carrier_generators, cartan_element
-from twistlab.states import STATE_IDS, costructure_table
+from twistlab.states import STATE_IDS, costructure_table, heisenberg_pair_generators
 from twistlab.twists import (
     chain_twist,
     extended_twist_generic,
@@ -429,23 +430,15 @@ def test_antipode_counit_side_on_elements_with_nonzero_counit():
     assert res.passed, res
 
 
-def test_antipode_expansion_bound():
-    from twistlab.errors import ExpansionOverflow
-
-    gens = [cartan_element(2, 1, 2), gen(1, 2)]
-    with pytest.raises(ExpansionOverflow):
-        antipode_checks(jordanian(2), gens, fundamental_morphism(2), bound=0)
-
-
 def test_antipode_rejects_non_nilpotent_expansion():
-    from twistlab.errors import ExpansionOverflow
-    from twistlab.twists import twist_factor
+    from twistlab.errors import NotNilpotent, TwistlabError
 
     h = cartan_element(2, 1, 2)
-    # H x H has a diagonal (non-nilpotent) expansion kernel
+    # exp(H x H) is not unipotent in (w*, w), so F^-1 has no finite series
     bad = sequence(twist_factor("HH", 2, [(h, h)]))
-    with pytest.raises(ExpansionOverflow):
+    with pytest.raises(NotNilpotent):
         antipode_checks(bad, [gen(1, 2)], fundamental_morphism(2))
+    assert issubclass(NotNilpotent, TwistlabError)
 
 
 def test_antipode_rejects_a_v_that_is_not_unipotent():
@@ -458,6 +451,52 @@ def test_antipode_rejects_a_v_that_is_not_unipotent():
         SparseMatrix.from_entries(2, {(1, 1): 1})
     with pytest.raises(NotNilpotent):
         antipode_checks(bad, [gen(1, 2)], fundamental_morphism(2))
+
+
+@pytest.mark.parametrize("witness", [fundamental_morphism, coproduct_morphism])
+def test_v_u_compare_sees_a_wrong_v(witness):
+    # u = m(S x id)(F^-1) of E1J1J0; only its own v = m(id x S)(F) inverts it
+    w = witness(6)
+    wdual = contragredient_morphism(w)
+    d = w.dim
+
+    def v_of(seq):
+        return _antipode_contraction(TwistedCoalgebra(seq, w, wdual).f_mat, d, 2)
+
+    recipe = costructure_table("E1J1J0", 6, 3).twist_recipe
+    u = _antipode_contraction(TwistedCoalgebra(recipe, wdual, w).f_inv, d, 1)
+    ident = SparseMatrix.identity(d)
+
+    def residual(v):
+        tally = Tally("v u = 1")
+        tally.equal(v * u, ident)
+        return tally.residual
+
+    assert residual(v_of(recipe)) == 0
+    wrong = {
+        "E0J1J0": v_of(costructure_table("E0J1J0", 6, 3).twist_recipe),
+        "J1J0": v_of(costructure_table("J1J0", 6, 3).twist_recipe),
+        "1": ident,
+    }
+    expected = {fundamental_morphism: {"E0J1J0": 2, "J1J0": 1, "1": 2},
+                coproduct_morphism: {"E0J1J0": 31, "J1J0": 14, "1": 27}}[witness]
+    assert {name: residual(v) for name, v in wrong.items()} == expected
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_antipode_of_every_state_twist_and_the_deepest_chain(n):
+    w = fundamental_morphism(n)
+    gens = list(heisenberg_pair_generators(n, 3).values())
+    twists = [costructure_table(sid, n, 3).twist_recipe for sid in STATE_IDS]
+    for seq in twists + [chain_twist(n, (n - 2) // 2)]:
+        res = antipode_checks(seq, gens, w)
+        assert res.passed, res
+
+
+def test_antipode_of_the_deepest_chain_in_the_doubled_witness():
+    gens = list(heisenberg_pair_generators(6, 3).values())
+    res = antipode_checks(chain_twist(6, 2), gens, coproduct_morphism(6))
+    assert res.passed, res
 
 
 def test_dragging_identity():

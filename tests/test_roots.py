@@ -6,7 +6,6 @@ from twistlab.expr import eval_expr, fundamental_morphism
 from twistlab.rationals import rat
 from twistlab.roots import (
     Root,
-    all_roots,
     carrier_generators,
     cartan_element,
     chain_plan,
@@ -39,6 +38,10 @@ def test_constituent_roots_n7_step1():
     prime, doubleprime = constituent_roots(7, 1)
     assert prime == (Root(2, 3), Root(2, 4), Root(2, 5))
     assert doubleprime == (Root(3, 6), Root(4, 6), Root(5, 6))
+
+
+def all_roots(n):
+    return [Root(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
 def e_vector(n, *roots):
