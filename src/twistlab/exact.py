@@ -16,9 +16,9 @@ Product, sum, Kronecker product and the embedding on legs (1, 3) run on
 Python ints (which cannot overflow); Rationals are taken or returned
 only at the boundaries: from_entries, scale, indexing, entries() and the
 dump format.  The checks on large spaces (the doubled witness's two-leg
-state tables and three-leg twists) run instead in packed.py's int64 kernel,
-which proves a bound before each operation and leaves the work to this
-module when it cannot (see hopf.kernel_check).
+state tables and three-leg twists) run instead in packed.py's numpy arrays,
+in int64 wherever a bound proves it safe and in Python ints elsewhere (see
+hopf.kernel_for).
 Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
 nilpotent matrices as finite series, each summed in place over one common
 denominator.  There is no generic matrix inverse: every inverse the package

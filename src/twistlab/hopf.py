@@ -9,7 +9,6 @@ the leg-doubled one, ...); none picks one of its own.
 
 import time
 from dataclasses import dataclass
-from itertools import islice
 
 from . import exact
 from .errors import NotApplicable
@@ -97,7 +96,8 @@ class TwistedCoalgebra:
     evaluated in the same legs.  F must be unipotent in those legs: F^-1 is
     the finite series (1 + (F - 1))^-1, and an F - 1 that is not nilpotent
     raises NotNilpotent.  F, F^-1, every conjugation and `expected` are built
-    in `kernel`: exact.py, or the packed.py that kernel_check hands a check.
+    in `kernel`: exact.py, or packed.py, which kernel_for picks for large
+    spaces.
     """
 
     def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None,
@@ -142,36 +142,23 @@ def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
 PACKED_FLOOR = 1_200
 
 
-def kernel_check(tally: Tally, dim: int, pairs) -> CheckResult:
-    """tally's result once it has compared each (lhs, rhs) that pairs(kernel) yields.
+def kernel_for(dim: int):
+    """The kernel a check whose largest space has `dim` dims is built in.
 
-    This is the one place a kernel is chosen.  A check whose largest space
-    has at least PACKED_FLOOR dims gets packed.py's int64 kernel, and numpy
-    is imported only here; a smaller one gets exact.py.  pairs(kernel) builds
-    every matrix in that kernel and yields each pair as soon as it is built,
-    so no pair is held past its comparison.  Without numpy, or when a packed
-    operation cannot prove its int64 bound, the whole check is built again
-    in exact.py's Python ints.  The pairs the packed kernel compared before
-    it gave up were exact, so the rerun skips that many: each comparison is
-    made, and counted, once.
+    This is the one place a kernel is chosen.  From PACKED_FLOOR dims on it
+    is packed.py, and numpy is imported only here; below it, without numpy,
+    or where packed.py's int64 keys cannot index the space, it is exact.py.
+    Either kernel is exact on any input (packed.py widens to Python ints
+    where int64 would not hold), so a check is built once, in one kernel.
     """
-    done = 0
     if dim >= PACKED_FLOOR:
         try:
             from . import packed
-        except ImportError:
-            packed = None
-        if packed is not None:
-            try:
-                for lhs, rhs in pairs(packed):
-                    tally.equal(lhs, rhs)
-                    done += 1
-                return tally.result()
-            except packed.Int64Overflow:
-                pass
-    for lhs, rhs in islice(pairs(exact), done, None):
-        tally.equal(lhs, rhs)
-    return tally.result()
+        except ImportError:  # numpy is an optional extra
+            return exact
+        if dim * dim <= packed.KEY_MAX:
+            return packed
+    return exact
 
 
 def _parts_in(kernel, seq: TwistSequence, w: Morphism, dw: Morphism):
@@ -207,8 +194,8 @@ def cocycle_check(
                       name=f"delta_F[{base.name}]")
     else:
         dw = delta_morphism(witness, witness)
-    return kernel_check(tally, witness.dim ** 3,
-                        lambda kernel: [_parts_in(kernel, seq, witness, dw)])
+    tally.equal(*_parts_in(kernel_for(witness.dim ** 3), seq, witness, dw))
+    return tally.result()
 
 
 def r_matrix_checks(seq: TwistSequence, witness: Morphism) -> CheckResult:
@@ -239,15 +226,14 @@ def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckRes
     tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
     dw = delta_morphism(witness, witness)
 
-    def pairs(kernel):
-        sides = [_unipotent_pair(part, kernel) for part in _parts_in(kernel, seq, witness, dw)]
-        for x in xs:
-            # a morphism caches every image it evaluates; one per element
-            # keeps a single three-leg image alive at a time
-            image = eval_expr(x, delta_morphism(dw, witness))
-            yield tuple(g * image * g_inv for g, g_inv in sides)
-
-    return kernel_check(tally, witness.dim ** 3, pairs)
+    kernel = kernel_for(witness.dim ** 3)
+    sides = [_unipotent_pair(part, kernel) for part in _parts_in(kernel, seq, witness, dw)]
+    for x in xs:
+        # a morphism caches every image it evaluates; one per element
+        # keeps a single three-leg image alive at a time
+        image = eval_expr(x, delta_morphism(dw, witness))
+        tally.equal(*(g * image * g_inv for g, g_inv in sides))
+    return tally.result()
 
 
 # -- twisted antipode -------------------------------------------------------

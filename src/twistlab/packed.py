@@ -1,25 +1,26 @@
-"""Exact sparse matrices in int64 arrays, for the large spaces of the doubled witness.
+"""Exact sparse matrices in numpy arrays, for the large spaces of the doubled witness.
 
 A `Packed` matrix holds the same value as a `SparseMatrix`: int numerators
 over one positive Python-int denominator `den`.  The nonzero entries are two
 numpy arrays, their int64 keys (row - 1) * dim + (col - 1) in ascending
-order and their int64 numerators.  Operations take `SparseMatrix` operands
-too and pack them first.
+order and their numerators.  Operations take `SparseMatrix` operands too
+and pack them first.
 
-int64 cannot grow, so before any array arithmetic each operation proves
-from Python ints that every value it will form fits: a product entry is a
-sum of at most (max row nnz of a) terms of at most max|a| * max|b| each,
-and a sum's entries are bounded by the same kind of sum of scaled maxima.
-Every partial sum is bounded by the sum of the absolute values of its
-terms, so one bound covers the whole reduction.  When the bound fails the
-operation divides each operand by gcd(den, numerators) and proves it again;
-when it still fails it raises `Int64Overflow`, and `hopf.kernel_check`
-redoes the whole check in exact.py's Python ints.  Packing a
-SparseMatrix is checked by numpy itself, which refuses a Python int outside
-int64.  No float is formed anywhere: sums are taken by sorting the keys and
-`np.add.reduceat`.
+Numerators are int64 wherever that is proven safe.  int64 cannot grow, so
+before any array arithmetic each operation proves from Python ints that
+every value it will form fits: a product entry is a sum of at most (max row
+nnz of a) terms of at most max|a| * max|b| each, and a sum's entries are
+bounded by the same kind of sum of scaled maxima.  Every partial sum is
+bounded by the sum of the absolute values of its terms, so one bound covers
+the whole reduction.  When the bound fails the operation divides each
+operand by gcd(den, numerators) and proves it again; when it still fails it
+goes on in the same arrays with the numerators cast to Python ints (numpy's
+object dtype), whose sorts, sums, products and compares are exact.  Packing
+a SparseMatrix is checked by numpy itself, which refuses a Python int
+outside int64, and takes the same three steps.  No float is formed
+anywhere: sums are taken by sorting the keys and `np.add.reduceat`.
 
-numpy is imported with this module, and only hopf.kernel_check imports it,
+numpy is imported with this module, and only hopf.kernel_for imports it,
 for the checks whose spaces reach hopf.PACKED_FLOOR: in the doubled witness
 the two-leg state tables from N = 6 and the three-leg cocycle and
 coassociativity spaces from N = 4.
@@ -33,11 +34,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .exact import SparseMatrix, _powers
 
-INT64_MAX = 2 ** 63 - 1
-
-
-class Int64Overflow(ArithmeticError):
-    """An int64 bound failed, even after dividing out each operand's common factor."""
+INT64_MAX = 2 ** 63 - 1  # the numerator bound
+KEY_MAX = 2 ** 63 - 1  # keys stay int64: hopf.kernel_for sends larger spaces to exact.py
 
 
 class Packed:
@@ -46,8 +44,8 @@ class Packed:
     __slots__ = ("dim", "keys", "vals", "den")
 
     def __init__(self, dim: int, keys, vals, den: int = 1):
-        if dim * dim > INT64_MAX:
-            raise Int64Overflow(f"keys of dim {dim} do not fit int64")
+        if dim * dim > KEY_MAX:
+            raise OverflowError(f"keys of dim {dim} do not fit int64")
         self.dim = dim
         self.keys = keys
         self.vals = vals
@@ -89,16 +87,12 @@ class Packed:
         return SparseMatrix(self.dim, rows, self.den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, SparseMatrix):
-            return self.to_sparse() == other
-        if not isinstance(other, Packed):
+        if not isinstance(other, (Packed, SparseMatrix)):
             return NotImplemented
+        other = pack(other)
         if self.dim != other.dim or not np.array_equal(self.keys, other.keys):
             return False
-        try:
-            a, b = _fitting(_cross_bound, self, other)
-        except Int64Overflow:
-            return self.to_sparse() == other.to_sparse()
+        a, b = _fitting(_cross_bound, self, other)
         fa, fb = _cross(a, b)
         return np.array_equal(a.vals * fa, b.vals * fb)
 
@@ -110,8 +104,8 @@ class Packed:
     def __add__(self, other) -> "Packed":
         a, b = _fitting(_sum_bound, *_same_dim(self, other))
         den = lcm(a.den, b.den)
-        return _summed(a.dim, np.concatenate((a.keys, b.keys)),
-                       np.concatenate((a.vals * (den // a.den), b.vals * (den // b.den))), den)
+        vals = (_times(a.vals, den // a.den), _times(b.vals, den // b.den))
+        return _summed(a.dim, np.concatenate((a.keys, b.keys)), np.concatenate(vals), den)
 
     def __sub__(self, other) -> SparseMatrix:
         # only a failing compare subtracts; its residual is taken in Python ints
@@ -149,13 +143,20 @@ def _sum_bound(a: Packed, b: Packed) -> int:
 
 
 def _fitting(bound, *operands) -> tuple:
-    """The operands, reduced if need be, once bound(*operands) fits int64."""
+    """The operands, reduced if need be, once bound(*operands) fits int64;
+    when even the reduced ones do not fit, those with Python-int numerators."""
     if bound(*operands) <= INT64_MAX:
         return operands
     operands = tuple(m.reduced() for m in operands)
     if bound(*operands) <= INT64_MAX:
         return operands
-    raise Int64Overflow(f"bound {bound(*operands).bit_length()} bits")
+    return tuple(Packed(m.dim, m.keys, m.vals.astype(object), m.den) for m in operands)
+
+
+def _times(vals, k: int):
+    """vals * k; an empty array is returned as it is, since numpy refuses a
+    Python int k outside int64 even when there is nothing to scale."""
+    return vals * k if len(vals) else vals
 
 
 def _summed(dim: int, keys, vals, den: int) -> Packed:
@@ -204,27 +205,28 @@ def pack(m) -> Packed:
     """A SparseMatrix as a Packed matrix (a Packed one as it is).
 
     numpy refuses a Python int that does not fit int64 (OverflowError), so
-    the conversion is checked entry by entry; the reduced form is tried once.
+    the conversion is checked entry by entry; the reduced form is tried
+    next, and Python-int numerators last.
     """
     if isinstance(m, Packed):
         return m
     try:
-        return _from_sparse(m)
+        return _from_sparse(m, np.int64)
     except OverflowError:
-        pass
+        m = m.reduced()
     try:
-        return _from_sparse(m.reduced())
+        return _from_sparse(m, np.int64)
     except OverflowError:
-        raise Int64Overflow("a numerator does not fit int64") from None
+        return _from_sparse(m, object)
 
 
-def _from_sparse(m: SparseMatrix) -> Packed:
+def _from_sparse(m: SparseMatrix, dtype) -> Packed:
     d = m.dim
     lengths = np.fromiter(map(len, m.rows.values()), np.int64, len(m.rows))
     nnz = int(lengths.sum())
     rows = np.repeat(np.fromiter(m.rows, np.int64, len(m.rows)), lengths)
     cols = np.fromiter(chain.from_iterable(m.rows.values()), np.int64, nnz)
-    vals = np.fromiter(chain.from_iterable(map(dict.values, m.rows.values())), np.int64, nnz)
+    vals = np.fromiter(chain.from_iterable(map(dict.values, m.rows.values())), dtype, nnz)
     keys = (rows - 1) * d + cols - 1
     order = np.argsort(keys)
     return Packed(d, keys[order], vals[order], m.den)
@@ -256,7 +258,8 @@ def unipotent_product(a, b) -> Packed:
     )
     keys, vals = _terms(a, b)
     return _summed(a.dim, np.concatenate((keys, a.keys, b.keys)),
-                   np.concatenate((vals, a.vals * b.den, b.vals * a.den)), a.den * b.den)
+                   np.concatenate((vals, _times(a.vals, b.den), _times(b.vals, a.den))),
+                   a.den * b.den)
 
 
 def analytic_apply(fn, m) -> Packed:
@@ -285,7 +288,8 @@ def analytic_apply(fn, m) -> Packed:
     vals = [p.vals * f for f, p in zip(factors, powers)]
     if fn.has_identity_term:
         keys.append(np.arange(m.dim, dtype=np.int64) * (m.dim + 1))
-        vals.append(np.full(m.dim, den, dtype=np.int64))
+        # den fits int64 unless the powers were widened; the identity follows them
+        vals.append(np.full(m.dim, den, dtype=(vals[0] if vals else m.vals).dtype))
     if not keys:
         return Packed(m.dim, m.keys[:0], m.vals[:0])
     return _summed(m.dim, np.concatenate(keys), np.concatenate(vals), den)

@@ -22,7 +22,7 @@ from .expr import (
     scal,
     sigma_power,
 )
-from .hopf import CheckResult, TwistedCoalgebra, Tally, kernel_check
+from .hopf import CheckResult, TwistedCoalgebra, Tally, kernel_for
 from .rationals import HALF, rat
 from .roots import carrier_column, carrier_generators, cartan_element
 from .twists import (
@@ -268,13 +268,11 @@ def verify_state(state_id: str, r: int, witness: Morphism) -> CheckResult:
     n = witness.n
     table = costructure_table(state_id, n, r)
     gens = heisenberg_pair_generators(n, r)
-
-    def pairs(kernel):
-        co = TwistedCoalgebra(table.twist_recipe, witness, kernel=kernel)
-        for slot, _ in table.entries:
-            yield co.coproduct(gens[slot]), expected_entry(table, slot, co)
-
-    return kernel_check(Tally(f"state[{state_id},N={n},r={r}]"), witness.dim ** 2, pairs)
+    tally = Tally(f"state[{state_id},N={n},r={r}]")
+    co = TwistedCoalgebra(table.twist_recipe, witness, kernel=kernel_for(witness.dim ** 2))
+    for slot, _ in table.entries:
+        tally.equal(co.coproduct(gens[slot]), expected_entry(table, slot, co))
+    return tally.result()
 
 
 def two_jordanian_table_check(witness: Morphism) -> CheckResult:
@@ -283,20 +281,18 @@ def two_jordanian_table_check(witness: Morphism) -> CheckResult:
     n = witness.n
     if n <= 5:
         raise NotApplicable("the two-row block table needs N > 5")
-
-    def pairs(kernel):
-        co = TwistedCoalgebra(costructure_table("J1J0", n, 3).twist_recipe, witness,
-                              kernel=kernel)
-        seen = set()
-        for r in range(3, n - 1):
-            table = costructure_table("J1J0", n, r)
-            for slot, g in heisenberg_pair_generators(n, r).items():
-                # the four slots outside column r are the same at every r
-                if g not in seen:
-                    seen.add(g)
-                    yield co.coproduct(g), expected_entry(table, slot, co)
-
-    return kernel_check(Tally(f"2jordanian[N={n}]"), witness.dim ** 2, pairs)
+    tally = Tally(f"2jordanian[N={n}]")
+    co = TwistedCoalgebra(costructure_table("J1J0", n, 3).twist_recipe, witness,
+                          kernel=kernel_for(witness.dim ** 2))
+    seen = set()
+    for r in range(3, n - 1):
+        table = costructure_table("J1J0", n, r)
+        for slot, g in heisenberg_pair_generators(n, r).items():
+            # the four slots outside column r are the same at every r
+            if g not in seen:
+                seen.add(g)
+                tally.equal(co.coproduct(g), expected_entry(table, slot, co))
+    return tally.result()
 
 
 # -- diagram ------------------------------------------------------------------

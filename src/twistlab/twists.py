@@ -194,7 +194,7 @@ def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism, ker
     """The factor's nilpotent part exp(argument) - 1 in the given legs.
 
     `kernel` is the module whose kron, sum and series build it: exact.py,
-    or packed.py for the spaces hopf.kernel_check hands to it.
+    or packed.py, which hopf.kernel_for picks for large spaces.
     """
     return kernel.analytic_apply(EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel))
 

@@ -267,14 +267,18 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv):
     assert str(tmp_path) in captured.err
 
 
-def test_fundamental_runs_never_import_numpy(tmp_path):
-    # numpy serves only the three-leg spaces of the doubled witness from N = 5;
-    # every suite in the fundamental witness, with dumps, must not pay its import
+@pytest.mark.parametrize("n, imported", [(8, False), (10, False), (11, True)])
+def test_fundamental_runs_never_import_numpy(tmp_path, n, imported):
+    # numpy serves only the spaces of at least hopf.PACKED_FLOOR dims: in the
+    # fundamental witness the three-leg ones from N = 11 (1,331 dims), so every
+    # suite up to N = 10, with dumps, must not pay its import
+    if imported:
+        pytest.importorskip("numpy")
     code = (
         "import sys\n"
         "from twistlab.cli import main\n"
         "from twistlab.report import SUITES\n"
-        f"rc = main(['verify', '--n', '8', '--suites', ','.join(SUITES), '--alpha', '0,1/3',"
+        f"rc = main(['verify', '--n', '{n}', '--suites', ','.join(SUITES), '--alpha', '0,1/3',"
         f" '--dump-dir', {str(tmp_path)!r}])\n"
         "print(rc, 'numpy' in sys.modules, 'twistlab.packed' in sys.modules)\n"
     )
@@ -283,4 +287,4 @@ def test_fundamental_runs_never_import_numpy(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=240)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "0 False False"
+    assert res.stdout.splitlines()[-1] == f"0 {imported} {imported}"

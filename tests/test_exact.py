@@ -494,10 +494,11 @@ except ImportError:  # numpy is an optional extra
 needs_numpy = pytest.mark.skipif(packed is None, reason="numpy is not installed")
 
 
-def unpacked(m):
-    """The SparseMatrix of a kernel result, checked to be a well-formed Packed."""
+def unpacked(m, dtype="int64"):
+    """The SparseMatrix of a kernel result, checked to be a well-formed Packed
+    whose numerators are int64 (or Python ints, for dtype object)."""
     assert isinstance(m, packed.Packed)
-    assert m.keys.dtype == m.vals.dtype == "int64"
+    assert m.keys.dtype == "int64" and m.vals.dtype == dtype
     assert (m.keys[1:] > m.keys[:-1]).all(), "keys not strictly ascending"
     got = m.to_sparse()
     assert_well_formed(got)
@@ -511,32 +512,41 @@ def rescaled(m, k):
                         k * m.den)
 
 
+def widened(m, k=2 ** 63 + 1):
+    """m's value as a Packed matrix with Python-int numerators, over den k * m.den."""
+    p = packed.pack(m)
+    return packed.Packed(p.dim, p.keys, p.vals.astype(object) * k, p.den * k)
+
+
 @needs_numpy
 @example(A, B)
 @example(B, SparseMatrix.zero(4))
 @example(SparseMatrix.zero(4), A)
 @given(square_matrices(), square_matrices())
 def test_packed_ops_equal_their_sparse_counterparts(a, b):
-    pa, pb = packed.pack(a), packed.pack(b)
-    assert unpacked(pa) == a and pa.den == a.den
-    cases = [
-        (pa + pb, a + b),
-        (pa + b, a + b),
-        (pa * pb, a * b),
-        (pa * b, a * b),
-        (packed.kron(a, b), kron(a, b)),
-        (packed.kron(pa, b), kron(a, b)),
-        (packed.unipotent_product(pa, pb), unipotent_product(a, b)),
-        (pa.reduced(), a.reduced()),
-    ]
-    for got, want in cases:
-        assert as_fractions(unpacked(got)) == as_fractions(want)
-        assert got == packed.pack(want)
-    assert (pa == pb) == (a == b) == (as_fractions(a) == as_fractions(b))
-    assert (pa != pb) == (a != b)
-    assert pa == a
-    if a != b:
-        assert (pa - pb).nnz == (a - b).nnz
+    # int64 operands, then wide ones whose every result stays in Python ints
+    for pa, pb, dtype in ((packed.pack(a), packed.pack(b), "int64"),
+                          (widened(a), widened(b), object)):
+        assert unpacked(pa, dtype) == a
+        cases = [
+            (pa + pb, a + b),
+            (pa + b, a + b),
+            (pa * pb, a * b),
+            (pa * b, a * b),
+            (packed.kron(pa, b), kron(a, b)),
+            (packed.unipotent_product(pa, pb), unipotent_product(a, b)),
+            (pa.reduced(), a.reduced()),
+        ]
+        for got, want in cases:
+            assert as_fractions(unpacked(got, dtype)) == as_fractions(want)
+            assert got == packed.pack(want)
+        assert (pa == pb) == (a == b) == (as_fractions(a) == as_fractions(b))
+        assert (pa != pb) == (a != b)
+        assert pa == a
+        if a != b:
+            assert (pa - pb).nnz == (a - b).nnz
+    assert packed.pack(a).den == a.den
+    assert as_fractions(unpacked(packed.kron(a, b))) == as_fractions(kron(a, b))
 
 
 @needs_numpy
@@ -544,8 +554,9 @@ def test_packed_ops_equal_their_sparse_counterparts(a, b):
 @example(full_shift(5).scale(rat(1, 2)), pow1p(-1))
 @given(sized_nilpotents(), st.sampled_from(SERIES + [EXPM1]))
 def test_packed_series_equal_analytic_apply(m, fn):
-    got = packed.analytic_apply(fn, m)
-    assert as_fractions(unpacked(got)) == as_fractions(analytic_apply(fn, m))
+    want = as_fractions(analytic_apply(fn, m))
+    assert as_fractions(unpacked(packed.analytic_apply(fn, m))) == want
+    assert as_fractions(unpacked(packed.analytic_apply(fn, widened(m)), object)) == want
 
 
 @needs_numpy
@@ -568,25 +579,35 @@ def test_packed_equality_cross_multiplies(a, b, k, l):
 
 
 @needs_numpy
-def test_packed_ops_reduce_before_they_give_up():
+def test_packed_ops_widen_only_after_reducing():
     big = 2 ** 40
     # value 3/2 stored over 2^41: the product bound fails until the 2^40 is divided out
     a = SparseMatrix(3, {1: {2: 3 * big}, 2: {3: -big}}, 2 * big)
-    assert packed.pack(a) * packed.pack(a) == a * a
-    assert packed.unipotent_product(a, a) == unipotent_product(a, a)
-    assert packed.kron(a, a) == kron(a, a)
+    for got, want in ((packed.pack(a) * packed.pack(a), a * a),
+                      (packed.unipotent_product(a, a), unipotent_product(a, a)),
+                      (packed.kron(a, a), kron(a, a))):
+        assert unpacked(got) == want
     assert packed.pack(a) == packed.pack(a.reduced())
-    # numerators coprime to the den: nothing divides out, so the kernel raises
+    # numerators coprime to the den: nothing divides out, so the kernel goes on
+    # in Python ints
     odd = SparseMatrix(3, {1: {2: big + 1}, 2: {3: big - 1}}, 2 * big)
-    with pytest.raises(packed.Int64Overflow):
-        packed.pack(odd) * packed.pack(odd)
-    with pytest.raises(packed.Int64Overflow):
-        packed.pack(SparseMatrix(3, {1: {2: 2 ** 63 + 1}}, 2))
-    with pytest.raises(packed.Int64Overflow):  # keys row * dim + col would wrap
-        packed.pack(SparseMatrix(2 ** 32))
-    # a compare whose cross products leave int64 is taken in Python ints instead
+    wide = SparseMatrix(3, {1: {2: 2 ** 63 + 1}}, 2)
+    for got, want in ((packed.pack(odd) * packed.pack(odd), odd * odd),
+                      (packed.unipotent_product(odd, odd), unipotent_product(odd, odd)),
+                      (packed.kron(odd, odd), kron(odd, odd)),
+                      (packed.pack(odd) + packed.pack(wide), odd + wide),
+                      (packed.pack(wide), wide)):
+        assert unpacked(got, object) == want
+    # a compare whose cross products leave int64 is taken in Python ints too
     near = SparseMatrix(3, {1: {2: big + 3}, 2: {3: big - 1}}, 3 ** 25)
     p_odd, p_near = packed.pack(odd), packed.pack(near)
     assert packed._cross_bound(p_odd, p_near) > packed.INT64_MAX
     assert p_odd != p_near
     assert p_odd == packed.pack(odd)
+    # a zero operand is not scaled: numpy refuses a factor outside int64 even
+    # for an empty array
+    tiny = SparseMatrix(3, {1: {2: 1}}, 3 ** 50)
+    assert unpacked(packed.pack(SparseMatrix.zero(3)) + tiny) == tiny
+    assert unpacked(packed.unipotent_product(SparseMatrix.zero(3), tiny)) == tiny
+    with pytest.raises(OverflowError):  # keys row * dim + col would wrap
+        packed.pack(SparseMatrix(2 ** 32))

@@ -30,7 +30,7 @@ from twistlab.hopf import (
     coassociativity_check,
     cocycle_check,
     counit_check,
-    kernel_check,
+    kernel_for,
     r_matrix_checks,
     twist_antipode_correction,
     verify_dragging,
@@ -155,13 +155,23 @@ def _three_leg_n5(check, twist):
     return [res.passed, res.residual_nnz, res.dims]
 
 
-@pytest.mark.parametrize("limit, kernels", [
-    (None, ["packed"]),
-    (2 ** 10, ["packed", "exact"]),
-], ids=["int64", "forced-fallback"])
+def _widened(packed, monkeypatch) -> list:
+    """A list that gets the nnz of each Packed matrix formed with Python-int numerators."""
+    wide = []
+    init = packed.Packed.__init__
+
+    def spy(self, dim, keys, vals, den=1):
+        if vals.dtype == object:
+            wide.append(len(vals))
+        init(self, dim, keys, vals, den)
+
+    monkeypatch.setattr(packed.Packed, "__init__", spy)
+    return wide
+
+
+@pytest.mark.parametrize("limit", [None, 2 ** 10], ids=["int64", "forced-fallback"])
 @pytest.mark.parametrize("check, twist, residual", THREE_LEG_N5)
-def test_three_leg_checks_above_the_packed_floor(check, twist, residual, limit, kernels,
-                                                 monkeypatch):
+def test_three_leg_checks_above_the_packed_floor(check, twist, residual, limit, monkeypatch):
     packed = pytest.importorskip("twistlab.packed")
     from twistlab import hopf
 
@@ -173,12 +183,13 @@ def test_three_leg_checks_above_the_packed_floor(check, twist, residual, limit, 
         return parts_in(kernel, *args)
 
     monkeypatch.setattr(hopf, "_parts_in", spy)
+    wide = _widened(packed, monkeypatch)
     if limit is not None:
-        # no case can finish within 2^10, so the packed run raises (part way, or at
-        # its first product) and the Python kernel redoes it
+        # no case can finish within 2^10, so the packed run goes on in Python ints
         monkeypatch.setattr(packed, "INT64_MAX", limit)
     assert _three_leg_n5(check, twist) == [residual == 0, residual, 15625]
-    assert used == kernels
+    assert used == ["packed"]
+    assert bool(wide) == (limit is not None)
 
 
 # Doubled witness at N = 6, r = 3: the nine states and the 2-Jordanian block
@@ -208,11 +219,8 @@ def _nine_states_n6():
             for r in report.results]
 
 
-@pytest.mark.parametrize("limit, kernels", [
-    (None, ["packed"]),
-    (2 ** 10, ["packed", "exact"]),
-], ids=["int64", "forced-fallback"])
-def test_two_leg_state_checks_above_the_packed_floor(limit, kernels, monkeypatch):
+@pytest.mark.parametrize("limit", [None, 2 ** 10], ids=["int64", "forced-fallback"])
+def test_two_leg_state_checks_above_the_packed_floor(limit, monkeypatch):
     packed = pytest.importorskip("twistlab.packed")
 
     used = []
@@ -223,35 +231,23 @@ def test_two_leg_state_checks_above_the_packed_floor(limit, kernels, monkeypatch
         init(self, *args, kernel=kernel, **kwargs)
 
     monkeypatch.setattr(TwistedCoalgebra, "__init__", spy)
+    wide = _widened(packed, monkeypatch)
     if limit is not None:
-        # F cannot be built within 2^10, so each check's packed run raises at its
-        # first product and the Python kernel redoes the whole check
+        # F cannot be built within 2^10, so each check goes on in Python ints
+        # from its first product
         monkeypatch.setattr(packed, "INT64_MAX", limit)
     assert _nine_states_n6() == NINE_STATES_N6
-    assert used == kernels * len(NINE_STATES_N6)
+    assert used == ["packed"] * len(NINE_STATES_N6)
+    assert bool(wide) == (limit is not None)
 
 
-def test_a_fallback_part_way_compares_each_pair_once(monkeypatch):
+def test_kernel_for_picks_packed_only_where_its_keys_fit():
     packed = pytest.importorskip("twistlab.packed")
-    a, b = SparseMatrix.unit(3, 1, 2), SparseMatrix.unit(3, 2, 3)
-    built = []
-
-    def pairs(kernel):
-        for k, pair in enumerate([(a, a), (a, b), (b, b), (b, a)]):
-            built.append((kernel.__name__.rsplit(".", 1)[-1], k))
-            if kernel is packed and k == 2:
-                raise packed.Int64Overflow("bound")
-            yield pair
-
-    compared = []
-    equal = Tally.equal
-    monkeypatch.setattr(Tally, "equal", lambda self, l, r: (compared.append(1), equal(self, l, r)))
-    res = kernel_check(Tally("pairs"), PACKED_FLOOR, pairs)
-    # the rerun builds every pair again and compares only those left over
-    assert built == [("packed", 0), ("packed", 1), ("packed", 2),
-                     ("exact", 0), ("exact", 1), ("exact", 2), ("exact", 3)]
-    assert len(compared) == 4
-    assert (res.passed, res.residual_nnz, res.dims) == (False, 4, 3)
+    assert kernel_for(PACKED_FLOOR - 1) is exact_kernel
+    assert kernel_for(PACKED_FLOOR) is packed
+    assert kernel_for(2 ** 31) is packed
+    # keys (row - 1) * dim + (col - 1) of a 2^32-dim space would pass 2^63 - 1
+    assert kernel_for(2 ** 32) is exact_kernel
 
 
 def test_three_leg_checks_without_numpy():
