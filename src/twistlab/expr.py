@@ -130,6 +130,22 @@ def sigma_exponential(*terms) -> Expr:
     return mul(*[sigma_power(c, i, j) for (c, i, j) in terms])
 
 
+def _cached_images(cache: dict, gen_image: Callable[[int, int], SparseMatrix]):
+    """(i, j) -> gen_image(i, j) in canonical form, kept in `cache` under (i, j).
+
+    It holds the cache and the image function, not the Morphism they belong
+    to, so a coproduct can read its legs' generators without keeping the legs
+    alive (see delta_morphism).
+    """
+    def gen(i: int, j: int) -> SparseMatrix:
+        got = cache.get((i, j))
+        if got is None:
+            got = cache[(i, j)] = gen_image(i, j).reduced()
+        return got
+
+    return gen
+
+
 class Morphism:
     """Algebra morphism U(gl(N)) -> End(V), given on generators."""
 
@@ -137,18 +153,14 @@ class Morphism:
         self.n = n
         self.dim = dim
         self.name = name
-        self._gen_image = gen_image
         self._cache: dict = {}
+        self._gen = _cached_images(self._cache, gen_image)
+        self._delta = None  # delta_morphism(self, self), once built
 
     def gen(self, i: int, j: int) -> SparseMatrix:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexOutOfRange(f"E_{i},{j} outside gl({self.n})")
-        key = (i, j)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._gen_image(i, j).reduced()
-            self._cache[key] = got
-        return got
+        return self._gen(i, j)
 
     @property
     def identity(self) -> SparseMatrix:
@@ -179,15 +191,29 @@ def zero_morphism(n: int) -> Morphism:
 
 
 def delta_morphism(left: Morphism, right: Morphism) -> Morphism:
-    """x -> left(x) x 1 + 1 x right(x); the coproduct with chosen leg images."""
+    """x -> left(x) x 1 + 1 x right(x); the coproduct with chosen leg images.
+
+    The coproduct of a witness, both legs the same morphism, is built once
+    and kept on it, so every check in that witness reads one cache of
+    evaluated images.  Its image function holds the legs' generator caches,
+    not the legs: a witness and its coproduct form no reference cycle, and
+    both are freed with the last reference to the witness.  Mixed legs build
+    a new morphism on each call.
+    """
     if left.n != right.n:
         raise IndexOutOfRange("coproduct legs must share N")
+    if left is right and left._delta is not None:
+        return left._delta
     il, ir = left.identity, right.identity
+    gen_l, gen_r = left._gen, right._gen
 
     def image(i, j):
-        return kron(left.gen(i, j), ir) + kron(il, right.gen(i, j))
+        return kron(gen_l(i, j), ir) + kron(il, gen_r(i, j))
 
-    return Morphism(left.n, left.dim * right.dim, image, name=f"delta[{left.name},{right.name}]")
+    out = Morphism(left.n, left.dim * right.dim, image, name=f"delta[{left.name},{right.name}]")
+    if left is right:
+        left._delta = out
+    return out
 
 
 def coproduct_morphism(n: int) -> Morphism:

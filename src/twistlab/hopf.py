@@ -93,11 +93,12 @@ class TwistedCoalgebra:
     The legs are (witness, right); right defaults to the witness.  f_mat and
     f_inv are F and F^-1 in those legs, conjugate(m) is F m F^-1, and
     coproduct(x) is the deformed coproduct D_F(x) = F D(x) F^-1 with D(x)
-    evaluated in the same legs.  F must be unipotent in those legs: F^-1 is
-    the finite series (1 + (F - 1))^-1, and an F - 1 that is not nilpotent
-    raises NotNilpotent.  F, F^-1, every conjugation and `expected` are built
-    in `kernel`: exact.py, or packed.py, which kernel_for picks for large
-    spaces.
+    evaluated in the same legs by `delta`; in the witness's own legs that is
+    the witness's one coproduct, shared with every other check in it.  F must
+    be unipotent in those legs: F^-1 is the finite series (1 + (F - 1))^-1,
+    and an F - 1 that is not nilpotent raises NotNilpotent.  F, F^-1, every
+    conjugation and `expected` are built in `kernel`: exact.py, or packed.py,
+    which kernel_for picks for large spaces.
     """
 
     def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None,
@@ -229,8 +230,9 @@ def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckRes
     kernel = kernel_for(witness.dim ** 3)
     sides = [_unipotent_pair(part, kernel) for part in _parts_in(kernel, seq, witness, dw)]
     for x in xs:
-        # a morphism caches every image it evaluates; one per element
-        # keeps a single three-leg image alive at a time
+        # dw is the witness's shared coproduct, but a morphism caches every
+        # image it evaluates, so a three-leg one per element keeps a single
+        # three-leg image alive at a time
         image = eval_expr(x, delta_morphism(dw, witness))
         tally.equal(*(g * image * g_inv for g, g_inv in sides))
     return tally.result()

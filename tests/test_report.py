@@ -1,9 +1,13 @@
+import gc
 import json
+import weakref
 
 import pytest
 
+from twistlab import hopf
 from twistlab.errors import ConfigInvalid
 from twistlab.exact import SparseMatrix, kron
+from twistlab.expr import Morphism, delta_morphism, eval_expr
 from twistlab.hopf import Tally
 from twistlab.rationals import rat
 from twistlab.report import (
@@ -179,3 +183,120 @@ def test_a_suite_named_twice_runs_once():
     twice = run_suite(SuiteConfig(n=4, suites=("chain", "chain")))
     assert len(once.results) == 7
     assert strip(twice) == strip(once)
+
+
+# -- one coproduct per witness -------------------------------------------------
+
+
+def _rows(rep) -> list:
+    return [{k: v for k, v in chk.items() if k != "elapsed"} for chk in rep.to_dict()["checks"]]
+
+
+def test_a_doubled_run_builds_one_coproduct(monkeypatch):
+    w_name = "delta[fund(4),fund(4)]"
+    dw_name = f"delta[{w_name},{w_name}]"
+    deltas, dws, built = [], [], []
+
+    init = hopf.TwistedCoalgebra.__init__
+
+    def spy_coalgebra(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.right is self.witness:
+            deltas.append(self.delta)
+
+    parts_in = hopf._parts_in
+
+    def spy_parts(kernel, seq, w, dw):
+        if dw.name == dw_name:  # not a base-twisted D_F
+            dws.append(dw)
+        return parts_in(kernel, seq, w, dw)
+
+    morphism = Morphism.__init__
+
+    def spy_morphism(self, n, dim, gen_image, name=""):
+        if name == dw_name:
+            def gen_image(i, j, image=gen_image):
+                built.append((i, j))
+                return image(i, j)
+        morphism(self, n, dim, gen_image, name)
+
+    monkeypatch.setattr(hopf.TwistedCoalgebra, "__init__", spy_coalgebra)
+    monkeypatch.setattr(hopf, "_parts_in", spy_parts)
+    monkeypatch.setattr(Morphism, "__init__", spy_morphism)
+    rep = run_suite(SuiteConfig(n=4, suites=("twist-axioms", "chain"), witness="doubled"))
+    assert rep.all_passed()
+    assert len(deltas) >= 2 and dws
+    assert all(d is dws[0] for d in deltas + dws)
+    assert built and len(built) == len(set(built))
+
+
+def test_a_run_frees_its_witness(monkeypatch):
+    for witness, build in list(WITNESSES.items()):
+        refs = []
+
+        def kept(n, build=build):
+            w = build(n)
+            refs.append(weakref.ref(w))
+            return w
+
+        monkeypatch.setitem(WITNESSES, witness, kept)
+        gc.disable()
+        try:
+            # only reference counting frees here: a cycle through the witness
+            # would keep it and its caches alive
+            run_suite(SuiteConfig(n=4, suites=("twist-axioms", "chain"), witness=witness))
+            assert len(refs) == 1 and refs[0]() is None, witness
+        finally:
+            gc.enable()
+
+
+# (witness, N, suites left out, whether the second run widens) of the
+# shared-witness runs; core reads no witness, and doubled rmatrix at N = 5
+# evaluates no coproduct image
+SHARED_RUNS = [
+    ("fundamental", 6, {"core"}, False),
+    ("doubled", 4, {"core"}, True),
+    ("doubled", 5, {"core", "rmatrix"}, False),
+]
+
+
+@pytest.mark.parametrize("witness, n, left_out, wide", SHARED_RUNS,
+                         ids=["fundamental-6", "doubled-4", "doubled-5"])
+def test_a_shared_coproduct_changes_no_row_and_no_matrix(witness, n, left_out, wide,
+                                                         monkeypatch):
+    suites = tuple(s for s, (need, _) in SUITES.items()
+                   if need <= n and s not in left_out and (s, witness) not in LEFT_OUT)
+    cfg = SuiteConfig(n=n, suites=suites, r_values=(3,) if n >= 5 else (), witness=witness)
+    fresh = _rows(run_suite(cfg))
+
+    shared = WITNESSES[witness](n)
+    monkeypatch.setitem(WITNESSES, witness, lambda _: shared)
+    assert _rows(run_suite(cfg)) == fresh
+    if wide:
+        packed = pytest.importorskip("twistlab.packed")
+        # every packed operation of the second run widens to Python ints, over
+        # the images the first run left in the shared coproduct
+        monkeypatch.setattr(packed, "INT64_MAX", 2 ** 10)
+        widened = []
+        init = packed.Packed.__init__
+
+        def spy(self, dim, keys, vals, den=1):
+            widened.append(vals.dtype == object)
+            init(self, dim, keys, vals, den)
+
+        monkeypatch.setattr(packed.Packed, "__init__", spy)
+    assert _rows(run_suite(cfg)) == fresh
+    if wide:
+        assert any(widened)
+
+    held = delta_morphism(shared, shared)._cache
+    new = WITNESSES[witness](n)
+    new_delta = delta_morphism(new, new)
+    assert held
+    for key, value in held.items():
+        if key == "I":
+            assert value == new_delta.identity
+        elif isinstance(key, tuple):
+            assert value == new_delta.gen(*key)
+        else:
+            assert value == eval_expr(key, new_delta), key
