@@ -12,11 +12,11 @@ numerators directly, different dens compare the supports and then
 a * (db / g) with b * (da / g), g = gcd(da, db), so "residual" checks are
 exact and no numerator is divided.
 
-Product, sum, Kronecker product and the embedding on legs (1, 3) run on
-Python ints (which cannot overflow); Rationals are taken or returned
-only at the boundaries: from_entries, scale, indexing, entries() and the
-dump format.  The checks on large spaces (the doubled witness's two-leg
-state tables and three-leg twists) run instead in packed.py's numpy arrays,
+Product, sum and Kronecker product run on Python ints (which cannot
+overflow); Rationals are taken or returned only at the boundaries:
+from_entries, scale, indexing, entries() and the dump format.  The checks
+on large spaces (the doubled witness's two-leg state tables, three-leg
+twists and R-matrix products) run instead in packed.py's numpy arrays,
 in int64 wherever a bound proves it safe and in Python ints elsewhere (see
 hopf.kernel_for).
 Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
@@ -211,6 +211,8 @@ class SparseMatrix:
 
     def _plus(self, other: "SparseMatrix", sign: int) -> "SparseMatrix":
         """self + sign * other, both rescaled to the lcm of the denominators."""
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
         self._require_same_dim(other)
         den = lcm(self.den, other.den)
         rows: dict = {}
@@ -314,19 +316,6 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                     for l, vb in brow.items():
                         row[base_j + l] = va * vb
     return SparseMatrix(a.dim * b.dim, rows, a.den * b.den)
-
-
-def embed_pair(m: SparseMatrix, d: int) -> SparseMatrix:
-    """Place a two-leg operator m (dim d*d) on legs 1 and 3 of a 3-fold space."""
-    rows: dict = {}
-    for ab, row in m.rows.items():
-        a, b_ = divmod(ab - 1, d)
-        for cd, v in row.items():
-            c, e = divmod(cd - 1, d)
-            for k in range(d):
-                r = (a * d + k) * d + b_ + 1
-                rows.setdefault(r, {})[(c * d + k) * d + e + 1] = v
-    return SparseMatrix(d ** 3, rows, m.den)
 
 
 def swap_matrix(d: int) -> SparseMatrix:

@@ -260,8 +260,7 @@ def eval_tensor_pairs(pairs, left: Morphism, right: Morphism, kernel=exact):
     """Sum of kron(eval(a), eval(b)) over two-leg terms (a, b).
 
     The legs are evaluated in exact.py; the krons and the sum are taken in
-    `kernel` (exact.py, or packed.py, whose matrices add a SparseMatrix on
-    their right).
+    `kernel` (exact.py or packed.py).
     """
     out = SparseMatrix.zero(left.dim * right.dim)
     for a, b in pairs:

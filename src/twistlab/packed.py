@@ -22,8 +22,8 @@ anywhere: sums are taken by sorting the keys and `np.add.reduceat`.
 
 numpy is imported with this module, and only hopf.kernel_for imports it,
 for the checks whose spaces reach hopf.PACKED_FLOOR: in the doubled witness
-the two-leg state tables from N = 6 and the three-leg cocycle and
-coassociativity spaces from N = 4.
+the two-leg state tables from N = 6 and the three-leg cocycle,
+coassociativity and R-matrix spaces from N = 4.
 """
 
 from itertools import chain
@@ -107,9 +107,14 @@ class Packed:
         vals = (_times(a.vals, den // a.den), _times(b.vals, den // b.den))
         return _summed(a.dim, np.concatenate((a.keys, b.keys)), np.concatenate(vals), den)
 
+    __radd__ = __add__
+
     def __sub__(self, other) -> SparseMatrix:
         # only a failing compare subtracts; its residual is taken in Python ints
         return self.to_sparse() - (other.to_sparse() if isinstance(other, Packed) else other)
+
+    def __rsub__(self, other) -> SparseMatrix:
+        return other - self.to_sparse()
 
     def __mul__(self, other) -> "Packed":
         if not isinstance(other, (Packed, SparseMatrix)):

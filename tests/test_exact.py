@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -14,7 +15,6 @@ from twistlab.exact import (
     SparseMatrix,
     analytic_apply,
     dump_matrix_text,
-    embed_pair,
     kron,
     nilpotency_index,
     parse_matrix_text,
@@ -22,7 +22,7 @@ from twistlab.exact import (
     swap_matrix,
     unipotent_product,
 )
-from twistlab.hopf import Tally
+from twistlab.hopf import Tally, _antipode_contraction
 from twistlab.rationals import binomial_general, rat
 
 
@@ -116,14 +116,6 @@ def test_non_nilpotent_is_rejected(m):
         nilpotency_index(m)
     with pytest.raises(NotNilpotent):
         analytic_apply(LOG1P, m)
-
-
-def test_embed_pair_13_matches_permuted_23():
-    # moving leg 1 to leg 2 with the flip on legs (1,2) turns R12 into R21 etc.
-    m = kron(E12, H2) + kron(H2, H2)
-    direct = embed_pair(m, 2)
-    p12 = kron(swap_matrix(2), I2)
-    assert p12 * kron(I2, m) * p12 == direct
 
 
 def test_swap_conjugation():
@@ -338,7 +330,7 @@ def test_kernels_run_on_ints_only(monkeypatch):
     ab = kron(a, b)
     results = [
         a * b, b * a, a + b, a - b, b - b, ab,
-        kron(ab, I2), kron(I2, ab), embed_pair(ab, 2),
+        kron(ab, I2), kron(I2, ab),
     ]
     assert a * b != b * a
     assert a + b == b + a
@@ -484,6 +476,41 @@ def test_held_matrices_are_canonical():
             assert_canonical(value)
 
 
+@pytest.mark.parametrize("cancel", [False, True], ids=["generic", "zero-row"])
+@pytest.mark.parametrize("leg", [1, 2])
+@pytest.mark.parametrize("d", [2, 3])
+def test_antipode_contraction_matches_its_reference(d, leg, cancel):
+    # on g = sum kron(a, c), leg 1 contracts to sum a^T c and leg 2 to sum a c^T
+    rng = random.Random(f"contraction-{d}-{leg}")
+
+    def rand():
+        return SparseMatrix.from_entries(d, {
+            (i, j): rat(rng.randint(-4, 4), rng.randint(1, 3))
+            for i in range(1, d + 1) for j in range(1, d + 1)
+        })
+
+    def reference(a, c):
+        return a.transpose() * c if leg == 1 else a * c.transpose()
+
+    pairs = [(rand(), rand()) for _ in range(3)]
+    want = SparseMatrix.zero(d)
+    for a, c in pairs:
+        want = want + reference(a, c)
+    if cancel:
+        # one more term, e11 x c, whose contraction is minus row 1 of the rest
+        assert 1 in want.rows
+        row1 = -SparseMatrix(d, {1: dict(want.rows[1])}, want.den)
+        pairs.append((SparseMatrix.unit(d, 1, 1), row1 if leg == 1 else row1.transpose()))
+        want = want + reference(*pairs[-1])
+        assert 1 not in want.rows and want.rows
+    g = SparseMatrix.zero(d * d)
+    for a, c in pairs:
+        g = g + kron(a, c)
+    got = _antipode_contraction(g, d, leg)
+    assert got == want
+    assert_canonical(got)
+
+
 # -- the int64 kernel of the three-leg spaces (packed.py) ---------------------
 
 try:
@@ -611,3 +638,14 @@ def test_packed_ops_widen_only_after_reducing():
     assert unpacked(packed.unipotent_product(SparseMatrix.zero(3), tiny)) == tiny
     with pytest.raises(OverflowError):  # keys row * dim + col would wrap
         packed.pack(SparseMatrix(2 ** 32))
+
+
+@needs_numpy
+def test_sums_and_compares_take_either_order():
+    one, zero = SparseMatrix.identity(4), packed.pack(SparseMatrix.zero(4))
+    for lhs, rhs in ((one, zero), (zero, one)):
+        tally = Tally("t")
+        tally.equal(lhs, rhs)
+        assert tally.residual == 4
+        assert lhs + rhs == one
+        assert (lhs - rhs).nnz == 4

@@ -141,6 +141,9 @@ THREE_LEG_N5 = [
     ("coassoc", "bare", 5490),
     ("coassoc", "wrong-power", 6490),
     ("coassoc", "jordanian", 0),
+    ("rmatrix", "bare", 9941),
+    ("rmatrix", "wrong-power", 2436),
+    ("rmatrix", "jordanian", 0),
 ]
 
 
@@ -149,6 +152,8 @@ def _three_leg_n5(check, twist):
     seq = jordanian(5) if twist == "jordanian" else _failing_cocycles(5)[twist]
     if check == "cocycle":
         res = cocycle_check(seq, w)
+    elif check == "rmatrix":
+        res = r_matrix_checks(seq, w)
     else:
         gens = [gen(1, 2), gen(1, 5), gen(2, 5), cartan_element(5, 1, 5)]
         res = coassociativity_check(seq, gens, w)
@@ -173,22 +178,23 @@ def _widened(packed, monkeypatch) -> list:
 @pytest.mark.parametrize("check, twist, residual", THREE_LEG_N5)
 def test_three_leg_checks_above_the_packed_floor(check, twist, residual, limit, monkeypatch):
     packed = pytest.importorskip("twistlab.packed")
-    from twistlab import hopf
 
-    used = []
-    parts_in = hopf._parts_in
+    # the kernels whose kron, called as kernel.kron, formed a three-leg matrix
+    used = set()
+    for kernel in (exact_kernel, packed):
+        def spy(a, b, kron=kernel.kron, name=kernel.__name__.rsplit(".", 1)[-1]):
+            out = kron(a, b)
+            if out.dim == 15625:
+                used.add(name)
+            return out
 
-    def spy(kernel, *args):
-        used.append(kernel.__name__.rsplit(".", 1)[-1])
-        return parts_in(kernel, *args)
-
-    monkeypatch.setattr(hopf, "_parts_in", spy)
+        monkeypatch.setattr(kernel, "kron", spy)
     wide = _widened(packed, monkeypatch)
     if limit is not None:
         # no case can finish within 2^10, so the packed run goes on in Python ints
         monkeypatch.setattr(packed, "INT64_MAX", limit)
     assert _three_leg_n5(check, twist) == [residual == 0, residual, 15625]
-    assert used == ["packed"]
+    assert used == {"packed"}
     assert bool(wide) == (limit is not None)
 
 
