@@ -29,6 +29,7 @@ exp(m) - 1), and `unipotent_product` multiplies two of them as
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from math import factorial, gcd, lcm
 from typing import Iterator, Optional
@@ -55,8 +56,13 @@ class AnalyticFnSpec:
         """exp and pow1p start at 1; expm1 and log1p have no constant term."""
         return self.kind in ("exp", "pow1p")
 
+    @cache
     def coefficient(self, k: int) -> Rational:
-        """c_k, the coefficient of m^k (k >= 1) in the series."""
+        """c_k, the coefficient of m^k (k >= 1) in the series.
+
+        Computed once per (spec, k): specs compare by value, so a pow1p(q)
+        built again for the same q reads the same entry.
+        """
         if self.kind in ("exp", "expm1"):
             return rat(1, factorial(k))
         if self.kind == "log1p":

@@ -1,11 +1,13 @@
 """Exact rational scalars.
 
 Every number in the package is an arbitrary-precision rational; there is no
-floating point anywhere.  Scalars are fractions.Fraction, always reduced
-with a positive denominator.  They appear wherever a single number goes in
-or comes out: coefficients, twist parameters, matrix entries read out of a
-SparseMatrix, and the report and dump formats.  Matrix arithmetic does not
-use them: exact.py keeps int numerators over one common denominator.
+floating point anywhere: `rat` raises TypeError on a float or a bool rather
+than take its binary value (0.1 is not 1/10).  Scalars are fractions.Fraction,
+always reduced with a positive denominator.  They appear wherever a single
+number goes in or comes out: coefficients, twist parameters, matrix entries
+read out of a SparseMatrix, and the report and dump formats.  Matrix
+arithmetic does not use them: exact.py keeps int numerators over one common
+denominator.
 """
 
 from fractions import Fraction
@@ -17,6 +19,8 @@ FAST_BACKEND = False
 
 
 def rat(num=0, den=None):
+    if isinstance(num, (float, bool)) or isinstance(den, (float, bool)):
+        raise TypeError(f"rat takes no float or bool: rat({num!r}, {den!r})")
     if den is None:
         return Fraction(num)
     return Fraction(num, den)

@@ -12,6 +12,7 @@ from .exact import (
     EXP,
     LOG1P,
     SparseMatrix,
+    _add_into,
     analytic_apply,
     dump_matrix_text,
     kron,
@@ -154,12 +155,21 @@ class SuiteReport:
 # -- exact-core randomized invariants ----------------------------------------
 
 
+def _canonical(dim: int, entries: dict, den: int) -> SparseMatrix:
+    """entries[i, j] / den at (i, j), zeros dropped, reduced: from_entries' (rows, den)."""
+    rows: dict = {}
+    for (i, j), v in entries.items():
+        if v:
+            rows.setdefault(i, {})[j] = v
+    return SparseMatrix(dim, rows, den).reduced()
+
+
 def _random_matrix(rng: random.Random, dim: int) -> SparseMatrix:
     entries = {}
     for _ in range(rng.randint(1, 2 * dim)):
         i, j = rng.randint(1, dim), rng.randint(1, dim)
-        entries[(i, j)] = rat(rng.randint(-4, 4), rng.randint(1, 4))
-    return SparseMatrix.from_entries(dim, entries)
+        entries[(i, j)] = rng.randint(-4, 4) * (12 // rng.randint(1, 4))
+    return _canonical(dim, entries, 12)
 
 
 def _random_nilpotent(rng: random.Random, dim: int) -> SparseMatrix:
@@ -167,17 +177,46 @@ def _random_nilpotent(rng: random.Random, dim: int) -> SparseMatrix:
     for _ in range(rng.randint(1, 2 * dim)):
         i = rng.randint(1, dim - 1)
         j = rng.randint(i + 1, dim)
-        entries[(i, j)] = rat(rng.randint(-4, 4), rng.randint(1, 4))
-    m = SparseMatrix.from_entries(dim, entries)
-    # permutation similarity keeps nilpotency but leaves the triangle
+        entries[(i, j)] = rng.randint(-4, 4) * (12 // rng.randint(1, 4))
+    # the permutation similarity P m P^T keeps nilpotency but leaves the
+    # triangle; it moves entry (i, j) to (perm[i - 1], perm[j - 1])
     perm = list(range(1, dim + 1))
     rng.shuffle(perm)
-    p = SparseMatrix.from_entries(dim, {(perm[i - 1], i): 1 for i in range(1, dim + 1)})
-    return p * m * p.transpose()
+    return _canonical(
+        dim, {(perm[i - 1], perm[j - 1]): v for (i, j), v in entries.items()}, 12
+    )
+
+
+def _random_polynomials(rng: random.Random, m: SparseMatrix) -> tuple:
+    """a, b = the sum over k = 1..K of (n/d) m^k, K in 1..3, n in -3..3, d in 1..3.
+
+    A nonzero m^k has den m.den^k, so both sum in ints over den 6 * m.den^3.
+    """
+    a, b = {}, {}
+    for k in range(1, rng.randint(1, 3) + 1):
+        power = m if k == 1 else power * m
+        for rows in (a, b):
+            num = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
+            if num:
+                _add_into(rows, power.rows, num * m.den ** (3 - k))
+    return tuple(SparseMatrix(m.dim, rows, 6 * m.den**3) for rows in (a, b))
 
 
 def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
-    """Randomized exact-core invariants; every case must hold exactly."""
+    """Randomized exact-core invariants; every case must hold exactly.
+
+    Four laws, cases // 4 cases each and the rest for exp-additivity:
+    mixed-product (A x B)(C x D) = AC x BD, A, C and B, D of dim 2..4;
+    exp-log-roundtrip exp(log(1 + m)) = 1 + m; pow1p-inverse
+    (1 + m)^q (1 + m)^-q = 1, q = n/d with n in -6..6, d in 1..4; and
+    exp-additivity ab = ba and exp(a + b) = exp(a) exp(b), a and b from
+    _random_polynomials.  A matrix has 1..2*dim drawn entries n/d, n in
+    -4..4, d in 1..4, the last draw at a place kept; a nilpotent m (dim
+    2..5) has them above the diagonal, then a random permutation relabels
+    its indices.  Cases are built in ints, n/d as n * (12 // d) over den 12,
+    with the rng calls in the order a Fraction n/d takes them (numerator
+    first), so the seed fixes every case bit for bit.
+    """
     rng = random.Random(seed)
     per = max(1, cases // 4)
     results = []
@@ -208,13 +247,7 @@ def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
     tally = Tally("core[exp-additivity]")
     for _ in range(cases - 3 * per):
         m = _random_nilpotent(rng, rng.randint(2, 5))
-        a = SparseMatrix.zero(m.dim)
-        b = SparseMatrix.zero(m.dim)
-        power = m
-        for _ in range(rng.randint(1, 3)):
-            a = a + power.scale(rat(rng.randint(-3, 3), rng.randint(1, 3)))
-            b = b + power.scale(rat(rng.randint(-3, 3), rng.randint(1, 3)))
-            power = power * m
+        a, b = _random_polynomials(rng, m)
         tally.equal(a * b, b * a)
         tally.equal(
             analytic_apply(EXP, a + b), analytic_apply(EXP, a) * analytic_apply(EXP, b)

@@ -368,6 +368,50 @@ def streaming_series(fn, m):
     return out
 
 
+@pytest.mark.parametrize("fn", [
+    EXP, EXPM1, LOG1P,
+    *(pow1p(q) for q in (rat(-3, 2), rat(-1), rat(0), rat(1, 3), rat(2), rat(5))),
+])
+def test_series_coefficients_equal_their_closed_forms(fn):
+    for k in range(1, 9):
+        if fn.kind in ("exp", "expm1"):
+            closed = Fraction(1, factorial(k))
+        elif fn.kind == "log1p":
+            closed = Fraction((-1) ** (k + 1), k)
+        else:
+            # C(q, k) = q(q-1)...(q-k+1)/k!: zero for an integer q >= 0 once k > q
+            closed = Fraction(1)
+            for j in range(k):
+                closed *= (fn.exponent - j) / (j + 1)
+        assert fn.coefficient(k) == closed, (fn, k)
+        assert fn.coefficient(k) == closed, (fn, k)  # again, from the memo
+
+
+def test_separately_built_specs_share_their_coefficients():
+    a, b = pow1p(rat(1, 3)), pow1p(rat(1, 3))
+    assert a is not b and a == b
+    for k in range(1, 9):
+        assert a.coefficient(k) is b.coefficient(k)  # one memo entry per (value, k)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rat(0.1),
+    lambda: rat(1.0),
+    lambda: rat(1, 2.0),
+    lambda: rat(True),
+    lambda: rat(1, True),
+    lambda: SparseMatrix.from_entries(2, {(1, 1): 0.1}),
+    lambda: SparseMatrix.from_entries(2, {(1, 2): False}),
+    lambda: SparseMatrix.unit(2, 1, 2, 0.5),
+    lambda: I2.scale(0.5),
+    lambda: I2.scale(True),
+])
+def test_floats_and_bools_are_refused(build):
+    # 0.1 would otherwise enter as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        build()
+
+
 @st.composite
 def sized_nilpotents(draw):
     return draw(nilpotent_matrices(dim=draw(st.integers(2, 5))))

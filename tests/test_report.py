@@ -1,12 +1,13 @@
 import gc
 import json
+import random
 import weakref
 
 import pytest
 
-from twistlab import hopf
+from twistlab import exact, hopf, report
 from twistlab.errors import ConfigInvalid
-from twistlab.exact import SparseMatrix, kron
+from twistlab.exact import AnalyticFnSpec, SparseMatrix, kron
 from twistlab.expr import Morphism, delta_morphism, eval_expr
 from twistlab.hopf import Tally
 from twistlab.rationals import rat
@@ -54,6 +55,96 @@ def test_core_property_checks_pass():
     results = core_property_checks(cases=80, seed=7)
     assert len(results) == 4
     assert all(r.passed for r in results)
+
+
+def _reference_matrix(rng, dim):
+    """The case generators as first written: Fractions and from_entries."""
+    entries = {}
+    for _ in range(rng.randint(1, 2 * dim)):
+        i, j = rng.randint(1, dim), rng.randint(1, dim)
+        entries[(i, j)] = rat(rng.randint(-4, 4), rng.randint(1, 4))
+    return SparseMatrix.from_entries(dim, entries)
+
+
+def _reference_nilpotent(rng, dim):
+    """... and with the permutation similarity as the product P m P^T."""
+    entries = {}
+    for _ in range(rng.randint(1, 2 * dim)):
+        i = rng.randint(1, dim - 1)
+        j = rng.randint(i + 1, dim)
+        entries[(i, j)] = rat(rng.randint(-4, 4), rng.randint(1, 4))
+    m = SparseMatrix.from_entries(dim, entries)
+    perm = list(range(1, dim + 1))
+    rng.shuffle(perm)
+    p = SparseMatrix.from_entries(dim, {(perm[i - 1], i): 1 for i in range(1, dim + 1)})
+    return p * m * p.transpose()
+
+
+@pytest.mark.parametrize("built, reference", [
+    (report._random_matrix, _reference_matrix),
+    (report._random_nilpotent, _reference_nilpotent),
+])
+def test_random_cases_equal_their_fraction_built_references(built, reference):
+    # the same rng calls in the same order give the same canonical (dim, den, rows)
+    for seed in range(200):
+        for dim in range(2, 6):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            m, ref = built(rng, dim), reference(ref_rng, dim)
+            assert (m.dim, m.den, m.rows) == (ref.dim, ref.den, ref.rows), (seed, dim)
+            assert rng.random() == ref_rng.random(), (seed, dim)
+
+
+def _reference_polynomials(rng, m):
+    a = b = SparseMatrix.zero(m.dim)
+    power = m
+    for _ in range(rng.randint(1, 3)):
+        a = a + power.scale(rat(rng.randint(-3, 3), rng.randint(1, 3)))
+        b = b + power.scale(rat(rng.randint(-3, 3), rng.randint(1, 3)))
+        power = power * m
+    return a, b
+
+
+def test_random_polynomials_equal_their_fraction_built_references():
+    # the coefficients go over den 6 * m.den^3, not the sums' lcm, so values are compared
+    for seed in range(200):
+        for dim in range(2, 6):
+            m = report._random_nilpotent(random.Random(seed), dim)
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert report._random_polynomials(rng, m) == _reference_polynomials(ref_rng, m)
+            assert rng.random() == ref_rng.random(), (seed, dim)
+
+
+def _kron_right_transposed(a, b):
+    return exact.kron(a, b.transpose())
+
+
+def _series_without_m2(coefficient):
+    return lambda spec, k: 0 * coefficient(spec, k) if k == 2 else coefficient(spec, k)
+
+
+def _pow1p_halved_k1(coefficient):
+    def halved(spec, k):
+        c = coefficient(spec, k)
+        return c / 2 if spec.kind == "pow1p" and k == 1 else c
+    return halved
+
+
+# (law, residual) of core_property_checks(400, 3) per deliberately broken kernel
+@pytest.mark.parametrize("target, name, broken, residuals", [
+    (report, "kron", lambda _: _kron_right_transposed, (489, 0, 0, 0)),
+    (AnalyticFnSpec, "coefficient", _series_without_m2, (0, 9, 58, 50)),
+    (AnalyticFnSpec, "coefficient", _pow1p_halved_k1, (0, 0, 58, 0)),
+])
+def test_core_laws_catch_a_broken_kernel(monkeypatch, target, name, broken, residuals):
+    laws = ["core[mixed-product]", "core[exp-log-roundtrip]",
+            "core[pow1p-inverse]", "core[exp-additivity]"]
+    clean = core_property_checks(400, 3)
+    assert [(r.name, r.residual_nnz) for r in clean] == [(law, 0) for law in laws]
+    # the coefficient memo sits under the patched method, so the mutant takes effect
+    monkeypatch.setattr(target, name, broken(getattr(target, name)))
+    got = core_property_checks(400, 3)
+    assert [(r.name, r.residual_nnz) for r in got] == list(zip(laws, residuals))
+    assert [r.passed for r in got] == [res == 0 for res in residuals]
 
 
 def test_run_suite_small():
