@@ -58,7 +58,7 @@ def test_core_property_checks_pass():
 
 
 def _reference_matrix(rng, dim):
-    """The case generators as first written: Fractions and from_entries."""
+    """Reference for _random_matrix: each entry a Fraction, through from_entries."""
     entries = {}
     for _ in range(rng.randint(1, 2 * dim)):
         i, j = rng.randint(1, dim), rng.randint(1, dim)
@@ -67,7 +67,7 @@ def _reference_matrix(rng, dim):
 
 
 def _reference_nilpotent(rng, dim):
-    """... and with the permutation similarity as the product P m P^T."""
+    """Reference for _random_nilpotent: Fraction entries, then the product P m P^T."""
     entries = {}
     for _ in range(rng.randint(1, 2 * dim)):
         i = rng.randint(1, dim - 1)
@@ -95,6 +95,7 @@ def test_random_cases_equal_their_fraction_built_references(built, reference):
 
 
 def _reference_polynomials(rng, m):
+    """Reference for _random_polynomials: sums of Fraction-scaled powers."""
     a = b = SparseMatrix.zero(m.dim)
     power = m
     for _ in range(rng.randint(1, 3)):
