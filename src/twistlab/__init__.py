@@ -49,7 +49,6 @@ from .states import (
     Combinator,
     CostructureTable,
     STATE_IDS,
-    combinator_eval,
     costructure_table,
     two_jordanian_table_check,
     verify_diagram,
@@ -60,7 +59,6 @@ from .states import (
 from .twists import (
     TwistFactor,
     TwistSequence,
-    alternative_chain,
     chain_twist,
     extended_twist_generic,
     extension_factor,

@@ -44,15 +44,16 @@ DUMPABLE = {
 }
 
 
-def _split_csv(text):
-    return [part for part in text.split(",") if part]
-
-
 def _parse(text, parse, flag):
     try:
         return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigInvalid(f"{flag} {text!r}: {exc}") from exc
+
+
+def _parse_csv(text, parse, flag):
+    # None when the flag was not given
+    return None if text is None else [_parse(x, parse, flag) for x in text.split(",") if x]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_config(args) -> SuiteConfig:
+    """The --config file's object with every given flag written over its key."""
     data = {}
     if args.config:
         try:
@@ -97,28 +99,22 @@ def _verify_config(args) -> SuiteConfig:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"cannot read --config {args.config!r}: {exc}") from exc
-        cfg = config_from_dict(data)
-    else:
-        cfg = SuiteConfig(n=0, suites=())
-    if args.n is not None:
-        cfg.n = args.n
-    if args.suites is not None:
-        cfg.suites = tuple(_split_csv(args.suites))
-    if args.r is not None:
-        cfg.r_values = tuple(_parse(x, int, "--r") for x in _split_csv(args.r))
-    if args.alpha is not None:
-        cfg.alpha_values = tuple(_parse(x, parse_rat, "--alpha") for x in _split_csv(args.alpha))
-    if args.witness:  # None, or one of the WITNESSES names
-        cfg.witness = args.witness
-    if args.fmt is not None:
-        cfg.output = args.fmt
-    if args.dump_dir is not None:
-        cfg.dump_dir = args.dump_dir
+    flags = {
+        "n": args.n,
+        "suites": _parse_csv(args.suites, str, "--suites"),
+        "r_values": _parse_csv(args.r, int, "--r"),
+        "alpha_values": _parse_csv(args.alpha, parse_rat, "--alpha"),
+        "witness": args.witness,
+        "output": args.fmt,
+        "dump_dir": args.dump_dir,
+    }
     if not args.config and args.suites is None:
         raise ConfigInvalid("verify needs --suites (or --config)")
     if not args.config and args.n is None:
         raise ConfigInvalid("verify needs --n (or --config)")
-    return cfg
+    if isinstance(data, dict):  # any other JSON value is config_from_dict's to reject
+        data.update((key, value) for key, value in flags.items() if value is not None)
+    return config_from_dict(data)
 
 
 def _dump_twist(args) -> int:

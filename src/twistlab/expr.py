@@ -19,7 +19,7 @@ from typing import Callable, Tuple, Union
 
 from . import exact
 from .errors import IndexOutOfRange
-from .exact import AnalyticFnSpec, SparseMatrix, analytic_apply, kron
+from .exact import LOG1P, AnalyticFnSpec, SparseMatrix, analytic_apply, kron, pow1p
 from .rationals import Rational, rat
 
 Expr = Union["Gen", "Scalar", "Sum", "Prod", "Fn"]
@@ -113,12 +113,12 @@ def mul(*factors: Expr) -> Expr:
 
 def sigma(i: int, j: int) -> Fn:
     """sigma_{ij} = log(1 + E_ij)."""
-    return Fn(AnalyticFnSpec("log1p"), Gen(i, j))
+    return Fn(LOG1P, Gen(i, j))
 
 
 def sigma_power(coefficient, i: int, j: int) -> Fn:
     """e^{c * sigma_{ij}} = (1 + E_ij)^c."""
-    return Fn(AnalyticFnSpec("pow1p", rat(coefficient)), Gen(i, j))
+    return Fn(pow1p(coefficient), Gen(i, j))
 
 
 def sigma_exponential(*terms) -> Expr:

@@ -135,11 +135,12 @@ def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
     return tally.result()
 
 
-# Spaces of at least this many dims are built in packed.py's int64 kernel.
-# In the doubled witness that is every two-leg space from N = 6 (1,296 dims)
-# and every three-leg one from N = 4 (4,096); in the fundamental witness the
-# three-leg spaces from N = 11 (1,331) on.  Fundamental runs up to N = 10,
-# and so every run of the benchmark's fund-sweep, never import numpy.
+# A check that takes its kernel from kernel_for (cocycle, coassociativity,
+# the R-matrix's three-leg products, the state tables) is built in packed.py
+# from this many dims on: in the doubled witness the tables from N = 6 (1,296
+# dims) and the three-leg checks from N = 4 (4,096), in the fundamental one the
+# three-leg checks from N = 11 (1,331).  Every other check runs in exact.py at
+# any size, so fundamental runs up to N = 10 (all of fund-sweep) never import numpy.
 PACKED_FLOOR = 1_200
 
 

@@ -4,7 +4,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .errors import ConfigInvalid
@@ -419,6 +419,9 @@ def _config_exact(value, key: str, kind: str = "an integer"):
 def config_from_dict(data: dict) -> SuiteConfig:
     if not isinstance(data, dict):
         raise ConfigInvalid(f"a config is a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(SuiteConfig)})
+    if unknown:  # the keys are SuiteConfig's fields, as its report's "config" echoes them
+        raise ConfigInvalid(f"unknown config keys {unknown}")
     try:
         # a string would be split into characters below
         for key in ("suites", "r_values", "alpha_values"):
@@ -431,18 +434,16 @@ def config_from_dict(data: dict) -> SuiteConfig:
         for key in ("witness", "output", "dump_dir"):
             if data.get(key) is not None and not isinstance(data[key], str):
                 raise ConfigInvalid(f"{key!r} must be a string, got {data[key]!r}")
-        return SuiteConfig(
-            n=int(_config_exact(data["n"], "n")),
-            suites=tuple(data["suites"]),
-            r_values=tuple(int(_config_exact(r, "r_values")) for r in data.get("r_values", ())),
-            alpha_values=tuple(
+        # a key the object leaves out takes SuiteConfig's default
+        parsed = {**data, "n": int(_config_exact(data["n"], "n")), "suites": tuple(data["suites"])}
+        if "r_values" in data:
+            parsed["r_values"] = tuple(int(_config_exact(r, "r_values")) for r in data["r_values"])
+        if "alpha_values" in data:
+            parsed["alpha_values"] = tuple(
                 parse_rat(str(_config_exact(a, "alpha_values", "an integer or a 'p/q' string")))
-                for a in data.get("alpha_values", DEFAULT_ALPHAS)
-            ),
-            witness=data.get("witness", "fundamental"),
-            output=data.get("output", "text"),
-            dump_dir=data.get("dump_dir"),
-        )
+                for a in data["alpha_values"]
+            )
+        return SuiteConfig(**parsed)
     except ConfigInvalid:
         raise
     except KeyError as exc:

@@ -16,7 +16,6 @@ from .expr import (
     Morphism,
     delta_morphism,
     eval_expr,
-    eval_tensor_pairs,
     gen,
     mul,
     scal,
@@ -90,10 +89,6 @@ def combinator_terms(c: Combinator, L: Optional[Expr], n: int):
     if k == "S2plus":
         return ((gen(2, n), mul(gen(r, n - 1), sig(1, HALF), sig(2, -HALF))),)
     raise ValueError(f"unknown combinator kind {k!r}")
-
-
-def combinator_eval(c: Combinator, L: Optional[Expr], witness: Morphism) -> SparseMatrix:
-    return eval_tensor_pairs(combinator_terms(c, L, witness.n), witness, witness)
 
 
 # -- the nine states ---------------------------------------------------------
@@ -263,16 +258,25 @@ def expected_entry(table: CostructureTable, slot: str, co: TwistedCoalgebra) -> 
     ])
 
 
+def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
+    """D_F(g) against each table's entry, for every generator g the tables
+    name, in one coalgebra of their shared twist; each g is compared once."""
+    tally = Tally(name)
+    co = TwistedCoalgebra(tables[0].twist_recipe, witness, kernel=kernel_for(witness.dim ** 2))
+    seen = set()
+    for table in tables:
+        for slot, g in heisenberg_pair_generators(table.n, table.r).items():
+            # the four slots outside column r are the same at every r
+            if g not in seen:
+                seen.add(g)
+                tally.equal(co.coproduct(g), expected_entry(table, slot, co))
+    return tally.result()
+
+
 def verify_state(state_id: str, r: int, witness: Morphism) -> CheckResult:
     """Exact entry-by-entry comparison of one state table."""
-    n = witness.n
-    table = costructure_table(state_id, n, r)
-    gens = heisenberg_pair_generators(n, r)
-    tally = Tally(f"state[{state_id},N={n},r={r}]")
-    co = TwistedCoalgebra(table.twist_recipe, witness, kernel=kernel_for(witness.dim ** 2))
-    for slot, _ in table.entries:
-        tally.equal(co.coproduct(gens[slot]), expected_entry(table, slot, co))
-    return tally.result()
+    table = costructure_table(state_id, witness.n, r)
+    return _table_check(f"state[{state_id},N={witness.n},r={r}]", [table], witness)
 
 
 def two_jordanian_table_check(witness: Morphism) -> CheckResult:
@@ -281,18 +285,8 @@ def two_jordanian_table_check(witness: Morphism) -> CheckResult:
     n = witness.n
     if n <= 5:
         raise NotApplicable("the two-row block table needs N > 5")
-    tally = Tally(f"2jordanian[N={n}]")
-    co = TwistedCoalgebra(costructure_table("J1J0", n, 3).twist_recipe, witness,
-                          kernel=kernel_for(witness.dim ** 2))
-    seen = set()
-    for r in range(3, n - 1):
-        table = costructure_table("J1J0", n, r)
-        for slot, g in heisenberg_pair_generators(n, r).items():
-            # the four slots outside column r are the same at every r
-            if g not in seen:
-                seen.add(g)
-                tally.equal(co.coproduct(g), expected_entry(table, slot, co))
-    return tally.result()
+    tables = [costructure_table("J1J0", n, r) for r in range(3, n - 1)]
+    return _table_check(f"2jordanian[N={n}]", tables, witness)
 
 
 # -- diagram ------------------------------------------------------------------

@@ -169,24 +169,6 @@ def external_factor(n: int, which: str) -> TwistFactor:
     raise ValueError(f"unknown external factor {which!r}")
 
 
-def alternative_chain(n: int) -> TwistSequence:
-    """The reordered 2-chain that starts from J1 and uses the maximal
-    constituent set {1} + [3, N-2] + {N} for the root e_2 - e_{N-1}.
-
-    The maximal first step absorbs indices 2 and N-1, so the second step's
-    extensions for e_1 - e_N run over the remaining block interior only.
-    """
-    if n < 6:
-        raise NotApplicable("alternative chain needs N > 5")
-    factors = [jordanian_factor(n, 2)]
-    for r in (1, *range(3, n - 1), n):
-        right = mul(gen(r, n - 1), sigma_power(-HALF, 2, n - 1))
-        factors.append(twist_factor(f"E'(2,{r},{n-1})", n, [(gen(2, r), right)]))
-    factors.append(jordanian_factor(n, 1))
-    factors.extend(extension_factor(n, 1, r) for r in range(3, n - 1))
-    return sequence(*factors, n=n)
-
-
 # -- materialization --------------------------------------------------------
 
 

@@ -165,6 +165,11 @@ def test_tables_rejects_small_n():
     assert res.returncode == 2
 
 
+# a whole config file that flags write over
+FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["1/2"],
+               "witness": "fundamental"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--n", "3", "--suites", "rmatrix", "--alpha", "1/0"], "--alpha '1/0'"),
     (["--n", "3", "--suites", "rmatrix", "--alpha", "abc"], "--alpha 'abc'"),
@@ -190,12 +195,18 @@ def test_tables_rejects_small_n():
      "'alpha_values' needs an integer or a 'p/q' string, got 0.5"),
     (["--config", "{tmp}/bool_alpha.json"],
      "'alpha_values' needs an integer or a 'p/q' string, got True"),
+    (["--config", "{tmp}/misspelled_key.json"], "unknown config keys ['witnes']"),
+    (["--config", "{tmp}/flag_name_key.json"], "unknown config keys ['alpha']"),
+    # an empty list flag empties the file's list, as it does with no file
+    (["--config", "{tmp}/full.json", "--suites", ""], "no suites requested"),
+    (["--config", "{tmp}/full.json", "--alpha", ","], "no alpha values"),
 ], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
         "config-string-suites", "config-nested-suites", "config-object-suites",
         "config-string-alphas", "config-alpha-zero-den",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
         "config-float-n", "config-float-r", "config-missing-n", "config-list",
-        "config-float-alpha", "config-bool-alpha"])
+        "config-float-alpha", "config-bool-alpha", "config-misspelled-key",
+        "config-flag-name-key", "config-empty-suites-flag", "config-empty-alpha-flag"])
 def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     from twistlab import cli
 
@@ -228,11 +239,44 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
         (tmp_path / f"{name}.json").write_text(
             json.dumps({"n": 3, "suites": ["rmatrix"], "alpha_values": [alpha]})
         )
+    # a key not among SuiteConfig's fields was once ignored, and the run
+    # went ahead in the default witness with the default alphas
+    (tmp_path / "misspelled_key.json").write_text(json.dumps(
+        {"n": 3, "suites": ["rmatrix"], "witnes": "doubled", "alpha_values": ["1/3"]}
+    ))
+    (tmp_path / "flag_name_key.json").write_text(
+        json.dumps({"n": 3, "suites": ["rmatrix"], "alpha": ["1/3"]})
+    )
+    (tmp_path / "full.json").write_text(json.dumps(FILE_CONFIG))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(["verify", *argv]) == 2
     err = capsys.readouterr().err
     # the message follows the one prefix directly: no "bad config: " wrapped around it
     assert err.startswith(f"config error: {message}")
+
+
+def test_a_reports_config_runs_as_a_config_file(tmp_path, capsys):
+    argv = ["--n", "6", "--suites", "twist-axioms,nine-states", "--r", "3", "--alpha", "1/3"]
+    config, checks = _verify_json(capsys, argv)
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(config))
+    assert _verify_json(capsys, ["--config", str(path)]) == (config, checks)
+
+
+@pytest.mark.parametrize("file_keys, argv, expected", [
+    ({}, ["--n", "6", "--suites", "nine-states", "--r", "3"],
+     {"n": 6, "suites": ["nine-states"], "r_values": [3]}),
+    ({}, ["--witness", "doubled"], {"witness": "doubled"}),
+    ({"n": 7, "suites": ["nine-states"], "r_values": [3]}, ["--r", ""],
+     {"n": 7, "suites": ["nine-states"], "r_values": [3, 4, 5]}),
+], ids=["n-suites-r", "witness", "empty-r"])
+def test_flags_override_the_config_file(tmp_path, capsys, file_keys, argv, expected):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**FILE_CONFIG, **file_keys}))
+    config, checks = _verify_json(capsys, ["--config", str(path), *argv])
+    assert config == {**FILE_CONFIG, **file_keys, **expected, "output": "json",
+                      "dump_dir": None}
+    assert checks and all(check["passed"] for check in checks)
 
 
 def test_check_that_raises_aborts_with_exit_two(monkeypatch, capsys):

@@ -531,18 +531,10 @@ def test_external_composites_are_twists():
         assert cocycle_check(sequence(external_factor(6, which)), f6, base=base).passed
 
 
-def test_alternative_chain_is_a_twist():
-    from twistlab.twists import alternative_chain
-
-    alt = alternative_chain(6)
-    f6 = fundamental_morphism(6)
-    assert cocycle_check(alt, f6).passed
-    assert counit_check(alt, f6).passed
-
-
-def test_alternative_chain_drags_to_second_external():
-    # J0-conjugation of the s=1 and s=N maximal-set factors reproduces the
-    # second external factor, mirroring the first dragging identity
+def test_corner_factors_drag_to_second_external():
+    # J0-conjugation of E'(2,1,N-1) E'(2,N,N-1), the two corner factors of
+    # the second row's maximal constituent set {1} + [3, N-2] + {N}, is the
+    # second external factor E1~, mirroring the first dragging identity
     from twistlab.expr import fundamental_morphism, gen, mul, sigma_power
     from twistlab.twists import materialize_factor, twist_factor
 

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import pytest
 
@@ -6,8 +7,10 @@ from twistlab import hopf, states
 from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
+    coproduct_morphism,
     delta_morphism,
     eval_expr,
+    eval_tensor_pairs,
     fundamental_morphism,
     gen,
 )
@@ -18,7 +21,7 @@ from twistlab.states import (
     DIAGRAM_EDGES,
     STATE_IDS,
     STATES,
-    combinator_eval,
+    combinator_terms,
     costructure_table,
     heisenberg_pair_generators,
     two_jordanian_table_check,
@@ -40,15 +43,20 @@ def unit(dim, i, j, v=1):
     return SparseMatrix.unit(dim, i, j, v)
 
 
+def combinator_matrix(c, L, witness):
+    # the two-leg terms evaluated in both legs, as expected_entry does
+    return eval_tensor_pairs(combinator_terms(c, L, witness.n), witness, witness)
+
+
 def test_combinator_p0():
-    got = combinator_eval(Combinator("P0"), gen(1, 3), fundamental_morphism(6))
+    got = combinator_matrix(Combinator("P0"), gen(1, 3), fundamental_morphism(6))
     i6 = SparseMatrix.identity(6)
     assert got == kron(unit(6, 1, 3), i6) + kron(i6, unit(6, 1, 3))
 
 
 def test_combinator_tpp():
     f6 = fundamental_morphism(6)
-    got = combinator_eval(Combinator("Tpp"), gen(1, 5), f6)
+    got = combinator_matrix(Combinator("Tpp"), gen(1, 5), f6)
     i6 = SparseMatrix.identity(6)
     half = rat(1, 2)
     right = (i6 + unit(6, 1, 6, half)) * (i6 + unit(6, 2, 5, half))
@@ -56,9 +64,35 @@ def test_combinator_tpp():
 
 
 def test_combinator_s1minus():
-    got = combinator_eval(Combinator("S1minus", r=3), None, fundamental_morphism(6))
+    got = combinator_matrix(Combinator("S1minus", r=3), None, fundamental_morphism(6))
     # -E_13 x E_26 e^{-sigma_1/2}; the correction dies in the fundamental
     assert got == kron(unit(6, 1, 3, -1), unit(6, 2, 6))
+
+
+@pytest.mark.parametrize("witness, n, r", [
+    (fundamental_morphism, 6, 3), (fundamental_morphism, 7, 3), (fundamental_morphism, 7, 4),
+    (fundamental_morphism, 8, 5), (coproduct_morphism, 6, 3),
+], ids=["fundamental-6-3", "fundamental-7-3", "fundamental-7-4", "fundamental-8-5",
+        "doubled-6-3"])
+def test_heisenberg_block_embeds_in_gl_n(witness, n, r):
+    # of the 28 commutators of the eight generators, exactly
+    # [E_ir, E_rm] = E_im for i in {1, 2}, m in {N-1, N} are nonzero, and
+    # those four E_im are central in the block
+    w = witness(n)
+    gens = heisenberg_pair_generators(n, r)
+    image = {slot: eval_expr(g, w) for slot, g in gens.items()}
+    nonzero = {}
+    for a, b in itertools.combinations(gens, 2):
+        comm = image[a].commutator(image[b])
+        if not comm.is_zero():
+            nonzero[a, b] = comm
+    assert nonzero == {
+        ("e1r", "ern1"): image["e1n1"], ("e1r", "ern"): image["e1n"],
+        ("e2r", "ern1"): image["e2n1"], ("e2r", "ern"): image["e2n"],
+    }
+    assert [gens[slot] for slot in ("e1n1", "e1n", "e2n1", "e2n")] == [
+        gen(i, m) for i in (1, 2) for m in (n - 1, n)
+    ]
 
 
 def test_costructure_table_entries():
@@ -257,11 +291,11 @@ def test_a_check_takes_n_from_its_witness(check):
     assert (res.name, res.dims, res.passed) == (name, w.dim ** legs, True)
 
 
-def test_combinator_eval_takes_n_from_its_witness():
+def test_combinator_terms_take_their_n():
     # S1minus at r = 3 is -E_13 x E_2N e^{-sigma_1/2}, whose correction dies
-    # in the fundamental: its second leg sits in the witness's last column
+    # in the fundamental: at N = 7 its second leg sits in column 7
     w = fundamental_morphism(7)
-    got = combinator_eval(Combinator("S1minus", r=3), None, w)
+    got = combinator_matrix(Combinator("S1minus", r=3), None, w)
     assert got == kron(unit(7, 1, 3, -1), unit(7, 2, 7))
 
 
@@ -281,7 +315,7 @@ def test_no_public_check_picks_its_own_witness():
     assert takes_witness == {
         "TwistedCoalgebra", "counit_check", "cocycle_check", "r_matrix_checks",
         "coassociativity_check", "twist_antipode_correction", "antipode_checks",
-        "verify_dragging", "combinator_eval", "verify_state",
+        "verify_dragging", "verify_state",
         "two_jordanian_table_check", "verify_diagram", "verify_matreshka",
         "verify_transition_schemes",
     }

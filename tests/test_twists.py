@@ -26,7 +26,6 @@ from twistlab.report import WITNESSES
 from twistlab.roots import carrier_column, cartan_element
 from twistlab.states import costructure_table
 from twistlab.twists import (
-    alternative_chain,
     chain_twist,
     extended_twist_generic,
     extension_factor,
@@ -186,14 +185,6 @@ def test_external_factor_shapes():
     assert len(fac1.terms) == 2
     with pytest.raises(NotApplicable):
         external_factor(5, "E0tilde")
-
-
-def test_alternative_chain_structure():
-    seq = alternative_chain(6)
-    names = [f.name for f in seq.factors]
-    assert names[0] == "J(2,5)"
-    assert "E'(2,1,5)" in names and "E'(2,6,5)" in names
-    assert "J(1,6)" in names
 
 
 def test_materialize_makes_one_product_per_extra_factor(monkeypatch):
