@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _verify_config(args) -> SuiteConfig:
     """The --config file's object with every given flag written over its key."""
     data = {}
-    if args.config:
+    if args.config is not None:  # "" names no file, so it cannot be read
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
@@ -108,10 +108,9 @@ def _verify_config(args) -> SuiteConfig:
         "output": args.fmt,
         "dump_dir": args.dump_dir,
     }
-    if not args.config and args.suites is None:
-        raise ConfigInvalid("verify needs --suites (or --config)")
-    if not args.config and args.n is None:
-        raise ConfigInvalid("verify needs --n (or --config)")
+    for flag, value in (("--suites", args.suites), ("--n", args.n)):
+        if args.config is None and value is None:
+            raise ConfigInvalid(f"verify needs {flag} (or --config)")
     if isinstance(data, dict):  # any other JSON value is config_from_dict's to reject
         data.update((key, value) for key, value in flags.items() if value is not None)
     return config_from_dict(data)

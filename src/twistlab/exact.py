@@ -29,7 +29,6 @@ exp(m) - 1), and `unipotent_product` multiplies two of them as
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from math import factorial, gcd, lcm
 from typing import Iterator, Optional
@@ -44,6 +43,7 @@ class AnalyticFnSpec:
 
     kind: str  # "exp" | "expm1" | "log1p" | "pow1p"
     exponent: Optional[Rational] = None
+    _memos = {}  # not a field: (kind, exponent) -> {k: c_k}, one per value
 
     def __post_init__(self):
         if self.kind not in ("exp", "expm1", "log1p", "pow1p"):
@@ -56,18 +56,20 @@ class AnalyticFnSpec:
         """exp and pow1p start at 1; expm1 and log1p have no constant term."""
         return self.kind in ("exp", "pow1p")
 
-    @cache
     def coefficient(self, k: int) -> Rational:
         """c_k, the coefficient of m^k (k >= 1) in the series.
 
-        Computed once per (spec, k): specs compare by value, so a pow1p(q)
-        built again for the same q reads the same entry.
+        Computed once per (value, k), in a memo the spec binds on first use:
+        a pow1p(q) built again reads the same entry, and later calls hash nothing.
         """
-        if self.kind in ("exp", "expm1"):
-            return rat(1, factorial(k))
-        if self.kind == "log1p":
-            return rat((-1) ** (k + 1), k)
-        return binomial_general(self.exponent, k)
+        memo = self.__dict__.get("_memo")
+        if memo is None:  # the frozen dataclass's own __dict__, as cached_property writes
+            memo = self.__dict__["_memo"] = self._memos.setdefault((self.kind, self.exponent), {})
+        if k not in memo:
+            memo[k] = (rat(1, factorial(k)) if self.kind in ("exp", "expm1")
+                       else rat((-1) ** (k + 1), k) if self.kind == "log1p"
+                       else binomial_general(self.exponent, k))
+        return memo[k]
 
 
 EXP = AnalyticFnSpec("exp")
@@ -367,7 +369,7 @@ def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix) -> SparseMatrix:
     den = 1
     for k, power in enumerate(_powers(m), 1):
         c = fn.coefficient(k)
-        if c != 0:
+        if c:
             term_den = power.den * c.denominator
             f = lcm(den, term_den) // den
             if f != 1:

@@ -85,6 +85,8 @@ class SuiteConfig:
             raise ConfigInvalid(f"unknown witness {self.witness!r}")
         if self.output not in ("text", "json"):
             raise ConfigInvalid(f"unknown output format {self.output!r}")
+        if self.dump_dir == "":
+            raise ConfigInvalid("dump_dir '' names no directory; leave it out to write no dumps")
         for r in self.r_values:
             if not 3 <= r <= self.n - 2:
                 raise ConfigInvalid(f"r={r} outside 3..{self.n - 2}")
@@ -155,36 +157,42 @@ class SuiteReport:
 # -- exact-core randomized invariants ----------------------------------------
 
 
-def _canonical(dim: int, entries: dict, den: int) -> SparseMatrix:
-    """entries[i, j] / den at (i, j), zeros dropped, reduced: from_entries' (rows, den)."""
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """rng.randint(a, b), drawn from rng.getrandbits as CPython draws it."""
+    n = b - a + 1
+    k = n.bit_length()
+    while (r := rng.getrandbits(k)) >= n:  # _randbelow's rejection loop
+        pass
+    return a + r
+
+
+def _case(dim: int, entries) -> SparseMatrix:
+    """Each (i, j, n) as n / 12 at (i, j), the last at a place kept, zeros dropped, reduced."""
     rows: dict = {}
-    for (i, j), v in entries.items():
+    for i, j, v in entries:
         if v:
             rows.setdefault(i, {})[j] = v
-    return SparseMatrix(dim, rows, den).reduced()
+        elif rows.get(i, {}).pop(j, 0) and not rows[i]:  # a 0 clears its place
+            del rows[i]
+    return SparseMatrix(dim, rows, 12).reduced()
 
 
 def _random_matrix(rng: random.Random, dim: int) -> SparseMatrix:
-    entries = {}
-    for _ in range(rng.randint(1, 2 * dim)):
-        i, j = rng.randint(1, dim), rng.randint(1, dim)
-        entries[(i, j)] = rng.randint(-4, 4) * (12 // rng.randint(1, 4))
-    return _canonical(dim, entries, 12)
+    return _case(dim, [(_randint(rng, 1, dim), _randint(rng, 1, dim),
+                        _randint(rng, -4, 4) * (12 // _randint(rng, 1, 4)))
+                       for _ in range(_randint(rng, 1, 2 * dim))])
 
 
 def _random_nilpotent(rng: random.Random, dim: int) -> SparseMatrix:
-    entries = {}
-    for _ in range(rng.randint(1, 2 * dim)):
-        i = rng.randint(1, dim - 1)
-        j = rng.randint(i + 1, dim)
-        entries[(i, j)] = rng.randint(-4, 4) * (12 // rng.randint(1, 4))
-    # the permutation similarity P m P^T keeps nilpotency but leaves the
-    # triangle; it moves entry (i, j) to (perm[i - 1], perm[j - 1])
+    entries = [((i := _randint(rng, 1, dim - 1)), _randint(rng, i + 1, dim),
+                _randint(rng, -4, 4) * (12 // _randint(rng, 1, 4)))
+               for _ in range(_randint(rng, 1, 2 * dim))]
+    # P m P^T keeps nilpotency but leaves the triangle: (i, j) goes to (perm[i - 1], perm[j - 1])
     perm = list(range(1, dim + 1))
-    rng.shuffle(perm)
-    return _canonical(
-        dim, {(perm[i - 1], perm[j - 1]): v for (i, j), v in entries.items()}, 12
-    )
+    for p in range(dim - 1, 0, -1):  # rng.shuffle(perm)'s Fisher-Yates
+        j = _randint(rng, 0, p)
+        perm[p], perm[j] = perm[j], perm[p]
+    return _case(dim, [(perm[i - 1], perm[j - 1], v) for i, j, v in entries])
 
 
 def _random_polynomials(rng: random.Random, m: SparseMatrix) -> tuple:
@@ -193,10 +201,10 @@ def _random_polynomials(rng: random.Random, m: SparseMatrix) -> tuple:
     A nonzero m^k has den m.den^k, so both sum in ints over den 6 * m.den^3.
     """
     a, b = {}, {}
-    for k in range(1, rng.randint(1, 3) + 1):
+    for k in range(1, _randint(rng, 1, 3) + 1):
         power = m if k == 1 else power * m
         for rows in (a, b):
-            num = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
+            num = _randint(rng, -3, 3) * (6 // _randint(rng, 1, 3))
             if num:
                 _add_into(rows, power.rows, num * m.den ** (3 - k))
     return tuple(SparseMatrix(m.dim, rows, 6 * m.den**3) for rows in (a, b))
@@ -214,8 +222,10 @@ def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
     -4..4, d in 1..4, the last draw at a place kept; a nilpotent m (dim
     2..5) has them above the diagonal, then a random permutation relabels
     its indices.  Cases are built in ints, n/d as n * (12 // d) over den 12,
-    with the rng calls in the order a Fraction n/d takes them (numerator
-    first), so the seed fixes every case bit for bit.
+    numerator drawn first.  The draws are random.Random's, bit for bit:
+    CPython's randint(a, b) is a + _randbelow(b - a + 1), _randbelow(n)
+    redraws getrandbits(n.bit_length()) until it is below n, and shuffle is
+    Fisher-Yates from the end; _randint and the permutation loop repeat them.
     """
     rng = random.Random(seed)
     per = max(1, cases // 4)
@@ -223,7 +233,7 @@ def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
 
     tally = Tally("core[mixed-product]")
     for _ in range(per):
-        dim_a, dim_b = rng.randint(2, 4), rng.randint(2, 4)
+        dim_a, dim_b = _randint(rng, 2, 4), _randint(rng, 2, 4)
         a, c = _random_matrix(rng, dim_a), _random_matrix(rng, dim_a)
         b, d = _random_matrix(rng, dim_b), _random_matrix(rng, dim_b)
         tally.equal(kron(a, b) * kron(c, d), kron(a * c, b * d))
@@ -231,22 +241,22 @@ def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
 
     tally = Tally("core[exp-log-roundtrip]")
     for _ in range(per):
-        m = _random_nilpotent(rng, rng.randint(2, 5))
+        m = _random_nilpotent(rng, _randint(rng, 2, 5))
         got = analytic_apply(EXP, analytic_apply(LOG1P, m))
         tally.equal(got, SparseMatrix.identity(m.dim) + m)
     results.append(tally.result())
 
     tally = Tally("core[pow1p-inverse]")
     for _ in range(per):
-        m = _random_nilpotent(rng, rng.randint(2, 5))
-        q = rat(rng.randint(-6, 6), rng.randint(1, 4))
+        m = _random_nilpotent(rng, _randint(rng, 2, 5))
+        q = rat(_randint(rng, -6, 6), _randint(rng, 1, 4))
         lhs = analytic_apply(pow1p(q), m) * analytic_apply(pow1p(-q), m)
         tally.equal(lhs, SparseMatrix.identity(m.dim))
     results.append(tally.result())
 
     tally = Tally("core[exp-additivity]")
     for _ in range(cases - 3 * per):
-        m = _random_nilpotent(rng, rng.randint(2, 5))
+        m = _random_nilpotent(rng, _randint(rng, 2, 5))
         a, b = _random_polynomials(rng, m)
         tally.equal(a * b, b * a)
         tally.equal(
@@ -364,7 +374,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     cfg.validate()
     t0 = time.perf_counter()
     w = cfg.build_witness()
-    n = cfg.n
     results = []
     # registry order, so a suite named twice still runs once
     for name, (_, build) in SUITES.items():
@@ -374,7 +383,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)
         for name, seq in _named_twists(cfg).items():
-            path = os.path.join(cfg.dump_dir, f"{_slug(name)}_N{n}.mat")
+            path = os.path.join(cfg.dump_dir, f"{_slug(name)}_N{cfg.n}.mat")
             dump_matrix(materialize(seq, w, w), path)
 
     results.sort(key=lambda res: res.name)

@@ -200,13 +200,19 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
     # an empty list flag empties the file's list, as it does with no file
     (["--config", "{tmp}/full.json", "--suites", ""], "no suites requested"),
     (["--config", "{tmp}/full.json", "--alpha", ","], "no alpha values"),
+    # an empty path is a path that cannot be used, not a missing flag
+    (["--config", "", "--n", "3", "--suites", "rmatrix", "--alpha", "1/2"],
+     "cannot read --config ''"),
+    (["--n", "3", "--suites", "rmatrix", "--alpha", "1/2", "--dump-dir", ""],
+     "dump_dir '' names no directory"),
 ], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
         "config-string-suites", "config-nested-suites", "config-object-suites",
         "config-string-alphas", "config-alpha-zero-den",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
         "config-float-n", "config-float-r", "config-missing-n", "config-list",
         "config-float-alpha", "config-bool-alpha", "config-misspelled-key",
-        "config-flag-name-key", "config-empty-suites-flag", "config-empty-alpha-flag"])
+        "config-flag-name-key", "config-empty-suites-flag", "config-empty-alpha-flag",
+        "config-empty-path", "dump-dir-empty-path"])
 def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     from twistlab import cli
 

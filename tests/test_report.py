@@ -115,6 +115,54 @@ def test_random_polynomials_equal_their_fraction_built_references():
             assert rng.random() == ref_rng.random(), (seed, dim)
 
 
+@pytest.mark.parametrize("width", range(1, 14))
+def test_randint_draws_what_random_randint_draws(width):
+    # a width that is not a power of two (1, 3, 5, 6, 7, 9, ...) makes CPython's
+    # _randbelow redraw getrandbits, and _randint must redraw with it
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for a in (-6, 0, 1, 2):
+            b = a + width - 1
+            assert [report._randint(rng, a, b) for _ in range(6)] == [
+                ref.randint(a, b) for _ in range(6)
+            ], (seed, a)
+        assert rng.random() == ref.random(), seed
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_nilpotent_permutation_is_random_shuffles(monkeypatch, dim):
+    # the entries _random_nilpotent hands on, relabeled by the permutation it
+    # drew, against the same draws through randint and shuffle
+    handed = []
+    monkeypatch.setattr(report, "_case", lambda d, entries: handed.append(entries))
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        report._random_nilpotent(rng, dim)
+        entries = []
+        for _ in range(ref.randint(1, 2 * dim)):
+            i = ref.randint(1, dim - 1)
+            j = ref.randint(i + 1, dim)
+            entries.append((i, j, ref.randint(-4, 4) * (12 // ref.randint(1, 4))))
+        perm = list(range(1, dim + 1))
+        ref.shuffle(perm)
+        assert handed.pop() == [(perm[i - 1], perm[j - 1], v) for i, j, v in entries], seed
+        assert rng.random() == ref.random(), seed
+
+
+def test_core_checks_never_draw_through_random_randint(monkeypatch):
+    # randint, randrange and shuffle cost about a third of core-tiny's time
+    def refuse(*args):
+        raise AssertionError("a case was drawn through random.Random's slow path")
+
+    for name in ("randint", "randrange", "shuffle"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    got = core_property_checks(400, 3)
+    assert [(r.name, r.passed) for r in got] == [
+        ("core[mixed-product]", True), ("core[exp-log-roundtrip]", True),
+        ("core[pow1p-inverse]", True), ("core[exp-additivity]", True),
+    ]
+
+
 def _kron_right_transposed(a, b):
     return exact.kron(a, b.transpose())
 
