@@ -14,11 +14,11 @@ exact and no numerator is divided.
 
 Product, sum and Kronecker product run on Python ints (which cannot
 overflow); Rationals are taken or returned only at the boundaries:
-from_entries, scale, indexing, entries() and the dump format.  The checks
-on large spaces (the doubled witness's two-leg state tables, three-leg
-twists and R-matrix products) run instead in packed.py's numpy arrays,
-in int64 wherever a bound proves it safe and in Python ints elsewhere (see
-hopf.kernel_for).
+from_entries, scale, indexing, entries() and the dump format.  Large
+spaces (from the doubled witness's 1,296-dim coproduct on: its images, the
+coalgebras twisted over it, and the three-leg checks) are built instead in
+packed.py's numpy arrays, in int64 wherever a bound proves it safe and in
+Python ints elsewhere (see expr.kernel_for).
 Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
 nilpotent matrices as finite series, each summed in place over one common
 denominator.  There is no generic matrix inverse: every inverse the package
@@ -290,6 +290,9 @@ class SparseMatrix:
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
         return self * other - other * self
+
+
+identity = SparseMatrix.identity  # each kernel module has one, as Morphism.identity reads it
 
 
 def unipotent_product(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

@@ -11,15 +11,19 @@ eval_expr is the one interpreter of a tree.  The Hopf maps of U(gl(N)) are
 morphisms it evaluates under: the coproduct is delta_morphism, the counit is
 zero_morphism (a 1x1 matrix, eps(x) times the identity), and the antipode is
 contragredient_morphism followed by a transpose, w(S(x)) = w*(x)^T.
+
+Each Morphism evaluates in the kernel kernel_for picks for its dim: exact.py,
+or packed.py, which builds and keeps a large one's every image in numpy arrays.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import add as _plus, mul as _times
 from typing import Callable, Tuple, Union
 
 from . import exact
 from .errors import IndexOutOfRange
-from .exact import LOG1P, AnalyticFnSpec, SparseMatrix, analytic_apply, kron, pow1p
+from .exact import LOG1P, AnalyticFnSpec, SparseMatrix, pow1p
 from .rationals import Rational, rat
 
 Expr = Union["Gen", "Scalar", "Sum", "Prod", "Fn"]
@@ -92,6 +96,8 @@ def add(*terms: Expr) -> Expr:
             flat.extend(t.terms)
         else:
             flat.append(t)
+    if not flat:
+        return scal(0)
     if len(flat) == 1:
         return flat[0]
     return Sum(tuple(flat))
@@ -130,6 +136,32 @@ def sigma_exponential(*terms) -> Expr:
     return mul(*[sigma_power(c, i, j) for (c, i, j) in terms])
 
 
+# A space of this many dims or more is built in packed.py: in the doubled
+# witness its coproduct from N = 6 (1,296 dims) and the three-leg spaces from
+# N = 4 (4,096); in the fundamental one the three-leg spaces from N = 11
+# (1,331) and the coproduct from N = 35, so fund-sweep never imports numpy.
+PACKED_FLOOR = 1_200
+
+
+def kernel_for(dim: int):
+    """The kernel a space of `dim` dims is built in.
+
+    This is the one place a kernel is chosen.  From PACKED_FLOOR dims on it
+    is packed.py, and numpy is imported only here; below it, without numpy,
+    or where packed.py's int64 keys cannot index the space, it is exact.py.
+    Either kernel is exact on any input (packed.py widens to Python ints
+    where int64 would not hold), and packed.py takes SparseMatrix operands.
+    """
+    if dim >= PACKED_FLOOR:
+        try:
+            from . import packed
+        except ImportError:  # numpy is an optional extra
+            return exact
+        if dim * dim <= packed.KEY_MAX:
+            return packed
+    return exact
+
+
 def _cached_images(cache: dict, gen_image: Callable[[int, int], SparseMatrix]):
     """(i, j) -> gen_image(i, j) in canonical form, kept in `cache` under (i, j).
 
@@ -147,12 +179,13 @@ def _cached_images(cache: dict, gen_image: Callable[[int, int], SparseMatrix]):
 
 
 class Morphism:
-    """Algebra morphism U(gl(N)) -> End(V), given on generators."""
+    """Algebra morphism U(gl(N)) -> End(V), given on generators, in kernel_for(dim)."""
 
     def __init__(self, n: int, dim: int, gen_image: Callable[[int, int], SparseMatrix], name: str = ""):
         self.n = n
         self.dim = dim
         self.name = name
+        self.kernel = kernel_for(dim)
         self._cache: dict = {}
         self._gen = _cached_images(self._cache, gen_image)
         self._delta = None  # delta_morphism(self, self), once built
@@ -166,8 +199,7 @@ class Morphism:
     def identity(self) -> SparseMatrix:
         got = self._cache.get("I")
         if got is None:
-            got = SparseMatrix.identity(self.dim)
-            self._cache["I"] = got
+            got = self._cache["I"] = self.kernel.identity(self.dim)
         return got
 
     def __repr__(self) -> str:
@@ -198,7 +230,8 @@ def delta_morphism(left: Morphism, right: Morphism) -> Morphism:
     evaluated images.  Its image function holds the legs' generator caches,
     not the legs: a witness and its coproduct form no reference cycle, and
     both are freed with the last reference to the witness.  Mixed legs build
-    a new morphism on each call.
+    a new morphism on each call.  The images are built in the coproduct's
+    own kernel, from the legs' images in theirs.
     """
     if left.n != right.n:
         raise IndexOutOfRange("coproduct legs must share N")
@@ -206,9 +239,10 @@ def delta_morphism(left: Morphism, right: Morphism) -> Morphism:
         return left._delta
     il, ir = left.identity, right.identity
     gen_l, gen_r = left._gen, right._gen
+    kernel = kernel_for(left.dim * right.dim)
 
     def image(i, j):
-        return kron(gen_l(i, j), ir) + kron(il, gen_r(i, j))
+        return kernel.kron(gen_l(i, j), ir) + kernel.kron(il, gen_r(i, j))
 
     out = Morphism(left.n, left.dim * right.dim, image, name=f"delta[{left.name},{right.name}]")
     if left is right:
@@ -232,7 +266,8 @@ def contragredient_morphism(base: Morphism) -> Morphism:
     )
 
 
-def eval_expr(e: Expr, phi: Morphism) -> SparseMatrix:
+def eval_expr(e: Expr, phi: Morphism):
+    """e under phi, in phi's kernel: a SparseMatrix, or a Packed one."""
     cached = phi._cache.get(e)
     if cached is not None:
         return cached
@@ -241,15 +276,11 @@ def eval_expr(e: Expr, phi: Morphism) -> SparseMatrix:
     elif isinstance(e, Scalar):
         out = phi.identity.scale(e.value)
     elif isinstance(e, Sum):
-        out = SparseMatrix.zero(phi.dim)
-        for t in e.terms:
-            out = out + eval_expr(t, phi)
+        out = reduce(_plus, [eval_expr(t, phi) for t in e.terms])
     elif isinstance(e, Prod):
-        out = phi.identity
-        for f in e.factors:
-            out = out * eval_expr(f, phi)
+        out = reduce(_times, [eval_expr(f, phi) for f in e.factors])
     elif isinstance(e, Fn):
-        out = analytic_apply(e.fn, eval_expr(e.arg, phi))
+        out = phi.kernel.analytic_apply(e.fn, eval_expr(e.arg, phi))
     else:
         raise TypeError(f"not an expression: {e!r}")
     out = phi._cache[e] = out.reduced()
@@ -259,8 +290,9 @@ def eval_expr(e: Expr, phi: Morphism) -> SparseMatrix:
 def eval_tensor_pairs(pairs, left: Morphism, right: Morphism, kernel=exact):
     """Sum of kron(eval(a), eval(b)) over two-leg terms (a, b).
 
-    The legs are evaluated in exact.py; the krons and the sum are taken in
-    `kernel` (exact.py or packed.py).
+    Each leg is evaluated in its own morphism's kernel; the krons and the sum
+    are taken in `kernel` (exact.py or packed.py), which must be packed.py
+    when a leg's is.
     """
     out = SparseMatrix.zero(left.dim * right.dim)
     for a, b in pairs:

@@ -10,17 +10,8 @@ the leg-doubled one, ...); none picks one of its own.
 import time
 from dataclasses import dataclass
 
-from . import exact
 from .errors import NotApplicable
-from .exact import (
-    SparseMatrix,
-    _add_into,
-    analytic_apply,
-    kron,
-    pow1p,
-    swap_matrix,
-    unipotent_product,
-)
+from .exact import SparseMatrix, _add_into, analytic_apply, kron, pow1p, swap_matrix
 from .expr import (
     Expr,
     Morphism,
@@ -29,6 +20,7 @@ from .expr import (
     eval_expr,
     eval_tensor_pairs,
     gen,
+    kernel_for,
     zero_morphism,
 )
 from .twists import (
@@ -81,9 +73,9 @@ class Tally:
         )
 
 
-def _unipotent_pair(part: SparseMatrix, kernel):
+def _unipotent_pair(part, kernel):
     """(1 + part, (1 + part)^-1) in `kernel`, the inverse as the finite series."""
-    return ((part + SparseMatrix.identity(part.dim)).reduced(),
+    return ((kernel.identity(part.dim) + part).reduced(),
             kernel.analytic_apply(pow1p(-1), part).reduced())
 
 
@@ -97,26 +89,25 @@ class TwistedCoalgebra:
     the witness's one coproduct, shared with every other check in it.  F must
     be unipotent in those legs: F^-1 is the finite series (1 + (F - 1))^-1,
     and an F - 1 that is not nilpotent raises NotNilpotent.  F, F^-1, every
-    conjugation and `expected` are built in `kernel`: exact.py, or packed.py,
-    which kernel_for picks for large spaces.
+    conjugation and `expected` are built in `kernel`, that of `delta`, so in
+    the kernel D(x) is evaluated in.
     """
 
-    def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None,
-                 kernel=exact):
+    def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None):
         self.witness = witness
         self.right = right if right is not None else witness
-        self.kernel = kernel
         self.delta = delta_morphism(self.witness, self.right)
-        part = nilpotent_part(seq, self.witness, self.right, kernel).reduced()
-        self.f_mat, self.f_inv = _unipotent_pair(part, kernel)
+        self.kernel = self.delta.kernel
+        part = nilpotent_part(seq, self.witness, self.right, self.kernel).reduced()
+        self.f_mat, self.f_inv = _unipotent_pair(part, self.kernel)
 
-    def conjugate(self, m: SparseMatrix) -> SparseMatrix:
+    def conjugate(self, m):
         return self.f_mat * m * self.f_inv
 
-    def coproduct(self, x: Expr) -> SparseMatrix:
+    def coproduct(self, x: Expr):
         return self.conjugate(eval_expr(x, self.delta))
 
-    def expected(self, pairs) -> SparseMatrix:
+    def expected(self, pairs):
         """Evaluate a symbolic two-leg sum in the same pair of legs and kernel."""
         return eval_tensor_pairs(pairs, self.witness, self.right, self.kernel)
 
@@ -133,34 +124,6 @@ def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
     tally.equal(nilpotent_part(seq, eps, witness), zero)
     tally.equal(nilpotent_part(seq, witness, eps), zero)
     return tally.result()
-
-
-# A check that takes its kernel from kernel_for (cocycle, coassociativity,
-# the R-matrix's three-leg products, the state tables) is built in packed.py
-# from this many dims on: in the doubled witness the tables from N = 6 (1,296
-# dims) and the three-leg checks from N = 4 (4,096), in the fundamental one the
-# three-leg checks from N = 11 (1,331).  Every other check runs in exact.py at
-# any size, so fundamental runs up to N = 10 (all of fund-sweep) never import numpy.
-PACKED_FLOOR = 1_200
-
-
-def kernel_for(dim: int):
-    """The kernel a check whose largest space has `dim` dims is built in.
-
-    This is the one place a kernel is chosen.  From PACKED_FLOOR dims on it
-    is packed.py, and numpy is imported only here; below it, without numpy,
-    or where packed.py's int64 keys cannot index the space, it is exact.py.
-    Either kernel is exact on any input (packed.py widens to Python ints
-    where int64 would not hold), so a check is built once, in one kernel.
-    """
-    if dim >= PACKED_FLOOR:
-        try:
-            from . import packed
-        except ImportError:  # numpy is an optional extra
-            return exact
-        if dim * dim <= packed.KEY_MAX:
-            return packed
-    return exact
 
 
 def _parts_in(kernel, seq: TwistSequence, w: Morphism, dw: Morphism):
@@ -248,14 +211,17 @@ def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckRes
 # -- twisted antipode -------------------------------------------------------
 
 
-def _antipode_contraction(g: SparseMatrix, d: int, leg: int) -> SparseMatrix:
+def _antipode_contraction(g, d: int, leg: int) -> SparseMatrix:
     """m(S x id)(g) for leg 1, m(id x S)(g) for leg 2, that leg of g being in w*.
 
     S on a w* leg is the transpose, so entry (p, q) of m(S x id)(g) is
     sum_r g[(r, r), (p, q)]: the d rows (r, r) of g, each read as a d x d
-    matrix, summed.  m(id x S)(g) is the same contraction of g^T.  The
-    result is reduced, since v is held and multiplied by every compare.
+    matrix, summed.  m(id x S)(g) is the same contraction of g^T.  A Packed
+    g is contracted by key arithmetic.  The result has the witness's d dims
+    and is reduced, since v is held and multiplied by every compare.
     """
+    if not isinstance(g, SparseMatrix):
+        return g.leg_contraction(d, leg).reduced()
     if leg == 2:
         g = g.transpose()
     rows: dict = {}
@@ -300,8 +266,8 @@ def antipode_checks(seq: TwistSequence, generators, witness: Morphism) -> CheckR
 
     # m(S_F x id)(g) = v m(S x id)((1 x v^-1) g) and
     # m(id x S_F)(g) = m(id x S)(g (v x 1)) v^-1
-    left = kron(ident, v_inv)
-    right = kron(v, ident)
+    left = dual_left.kernel.kron(ident, v_inv)
+    right = dual_right.kernel.kron(v, ident)
     for x in generators:
         eps_side = kron(eval_expr(x, eps), ident)
         lhs = v * _antipode_contraction(left * dual_left.coproduct(x), d, 1)
@@ -328,13 +294,14 @@ def verify_dragging(witness: Morphism) -> CheckResult:
     tally = Tally(f"dragging[E0~,N={n}]")
 
     j1 = TwistedCoalgebra(sequence(jordanian_factor(n, 2)), witness)
-    row1 = [materialize_factor(extension_factor(n, 1, r), witness, witness)
+    kernel = j1.kernel
+    row1 = [materialize_factor(extension_factor(n, 1, r), witness, witness, kernel=kernel)
             for r in range(2, n)]
-    row2 = [materialize_factor(extension_factor(n, 2, r), witness, witness)
+    row2 = [materialize_factor(extension_factor(n, 2, r), witness, witness, kernel=kernel)
             for r in range(3, n - 1)]
     # row1's ends are the corner extensions E(1,2,N) and E(1,N-1,N)
-    lhs = j1.conjugate(unipotent_product(row1[0], row1[-1]))
-    rhs = materialize_factor(external_factor(n, "E0tilde"), witness, witness)
+    lhs = j1.conjugate(kernel.unipotent_product(row1[0], row1[-1]))
+    rhs = materialize_factor(external_factor(n, "E0tilde"), witness, witness, kernel=kernel)
     tally.equal(lhs, rhs)
 
     for m1 in row2:

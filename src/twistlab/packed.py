@@ -20,10 +20,12 @@ a SparseMatrix is checked by numpy itself, which refuses a Python int
 outside int64, and takes the same three steps.  No float is formed
 anywhere: sums are taken by sorting the keys and `np.add.reduceat`.
 
-numpy is imported with this module, and only hopf.kernel_for imports it,
-for the checks whose spaces reach hopf.PACKED_FLOOR: in the doubled witness
-the two-leg state tables from N = 6 and the three-leg cocycle,
-coassociativity and R-matrix spaces from N = 4.
+numpy is imported with this module, and only expr.kernel_for imports it,
+for the spaces that reach expr.PACKED_FLOOR dims: every Morphism that large
+(in the doubled witness its coproduct from N = 6 and the three-leg
+morphisms from N = 4) keeps its generator images and every evaluated
+expression here, and each coalgebra twisted over such a coproduct and each
+three-leg check builds its matrices here.
 """
 
 from itertools import chain
@@ -33,9 +35,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .exact import SparseMatrix, _powers
+from .rationals import rat
 
 INT64_MAX = 2 ** 63 - 1  # the numerator bound
-KEY_MAX = 2 ** 63 - 1  # keys stay int64: hopf.kernel_for sends larger spaces to exact.py
+KEY_MAX = 2 ** 63 - 1  # keys stay int64: expr.kernel_for sends larger spaces to exact.py
 
 
 class Packed:
@@ -86,6 +89,9 @@ class Packed:
             rows.setdefault(i, {})[j] = v
         return SparseMatrix(self.dim, rows, self.den)
 
+    def entries(self):
+        return self.to_sparse().entries()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Packed, SparseMatrix)):
             return NotImplemented
@@ -121,6 +127,31 @@ class Packed:
             return NotImplemented
         a, b = _fitting(lambda a, b: a.top * b.top * a.widest, *_same_dim(self, other))
         return _summed(a.dim, *_terms(a, b), a.den * b.den)
+
+    def __rmul__(self, other) -> "Packed":
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return pack(other) * self
+
+    def scale(self, q) -> "Packed":
+        q = rat(q)
+        if not q:
+            return Packed(self.dim, self.keys[:0], self.vals[:0])
+        (m,) = _fitting(lambda m: m.top * abs(q.numerator), self)
+        return Packed(m.dim, m.keys, _times(m.vals, q.numerator), m.den * q.denominator)
+
+    def commutator(self, other) -> "Packed":
+        return self * other + (other * self).scale(-1)
+
+    def leg_contraction(self, d: int, leg: int) -> SparseMatrix:
+        """hopf._antipode_contraction in keys: an entry in row (r, r), 0-based
+        r * (d + 1), lands at its column's key (leg 1; leg 2 swaps the two)."""
+        (g,) = _fitting(lambda g: g.top * d, self)
+        rows, cols = np.divmod(g.keys, g.dim)
+        if leg == 2:
+            rows, cols = cols, rows
+        on = rows % (d + 1) == 0
+        return _summed(d, cols[on], g.vals[on], g.den).to_sparse()
 
 
 def _same_dim(a, b) -> tuple:
@@ -235,6 +266,10 @@ def _from_sparse(m: SparseMatrix, dtype) -> Packed:
     keys = (rows - 1) * d + cols - 1
     order = np.argsort(keys)
     return Packed(d, keys[order], vals[order], m.den)
+
+
+def identity(dim: int) -> Packed:
+    return Packed(dim, np.arange(dim, dtype=np.int64) * (dim + 1), np.ones(dim, dtype=np.int64))
 
 
 def kron(a, b) -> Packed:

@@ -21,7 +21,7 @@ from .expr import (
     scal,
     sigma_power,
 )
-from .hopf import CheckResult, TwistedCoalgebra, Tally, kernel_for
+from .hopf import CheckResult, TwistedCoalgebra, Tally
 from .rationals import HALF, rat
 from .roots import carrier_column, carrier_generators, cartan_element
 from .twists import (
@@ -248,7 +248,7 @@ def table_payload(state_id: str, n: int, r: int) -> dict:
     }
 
 
-def expected_entry(table: CostructureTable, slot: str, co: TwistedCoalgebra) -> SparseMatrix:
+def expected_entry(table: CostructureTable, slot: str, co: TwistedCoalgebra):
     """The table's claim for D_F at one slot, evaluated in co's legs and kernel."""
     g = heisenberg_pair_generators(table.n, table.r)[slot]
     return co.expected([
@@ -262,7 +262,7 @@ def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
     """D_F(g) against each table's entry, for every generator g the tables
     name, in one coalgebra of their shared twist; each g is compared once."""
     tally = Tally(name)
-    co = TwistedCoalgebra(tables[0].twist_recipe, witness, kernel=kernel_for(witness.dim ** 2))
+    co = TwistedCoalgebra(tables[0].twist_recipe, witness)
     seen = set()
     for table in tables:
         for slot, g in heisenberg_pair_generators(table.n, table.r).items():
@@ -339,9 +339,11 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
     # asymmetry is witnessed one tensor level up, where [internal, external]
     # vanishes exactly for i = j and is visibly nonzero otherwise.
     # Each factor is 1 + a with a nilpotent, and [1 + a, 1 + b] = [a, b]
-    # exactly, so the commutators are taken on the nilpotent parts.
+    # exactly, so the commutators are taken on the nilpotent parts, in the
+    # legs' kernel: packed.py for the doubled witness's coproduct.
     deep = delta_morphism(witness, witness)
-    part = {label: materialize_factor(f, deep, deep) for label, f in factors.items()}
+    part = {label: materialize_factor(f, deep, deep, kernel=deep.kernel)
+            for label, f in factors.items()}
     for i in (0, 1):
         for j in (0, 1):
             comm = part[f"E{i}"].commutator(part[f"E{j}t"])

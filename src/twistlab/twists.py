@@ -176,7 +176,8 @@ def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism, ker
     """The factor's nilpotent part exp(argument) - 1 in the given legs.
 
     `kernel` is the module whose kron, sum and series build it: exact.py,
-    or packed.py, which hopf.kernel_for picks for large spaces.
+    or packed.py, which expr.kernel_for picks for large spaces and which a
+    leg evaluated there needs.
     """
     return kernel.analytic_apply(EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel))
 

@@ -319,7 +319,7 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("n, imported", [(8, False), (10, False), (11, True)])
 def test_fundamental_runs_never_import_numpy(tmp_path, n, imported):
-    # numpy serves only the spaces of at least hopf.PACKED_FLOOR dims: in the
+    # numpy serves only the spaces of at least expr.PACKED_FLOOR dims: in the
     # fundamental witness the three-leg ones from N = 11 (1,331 dims), so every
     # suite up to N = 10, with dumps, must not pay its import
     if imported:

@@ -553,6 +553,11 @@ def test_antipode_contraction_matches_its_reference(d, leg, cancel):
     got = _antipode_contraction(g, d, leg)
     assert got == want
     assert_canonical(got)
+    if packed is not None:
+        # a Packed g is contracted by key arithmetic, to the same canonical matrix
+        got = _antipode_contraction(packed.pack(g), d, leg)
+        assert isinstance(got, SparseMatrix) and got == want
+        assert_canonical(got)
 
 
 # -- the int64 kernel of the three-leg spaces (packed.py) ---------------------
@@ -682,6 +687,20 @@ def test_packed_ops_widen_only_after_reducing():
     assert unpacked(packed.unipotent_product(SparseMatrix.zero(3), tiny)) == tiny
     with pytest.raises(OverflowError):  # keys row * dim + col would wrap
         packed.pack(SparseMatrix(2 ** 32))
+
+
+@needs_numpy
+@example(A, B, 3)
+@given(square_matrices(), square_matrices(), st.integers(2, 9))
+def test_products_and_compares_take_either_order(a, b, k):
+    # a SparseMatrix beside a Packed one, on either side, over different dens
+    pa, pb = packed.pack(a), packed.pack(b)
+    a_k, b_k = rescaled(a, k), rescaled(b, k)
+    for got in (a_k * pb, pa * b_k):
+        assert as_fractions(unpacked(got)) == as_fractions(a * b)
+    assert a_k == pa and pa == a_k
+    assert not (a_k != pa or pa != a_k)
+    assert (b_k == pa) == (pa == b_k) == (a == b)
 
 
 @needs_numpy

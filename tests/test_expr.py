@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import twistlab
 from twistlab.errors import IndexOutOfRange
 from twistlab.exact import SparseMatrix, analytic_apply, kron, pow1p, LOG1P
 from twistlab.expr import (
@@ -19,7 +22,9 @@ from twistlab.expr import (
     sigma_power,
     zero_morphism,
 )
-from twistlab.rationals import rat
+from twistlab.rationals import HALF, rat
+from twistlab.roots import cartan_element
+from twistlab.twists import external_factor
 
 
 def unit(dim, i, j, v=1):
@@ -180,3 +185,33 @@ def test_a_node_keeps_its_hash(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", rehash)
     assert cache[again] == "value"
     assert eval_expr(again, zero_morphism(3)) == eval_expr(tree, zero_morphism(3))
+
+
+def test_a_large_morphism_holds_every_image_packed(monkeypatch):
+    # the doubled witness's coproduct at N = 6: 1,296 dims, above PACKED_FLOOR
+    packed = pytest.importorskip("twistlab.packed")
+    (quadratic, _), _ = external_factor(6, "E0tilde").terms
+    exprs = [
+        gen(1, 6),
+        sigma(1, 6),
+        sigma_power(-HALF, 1, 6),
+        cartan_element(6, 2, 5),  # a Sum
+        mul(gen(3, 6), sigma_power(-HALF, 1, 6)),  # a Prod
+        quadratic,  # E0~'s first leg: E_12 + E_15 / 2 + E_15 H_25
+    ]
+
+    def images():
+        w = coproduct_morphism(6)
+        dw = delta_morphism(w, w)
+        return dw, [eval_expr(e, dw) for e in exprs]
+
+    dw, got = images()
+    for e, m in zip(exprs, got):
+        assert isinstance(m, packed.Packed) and dw._cache[e] is m
+    # the same trees with numpy blocked: kernel_for cannot import packed.py
+    monkeypatch.delattr(twistlab, "packed")
+    monkeypatch.setitem(sys.modules, "twistlab.packed", None)
+    dw, want = images()
+    assert all(isinstance(m, SparseMatrix) for m in want)
+    for m, ref in zip(got, want):
+        assert list(m.entries()) == list(ref.entries()) and ref.rows

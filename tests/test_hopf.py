@@ -6,10 +6,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab import exact as exact_kernel
+from twistlab import exact as exact_kernel, expr
 from twistlab.errors import DimensionMismatch, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
+    PACKED_FLOOR,
     add,
     contragredient_morphism,
     coproduct_morphism,
@@ -17,12 +18,12 @@ from twistlab.expr import (
     eval_expr,
     fundamental_morphism,
     gen,
+    kernel_for,
     mul,
     scal,
     sigma_power,
 )
 from twistlab.hopf import (
-    PACKED_FLOOR,
     Tally,
     TwistedCoalgebra,
     _antipode_contraction,
@@ -30,7 +31,6 @@ from twistlab.hopf import (
     coassociativity_check,
     cocycle_check,
     counit_check,
-    kernel_for,
     r_matrix_checks,
     twist_antipode_correction,
     verify_dragging,
@@ -132,7 +132,7 @@ def test_coassociativity_fails_for_a_non_cocycle(witness, twist, residual, dims)
     assert (res.passed, res.residual_nnz, res.dims) == (False, residual, dims)
 
 
-# Doubled witness at N = 5: 15,625-dim three-leg spaces, above hopf.PACKED_FLOOR.
+# Doubled witness at N = 5: 15,625-dim three-leg spaces, above expr.PACKED_FLOOR.
 # The residuals are those the Python kernel gives.
 THREE_LEG_N5 = [
     ("cocycle", "bare", 2765),
@@ -199,7 +199,7 @@ def test_three_leg_checks_above_the_packed_floor(check, twist, residual, limit, 
 
 
 # Doubled witness at N = 6, r = 3: the nine states and the 2-Jordanian block
-# on 1,296-dim two-leg spaces, above hopf.PACKED_FLOOR, as [name, passed,
+# on 1,296-dim two-leg spaces, above expr.PACKED_FLOOR, as [name, passed,
 # residual, dims, comparisons] in report order.  The rows are those the Python
 # kernel gives.
 NINE_STATES_N6 = [["2jordanian[N=6]", True, 0, 1296, 12]] + [
@@ -207,22 +207,30 @@ NINE_STATES_N6 = [["2jordanian[N=6]", True, 0, 1296, 12]] + [
 ]
 
 
-def _nine_states_n6():
+def _doubled_n6_rows(suites):
+    """[name, passed, residual, dims, comparisons] of the suites in the doubled
+    witness at N = 6, r = 3; comparisons counts Tally.equal and Tally.nonzero."""
     counts = {}
-    equal = Tally.equal
+    equal, nonzero = Tally.equal, Tally.nonzero
 
-    def counted(self, lhs, rhs):
-        counts[self.name] = counts.get(self.name, 0) + 1
-        equal(self, lhs, rhs)
+    def counted(method):
+        def count(self, *args):
+            counts[self.name] = counts.get(self.name, 0) + 1
+            method(self, *args)
+        return count
 
-    Tally.equal = counted
+    Tally.equal, Tally.nonzero = counted(equal), counted(nonzero)
     try:
-        report = run_suite(SuiteConfig(n=6, suites=("nine-states",), r_values=(3,),
+        report = run_suite(SuiteConfig(n=6, suites=tuple(suites), r_values=(3,),
                                        witness="doubled"))
     finally:
-        Tally.equal = equal
+        Tally.equal, Tally.nonzero = equal, nonzero
     return [[r.name, r.passed, r.residual_nnz, r.dims, counts.get(r.name, 0)]
             for r in report.results]
+
+
+def _nine_states_n6():
+    return _doubled_n6_rows(["nine-states"])
 
 
 @pytest.mark.parametrize("limit", [None, 2 ** 10], ids=["int64", "forced-fallback"])
@@ -232,9 +240,9 @@ def test_two_leg_state_checks_above_the_packed_floor(limit, monkeypatch):
     used = []
     init = TwistedCoalgebra.__init__
 
-    def spy(self, *args, kernel=exact_kernel, **kwargs):
-        used.append(kernel.__name__.rsplit(".", 1)[-1])
-        init(self, *args, kernel=kernel, **kwargs)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        used.append(self.kernel.__name__.rsplit(".", 1)[-1])
 
     monkeypatch.setattr(TwistedCoalgebra, "__init__", spy)
     wide = _widened(packed, monkeypatch)
@@ -256,31 +264,86 @@ def test_kernel_for_picks_packed_only_where_its_keys_fit():
     assert kernel_for(2 ** 32) is exact_kernel
 
 
-def test_three_leg_checks_without_numpy():
-    code = (
-        "import json, sys\n"
-        "sys.modules['numpy'] = None\n"
-        "from test_hopf import THREE_LEG_N5, _three_leg_n5, _nine_states_n6\n"
-        "rows = [[c, t, *_three_leg_n5(c, t)] for c, t, _ in THREE_LEG_N5]\n"
-        "print(json.dumps([rows, _nine_states_n6(), 'twistlab.packed' in sys.modules]))\n"
-    )
+def _without_numpy(code: str):
+    """The JSON of the last line `code` prints, run with numpy blocked and
+    this directory importable."""
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(here, "..", "src"), here, env.get("PYTHONPATH", "")])
+    code = "import sys\nsys.modules['numpy'] = None\n" + code
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=240)
     assert res.returncode == 0, res.stderr
-    rows, states, imported = json.loads(res.stdout.splitlines()[-1])
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_three_leg_checks_without_numpy():
+    code = (
+        "import json\n"
+        "from test_hopf import THREE_LEG_N5, _three_leg_n5, _nine_states_n6\n"
+        "rows = [[c, t, *_three_leg_n5(c, t)] for c, t, _ in THREE_LEG_N5]\n"
+        "print(json.dumps([rows, _nine_states_n6(), 'twistlab.packed' in sys.modules]))\n"
+    )
+    rows, states, imported = _without_numpy(code)
     assert not imported
     assert rows == [[c, t, r == 0, r, 15625] for c, t, r in THREE_LEG_N5]
     assert states == NINE_STATES_N6
 
 
+# Doubled witness at N = 6, r = 3: the suites whose coalgebras are twisted
+# over the 1,296-dim coproduct, rows as in NINE_STATES_N6.  The rows are
+# those the Python kernel gives.
+COPRODUCT_SUITES = ["antipode", "rmatrix", "matreshka", "transitions"]
+COPRODUCT_SUITES_N6 = [
+    ["antipode[Eg(r=3,b=1/2)*Jg(a=1/2),N=6]", True, 0, 36, 9],
+    ["antipode[J(1,6),N=6]", True, 0, 36, 5],
+    ["matreshka[N=6]", True, 0, 1296, 19],
+    ["rmatrix[E(2,4,5)*E(2,3,5)*J(2,5)*E(1,5,6)*E(1,4,6)*E(1,3,6)*E(1,2,6)*J(1,6),N=6]",
+     True, 0, 46656, 2],
+    ["rmatrix[Eg(r=3,b=1/2)*Jg(a=1/2),N=6]", True, 0, 46656, 2],
+    ["rmatrix[J(1,6),N=6]", True, 0, 46656, 2],
+    ["transitions[N=6]", True, 0, 1296, 18],
+]
+
+
+def test_coproduct_suites_agree_in_every_kernel(monkeypatch):
+    packed = pytest.importorskip("twistlab.packed")
+    code = (
+        "import json\n"
+        "from test_hopf import COPRODUCT_SUITES, _doubled_n6_rows\n"
+        "rows = _doubled_n6_rows(COPRODUCT_SUITES)\n"
+        "print(json.dumps([rows, 'twistlab.packed' in sys.modules]))\n"
+    )
+    rows, imported = _without_numpy(code)
+    assert not imported
+    assert rows == COPRODUCT_SUITES_N6
+
+    used = set()
+    init = TwistedCoalgebra.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        used.add(self.kernel.__name__.rsplit(".", 1)[-1])
+
+    monkeypatch.setattr(TwistedCoalgebra, "__init__", spy)
+    assert _doubled_n6_rows(COPRODUCT_SUITES) == COPRODUCT_SUITES_N6
+    assert used == {"packed"}
+    # every operation goes on in Python ints from its first product
+    wide = _widened(packed, monkeypatch)
+    monkeypatch.setattr(packed, "INT64_MAX", 2 ** 10)
+    assert _doubled_n6_rows(COPRODUCT_SUITES) == COPRODUCT_SUITES_N6
+    assert wide
+
+
 @pytest.mark.parametrize("kernel", ["exact", "packed"])
-def test_a_twist_is_built_only_in_legs_of_its_own_n(kernel):
+def test_a_twist_is_built_only_in_legs_of_its_own_n(kernel, monkeypatch):
     # a twist of gl(6) evaluated in gl(7) legs is some matrix, but not that twist
-    kernel = exact_kernel if kernel == "exact" else pytest.importorskip("twistlab.packed")
+    if kernel == "exact":
+        # the doubled coproduct at N = 7 has 2,401 dims
+        monkeypatch.setattr(expr, "PACKED_FLOOR", 2402)
+    else:
+        pytest.importorskip("twistlab.packed")
     seq = sequence(jordanian_factor(6, 1))
     f7 = fundamental_morphism(7)
     with pytest.raises(DimensionMismatch):
@@ -288,8 +351,7 @@ def test_a_twist_is_built_only_in_legs_of_its_own_n(kernel):
     with pytest.raises(DimensionMismatch):
         counit_check(seq, f7)
     with pytest.raises(DimensionMismatch):
-        TwistedCoalgebra(costructure_table("J1J0", 6, 3).twist_recipe, coproduct_morphism(7),
-                         kernel=kernel)
+        TwistedCoalgebra(costructure_table("J1J0", 6, 3).twist_recipe, coproduct_morphism(7))
 
 
 def test_cocycle_extension_over_jordanian_base():

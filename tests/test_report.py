@@ -371,21 +371,25 @@ def test_a_doubled_run_builds_one_coproduct(monkeypatch):
 
 
 def test_a_run_frees_its_witness(monkeypatch):
-    for witness, build in list(WITNESSES.items()):
+    builds = dict(WITNESSES)
+    runs = [SuiteConfig(n=4, suites=("twist-axioms", "chain"), witness=w) for w in builds]
+    # the doubled coproduct at N = 6 has 1,296 dims, so its images are built in packed.py
+    runs.append(SuiteConfig(n=6, suites=("nine-states",), r_values=(3,), witness="doubled"))
+    for cfg in runs:
         refs = []
 
-        def kept(n, build=build):
+        def kept(n, build=builds[cfg.witness]):
             w = build(n)
             refs.append(weakref.ref(w))
             return w
 
-        monkeypatch.setitem(WITNESSES, witness, kept)
+        monkeypatch.setitem(WITNESSES, cfg.witness, kept)
         gc.disable()
         try:
             # only reference counting frees here: a cycle through the witness
             # would keep it and its caches alive
-            run_suite(SuiteConfig(n=4, suites=("twist-axioms", "chain"), witness=witness))
-            assert len(refs) == 1 and refs[0]() is None, witness
+            run_suite(cfg)
+            assert len(refs) == 1 and refs[0]() is None, (cfg.witness, cfg.n)
         finally:
             gc.enable()
 

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from twistlab import hopf, states
+from twistlab import expr, hopf, states
 from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
@@ -247,10 +247,11 @@ def test_a_flipped_sign_fails_the_same_in_both_kernels(monkeypatch):
     assert entries["e2r"] == ((1, Combinator("Pplus", i=2)), (1, Combinator("S1minus")))
     flipped = {**entries, "e2r": ((1, Combinator("Pplus", i=2)), (-1, Combinator("S1minus")))}
     monkeypatch.setitem(STATES, "E0J1J0", (labels, flipped))
-    w = delta_morphism(fundamental_morphism(6), fundamental_morphism(6))
     rows = []
-    for floor in (hopf.PACKED_FLOOR, w.dim ** 2 + 1):
-        monkeypatch.setattr(hopf, "PACKED_FLOOR", floor)
+    for floor in (expr.PACKED_FLOOR, 36 ** 2 + 1):
+        monkeypatch.setattr(expr, "PACKED_FLOOR", floor)
+        # a fresh witness: its coproduct takes the kernel of the floor it is built under
+        w = delta_morphism(fundamental_morphism(6), fundamental_morphism(6))
         res = verify_state("E0J1J0", 3, w)
         rows.append((res.passed, res.residual_nnz, res.dims))
     assert rows == [(False, 168, 1296)] * 2
