@@ -250,6 +250,25 @@ def delta_morphism(left: Morphism, right: Morphism) -> Morphism:
     return out
 
 
+def kept_in_legs(left: Morphism, right: Morphism, key, kernel, build):
+    """build() in the two legs (left, right), kept under `key` beside their coproduct.
+
+    A value is kept only in a witness's own two legs (left is right) whose
+    coproduct delta_morphism(left, left) is already kept, and only when
+    `kernel` is that coproduct's kernel, so each key has one kernel.  It goes
+    into the coproduct's cache of evaluated images, in canonical form, and is
+    freed with it; every other pair of legs (mixed, three- or four-leg)
+    builds it on each call.  Callers never mutate what comes back.
+    """
+    delta = left._delta if left is right else None
+    if delta is None or kernel is not delta.kernel:
+        return build()
+    got = delta._cache.get(key)
+    if got is None:
+        got = delta._cache[key] = build().reduced()
+    return got
+
+
 def coproduct_morphism(n: int) -> Morphism:
     """Undeformed coproduct on the fundamental legs (also the doubled witness)."""
     f = fundamental_morphism(n)

@@ -20,6 +20,7 @@ from .expr import (
     eval_expr,
     eval_tensor_pairs,
     gen,
+    kept_in_legs,
     kernel_for,
     zero_morphism,
 )
@@ -74,7 +75,11 @@ class Tally:
 
 
 def _unipotent_pair(part, kernel):
-    """(1 + part, (1 + part)^-1) in `kernel`, the inverse as the finite series."""
+    """(1 + part, (1 + part)^-1) in `kernel`, the inverse as the finite series.
+
+    part is reduced first: every power of the series is a product with it.
+    """
+    part = part.reduced()
     return ((kernel.identity(part.dim) + part).reduced(),
             kernel.analytic_apply(pow1p(-1), part).reduced())
 
@@ -90,7 +95,9 @@ class TwistedCoalgebra:
     be unipotent in those legs: F^-1 is the finite series (1 + (F - 1))^-1,
     and an F - 1 that is not nilpotent raises NotNilpotent.  F, F^-1, every
     conjugation and `expected` are built in `kernel`, that of `delta`, so in
-    the kernel D(x) is evaluated in.
+    the kernel D(x) is evaluated in.  In the witness's own legs each factor
+    part and each `expected` entry is built once and kept beside the
+    witness's coproduct (expr.kept_in_legs).
     """
 
     def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None):
@@ -98,7 +105,7 @@ class TwistedCoalgebra:
         self.right = right if right is not None else witness
         self.delta = delta_morphism(self.witness, self.right)
         self.kernel = self.delta.kernel
-        part = nilpotent_part(seq, self.witness, self.right, self.kernel).reduced()
+        part = nilpotent_part(seq, self.witness, self.right, self.kernel)
         self.f_mat, self.f_inv = _unipotent_pair(part, self.kernel)
 
     def conjugate(self, m):
@@ -109,7 +116,9 @@ class TwistedCoalgebra:
 
     def expected(self, pairs):
         """Evaluate a symbolic two-leg sum in the same pair of legs and kernel."""
-        return eval_tensor_pairs(pairs, self.witness, self.right, self.kernel)
+        pairs = tuple(pairs)
+        return kept_in_legs(self.witness, self.right, pairs, self.kernel,
+                            lambda: eval_tensor_pairs(pairs, self.witness, self.right, self.kernel))
 
 
 def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
@@ -130,10 +139,11 @@ def _parts_in(kernel, seq: TwistSequence, w: Morphism, dw: Morphism):
     """The nilpotent parts G - 1 of F12 (dw x id)(F) and F23 (id x dw)(F), in `kernel`.
 
     dw is the coproduct the twist is applied over, in the witness legs; no
-    three-leg identity is built.
+    three-leg identity is built.  F12 and F23 come from F in the witness's
+    own two legs, built in their kernel as every coalgebra builds it there.
     """
     ident = SparseMatrix.identity(w.dim)
-    f2 = nilpotent_part(seq, w, w, kernel)
+    f2 = nilpotent_part(seq, w, w, kernel_for(w.dim ** 2))
     lhs = kernel.unipotent_product(kernel.kron(f2, ident), nilpotent_part(seq, dw, w, kernel))
     rhs = kernel.unipotent_product(kernel.kron(ident, f2), nilpotent_part(seq, w, dw, kernel))
     return lhs, rhs

@@ -18,7 +18,11 @@ goes on in the same arrays with the numerators cast to Python ints (numpy's
 object dtype), whose sorts, sums, products and compares are exact.  Packing
 a SparseMatrix is checked by numpy itself, which refuses a Python int
 outside int64, and takes the same three steps.  No float is formed
-anywhere: sums are taken by sorting the keys and `np.add.reduceat`.
+anywhere: sums are taken by sorting the keys and `np.add.reduceat`.  The
+terms arrive as runs already in key order (a product's terms per entry of
+a, a sum's operands, a series' powers, a kron's pairs per entry of a), so
+the sort is numpy's stable one, timsort for int64 keys, which merges runs
+instead of sorting from scratch.
 
 numpy is imported with this module, and only expr.kernel_for imports it,
 for the spaces that reach expr.PACKED_FLOOR dims: every Morphism that large
@@ -204,7 +208,7 @@ def _summed(dim: int, keys, vals, den: int) -> Packed:
     """
     if not len(keys):
         return Packed(dim, keys, vals)
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     vals = vals[order]
     del order
@@ -264,7 +268,7 @@ def _from_sparse(m: SparseMatrix, dtype) -> Packed:
     cols = np.fromiter(chain.from_iterable(m.rows.values()), np.int64, nnz)
     vals = np.fromiter(chain.from_iterable(map(dict.values, m.rows.values())), dtype, nnz)
     keys = (rows - 1) * d + cols - 1
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     return Packed(d, keys[order], vals[order], m.den)
 
 
@@ -286,7 +290,7 @@ def kron(a, b) -> Packed:
     keys += cb
     keys = keys.ravel()
     vals = (a.vals[:, None] * b.vals).ravel()
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     return Packed(dim, keys, vals[order], a.den * b.den)
 

@@ -25,6 +25,7 @@ from .expr import (
     eval_expr,
     eval_tensor_pairs,
     gen,
+    kept_in_legs,
     mul,
     scal,
     sigma,
@@ -177,9 +178,11 @@ def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism, ker
 
     `kernel` is the module whose kron, sum and series build it: exact.py,
     or packed.py, which expr.kernel_for picks for large spaces and which a
-    leg evaluated there needs.
+    leg evaluated there needs.  In a witness's own two legs the part is
+    built once and kept beside the witness's coproduct (expr.kept_in_legs).
     """
-    return kernel.analytic_apply(EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel))
+    return kept_in_legs(left, right, factor, kernel, lambda: kernel.analytic_apply(
+        EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel)))
 
 
 def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism, kernel=exact):

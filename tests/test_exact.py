@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -712,3 +713,68 @@ def test_sums_and_compares_take_either_order():
         assert tally.residual == 4
         assert lhs + rhs == one
         assert (lhs - rhs).nnz == 4
+
+
+@contextmanager
+def shuffled_terms(seed):
+    """packed._summed given its term arrays in a random order, not as runs."""
+    summed, rng = packed._summed, packed.np.random.default_rng(seed)
+
+    def shuffled(dim, keys, vals, den):
+        order = rng.permutation(len(keys))
+        return summed(dim, keys[order], vals[order], den)
+
+    packed._summed = shuffled
+    try:
+        yield
+    finally:
+        packed._summed = summed
+
+
+def same_arrays(x, y):
+    assert (x.dim, x.den) == (y.dim, y.den)
+    assert x.keys.dtype == y.keys.dtype and x.vals.dtype == y.vals.dtype
+    assert packed.np.array_equal(x.keys, y.keys) and packed.np.array_equal(x.vals, y.vals)
+
+
+@needs_numpy
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(-3, 3)), max_size=40),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_packed_sums_do_not_depend_on_term_order(terms, wide, seed):
+    # the terms of one 4 x 4 matrix over den 6, repeated keys summed
+    np = packed.np
+    scale = 2 ** 63 + 1 if wide else 1
+    keys = np.array([k for k, _ in terms], dtype=np.int64)
+    vals = np.array([v * scale for _, v in terms], dtype=object if wide else np.int64)
+    want: dict = {}
+    for k, v in terms:
+        want[divmod(k, 4)] = want.get(divmod(k, 4), 0) + Fraction(v, 6)
+    order = np.argsort(keys, kind="stable")
+    got = packed._summed(4, keys[order], vals[order], 6 * scale)
+    with shuffled_terms(seed):
+        same_arrays(packed._summed(4, keys, vals, 6 * scale), got)
+    assert as_fractions(unpacked(got, object if wide else "int64")) == \
+        {(i + 1, j + 1): v for (i, j), v in nonzero(want).items()}
+
+
+nilpotent_pairs = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(nilpotent_matrices(dim=d), nilpotent_matrices(dim=d)))
+
+
+@needs_numpy
+@example((full_shift(5).scale(rat(-3, 4)), full_shift(5)), EXPM1, 0)
+@given(nilpotent_pairs, st.sampled_from(SERIES + [EXPM1]), st.integers(0, 2 ** 32 - 1))
+def test_packed_kernels_do_not_depend_on_term_order(pair, fn, seed):
+    # a sum, a unipotent product and a series, int64 then widened, each built
+    # from its runs and from the same terms shuffled, and each against exact.py
+    a, b = pair
+    want = [a + b, unipotent_product(a, b), analytic_apply(fn, a)]
+    for pa, pb, dtype in ((packed.pack(a), packed.pack(b), "int64"),
+                          (widened(a), widened(b), object)):
+        ops = (lambda: pa + pb, lambda: packed.unipotent_product(pa, pb),
+               lambda: packed.analytic_apply(fn, pa))
+        for op, exact_result in zip(ops, want):
+            got = op()
+            with shuffled_terms(seed):
+                same_arrays(op(), got)
+            assert as_fractions(unpacked(got, dtype)) == as_fractions(exact_result)

@@ -8,7 +8,7 @@ import pytest
 from twistlab import exact, hopf, report
 from twistlab.errors import ConfigInvalid
 from twistlab.exact import AnalyticFnSpec, SparseMatrix, kron
-from twistlab.expr import Morphism, delta_morphism, eval_expr
+from twistlab.expr import Morphism, delta_morphism, eval_expr, eval_tensor_pairs
 from twistlab.hopf import Tally
 from twistlab.rationals import rat
 from twistlab.report import (
@@ -23,6 +23,7 @@ from twistlab.report import (
     load_matrix,
     run_suite,
 )
+from twistlab.twists import TwistFactor, materialize_factor
 
 
 def test_config_validation():
@@ -416,6 +417,10 @@ def test_a_shared_coproduct_changes_no_row_and_no_matrix(witness, n, left_out, w
     shared = WITNESSES[witness](n)
     monkeypatch.setitem(WITNESSES, witness, lambda _: shared)
     assert _rows(run_suite(cfg)) == fresh
+    held = delta_morphism(shared, shared)._cache
+    # every value the first run kept, with a copy of what it stores: a caller
+    # that mutated a shared part would change it under the second run
+    first = {key: (value, _stored(value)) for key, value in held.items()}
     if wide:
         packed = pytest.importorskip("twistlab.packed")
         # every packed operation of the second run widens to Python ints, over
@@ -432,15 +437,31 @@ def test_a_shared_coproduct_changes_no_row_and_no_matrix(witness, n, left_out, w
     assert _rows(run_suite(cfg)) == fresh
     if wide:
         assert any(widened)
+    for key, (value, stored) in first.items():
+        assert held[key] is value and _stored(value) == stored, key
 
-    held = delta_morphism(shared, shared)._cache
     new = WITNESSES[witness](n)
     new_delta = delta_morphism(new, new)
-    assert held
+    kinds = set()
     for key, value in held.items():
         if key == "I":
             assert value == new_delta.identity
+        elif isinstance(key, TwistFactor):
+            kinds.add("factor part")
+            assert value == materialize_factor(key, new, new, kernel=new_delta.kernel), key
+        elif isinstance(key, tuple) and isinstance(key[0], tuple):
+            kinds.add("table entry")
+            assert value == eval_tensor_pairs(key, new, new, new_delta.kernel), key
         elif isinstance(key, tuple):
             assert value == new_delta.gen(*key)
         else:
+            kinds.add("image")
             assert value == eval_expr(key, new_delta), key
+    assert kinds == {"factor part", "table entry", "image"}
+
+
+def _stored(m) -> tuple:
+    """A copy of every field a SparseMatrix or Packed matrix stores."""
+    if isinstance(m, SparseMatrix):
+        return m.dim, m.den, {i: dict(row) for i, row in m.rows.items()}
+    return m.dim, m.den, str(m.keys.dtype), m.keys.tolist(), str(m.vals.dtype), m.vals.tolist()
