@@ -20,8 +20,10 @@ coalgebras twisted over it, and the three-leg checks) are built instead in
 packed.py's numpy arrays, in int64 wherever a bound proves it safe and in
 Python ints elsewhere (see expr.kernel_for).
 Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
-nilpotent matrices as finite series, each summed in place over one common
-denominator.  There is no generic matrix inverse: every inverse the package
+nilpotent matrices as finite series.  A series of K terms reads its
+coefficients as one int table, numerators over one den q_K, and is summed
+in place over the den q_K * m.den^K, known before the first term since
+m^k has den m.den^k.  There is no generic matrix inverse: every inverse the package
 needs is of the form 1 + nilpotent and is taken as the series (1+m)^-1.
 Unipotent elements 1 + a are carried as their nilpotent part a (EXPM1 gives
 exp(m) - 1), and `unipotent_product` multiplies two of them as
@@ -39,11 +41,16 @@ from .rationals import Rational, ZERO, binomial_general, rat
 
 @dataclass(frozen=True)
 class AnalyticFnSpec:
-    """One of exp(m), exp(m) - 1, log(1+m), (1+m)^q; q rational, only for pow1p."""
+    """One of exp(m), exp(m) - 1, log(1+m), (1+m)^q; q rational, only for pow1p.
+
+    Per value, one memo holds each coefficient c_k and each table of the
+    first K of them as int numerators over one den (see numerators); a
+    spec binds it on first use, so a pow1p(q) built again shares it.
+    """
 
     kind: str  # "exp" | "expm1" | "log1p" | "pow1p"
     exponent: Optional[Rational] = None
-    _memos = {}  # not a field: (kind, exponent) -> {k: c_k}, one per value
+    _memos = {}  # not a field: value -> ({k: c_k}, {K: table}), one per value
 
     def __post_init__(self):
         if self.kind not in ("exp", "expm1", "log1p", "pow1p"):
@@ -56,20 +63,42 @@ class AnalyticFnSpec:
         """exp and pow1p start at 1; expm1 and log1p have no constant term."""
         return self.kind in ("exp", "pow1p")
 
-    def coefficient(self, k: int) -> Rational:
-        """c_k, the coefficient of m^k (k >= 1) in the series.
-
-        Computed once per (value, k), in a memo the spec binds on first use:
-        a pow1p(q) built again reads the same entry, and later calls hash nothing.
-        """
+    def _value_memo(self) -> tuple:
         memo = self.__dict__.get("_memo")
-        if memo is None:  # the frozen dataclass's own __dict__, as cached_property writes
-            memo = self.__dict__["_memo"] = self._memos.setdefault((self.kind, self.exponent), {})
-        if k not in memo:
-            memo[k] = (rat(1, factorial(k)) if self.kind in ("exp", "expm1")
-                       else rat((-1) ** (k + 1), k) if self.kind == "log1p"
-                       else binomial_general(self.exponent, k))
-        return memo[k]
+        if memo is None:
+            # keyed by the kind, or by q's ints for pow1p(q): an int tuple hashes
+            # far faster than a Fraction, and a spec is built per call
+            q = self.exponent
+            key = self.kind if q is None else (q.numerator, q.denominator)
+            memo = self._memos.get(key)
+            if memo is None:
+                memo = self._memos[key] = ({}, {})
+            self.__dict__["_memo"] = memo  # the frozen dataclass's own __dict__, as cached_property writes
+        return memo
+
+    def coefficient(self, k: int) -> Rational:
+        """c_k, the coefficient of m^k (k >= 1) in the series, computed once per (value, k)."""
+        coefficients = self._value_memo()[0]
+        if k not in coefficients:
+            coefficients[k] = (rat(1, factorial(k)) if self.kind in ("exp", "expm1")
+                               else rat((-1) ** (k + 1), k) if self.kind == "log1p"
+                               else binomial_general(self.exponent, k))
+        return coefficients[k]
+
+    def numerators(self, terms: int) -> tuple:
+        """((n_1, ..., n_K), q_K) with c_k = n_k / q_K, q_K the lcm of c_1..c_K's dens.
+
+        K = terms; K = 0 gives ((), 1) without binding the memo.  Built once per (value, K).
+        """
+        if not terms:
+            return (), 1
+        tables = self._value_memo()[1]
+        table = tables.get(terms)
+        if table is None:
+            cs = [self.coefficient(k) for k in range(1, terms + 1)]
+            q = lcm(1, *(c.denominator for c in cs))
+            table = tables[terms] = (tuple(c.numerator * (q // c.denominator) for c in cs), q)
+        return table
 
 
 EXP = AnalyticFnSpec("exp")
@@ -341,46 +370,47 @@ def swap_matrix(d: int) -> SparseMatrix:
 # -- nilpotency and analytic series ---------------------------------------
 
 
-def _powers(m: SparseMatrix) -> Iterator[SparseMatrix]:
-    """Yield m, m^2, ... up to the last nonzero power, one product per step.
+def _powers(m) -> list:
+    """[m, m^2, ..., the last nonzero power], one product per step.
 
     A nilpotent m of dimension d has m^d = 0, so a nonzero m^d proves that
     m is not nilpotent.
     """
-    power, k = m, 1
+    chain, power = [], m
     while not power.is_zero():
-        if k >= m.dim:
-            raise NotNilpotent(f"m^{k} != 0 for dim {m.dim}")
-        yield power
+        if len(chain) + 1 >= m.dim:
+            raise NotNilpotent(f"m^{len(chain) + 1} != 0 for dim {m.dim}")
+        chain.append(power)
         power = power * m
-        k += 1
+    return chain
 
 
 def nilpotency_index(m: SparseMatrix) -> int:
     """Smallest k with m^k = 0; raises NotNilpotent if there is none."""
-    return 1 + sum(1 for _ in _powers(m))
+    return 1 + len(_powers(m))
 
 
-def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix) -> SparseMatrix:
+def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix, powers: Optional[list] = None) -> SparseMatrix:
     """Finite-series value of fn on a nilpotent matrix, exactly.
 
-    The series is summed in place over one running common denominator; it
-    starts from the identity for exp and pow1p and from zero for expm1 and
-    log1p, which have no constant term.
+    `powers` is m's chain [m, ..., m^K] as _powers builds it, when the caller
+    has it already.  A product never reduces, so m^k has den d^k with
+    d = m.den, and with fn's table c_k = n_k / q_K the sum's den is
+    q_K * d^K: term k goes in as n_k * d^(K-k) times m^k's numerators.  The
+    rows start from the identity (numerators q_K * d^K) for exp and pow1p and
+    empty for expm1 and log1p, which have no constant term.
     """
-    rows: dict = {i: {i: 1} for i in range(1, m.dim + 1)} if fn.has_identity_term else {}
-    den = 1
-    for k, power in enumerate(_powers(m), 1):
-        c = fn.coefficient(k)
-        if c:
-            term_den = power.den * c.denominator
-            f = lcm(den, term_den) // den
-            if f != 1:
-                for row in rows.values():
-                    for j in row:
-                        row[j] *= f
-                den *= f
-            _add_into(rows, power.rows, c.numerator * (den // term_den))
+    if powers is None:
+        powers = _powers(m)
+    nums, q = fn.numerators(len(powers))
+    d = m.den
+    den = q * d ** len(powers)
+    rows: dict = {i: {i: den} for i in range(1, m.dim + 1)} if fn.has_identity_term else {}
+    scale = den // (q * d)  # d^(K-k), from k = 1
+    for n, power in zip(nums, powers):
+        if n:
+            _add_into(rows, power.rows, n * scale)
+        scale //= d
     return SparseMatrix(m.dim, rows, den)
 
 

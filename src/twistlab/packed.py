@@ -309,24 +309,30 @@ def unipotent_product(a, b) -> Packed:
 def analytic_apply(fn, m) -> Packed:
     """The finite series fn(m) of a nilpotent m (see exact.analytic_apply), in one reduce.
 
-    Every power m^k is formed first; the terms c_k m^k then go into one
-    concatenation over the lcm of their dens.
+    Every power m^k is formed first; the terms c_k m^k, c_k = n_k / q from
+    fn's table in lowest terms, then go into one concatenation over the lcm
+    of their dens.  Each term takes its power's own den rather than m.den^k,
+    since _fitting may reduce a power.
     """
     m = pack(m)
-    terms = [(fn.coefficient(k), p) for k, p in enumerate(_powers(m), 1)]
-    terms = [(c, p) for c, p in terms if c]
-    coeffs = [c for c, _ in terms]
+    powers = _powers(m)
+    nums, q = fn.numerators(len(powers))
+    terms = []  # (numerator, den) of c_k in lowest terms, and m^k
+    for n, p in zip(nums, powers):
+        if n:
+            g = gcd(n, q)
+            terms.append((n // g, q // g, p))
 
     def scaled(*powers):
         """(den, the numerator factor of each term over den)."""
-        den = lcm(1, *(p.den * c.denominator for c, p in zip(coeffs, powers)))
-        return den, [c.numerator * (den // (p.den * c.denominator)) for c, p in zip(coeffs, powers)]
+        den = lcm(1, *(p.den * c for (_, c, _), p in zip(terms, powers)))
+        return den, [n * (den // (p.den * c)) for (n, c, _), p in zip(terms, powers)]
 
     def bound(*powers):
         den, factors = scaled(*powers)
         return den * fn.has_identity_term + sum(abs(f) * p.top for f, p in zip(factors, powers))
 
-    powers = _fitting(bound, *(p for _, p in terms))
+    powers = _fitting(bound, *(p for _, _, p in terms))
     den, factors = scaled(*powers)
     keys = [p.keys for p in powers]
     vals = [p.vals * f for f, p in zip(factors, powers)]

@@ -13,6 +13,7 @@ from .exact import (
     LOG1P,
     SparseMatrix,
     _add_into,
+    _powers,
     analytic_apply,
     dump_matrix_text,
     kron,
@@ -166,33 +167,71 @@ def _randint(rng: random.Random, a: int, b: int) -> int:
     return a + r
 
 
-def _case(dim: int, entries) -> SparseMatrix:
-    """Each (i, j, n) as n / 12 at (i, j), the last at a place kept, zeros dropped, reduced."""
+def _random_matrix(rng: random.Random, dim: int) -> SparseMatrix:
+    getrandbits, k = rng.getrandbits, dim.bit_length()
+    while (count := getrandbits(k + 1)) >= 2 * dim:  # randint(1, 2 * dim) - 1
+        pass
     rows: dict = {}
-    for i, j, v in entries:
-        if v:
-            rows.setdefault(i, {})[j] = v
-        elif rows.get(i, {}).pop(j, 0) and not rows[i]:  # a 0 clears its place
+    for _ in range(count + 1):
+        while (i := getrandbits(k)) >= dim:  # randint(1, dim) - 1
+            pass
+        while (j := getrandbits(k)) >= dim:
+            pass
+        while (n := getrandbits(4)) >= 9:  # randint(-4, 4) + 4
+            pass
+        while (d := getrandbits(3)) >= 4:  # randint(1, 4) - 1
+            pass
+        i, j, v = i + 1, j + 1, (n - 4) * (12 // (d + 1))
+        if v:  # as in _case: the last draw at a place is kept, and a 0 clears it
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: v}
+            else:
+                row[j] = v
+        elif (row := rows.get(i)) is not None and row.pop(j, 0) and not row:
             del rows[i]
     return SparseMatrix(dim, rows, 12).reduced()
 
 
-def _random_matrix(rng: random.Random, dim: int) -> SparseMatrix:
-    return _case(dim, [(_randint(rng, 1, dim), _randint(rng, 1, dim),
-                        _randint(rng, -4, 4) * (12 // _randint(rng, 1, 4)))
-                       for _ in range(_randint(rng, 1, 2 * dim))])
+def _case(dim: int, entries, perm) -> SparseMatrix:
+    """Each (i, j, n) as n / 12 at (perm[i - 1], perm[j - 1]), the last at a place kept, zeros dropped, reduced."""
+    rows: dict = {}
+    for i, j, v in entries:
+        i, j = perm[i - 1], perm[j - 1]
+        if v:
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: v}
+            else:
+                row[j] = v
+        elif (row := rows.get(i)) is not None and row.pop(j, 0) and not row:
+            del rows[i]
+    return SparseMatrix(dim, rows, 12).reduced()
 
 
 def _random_nilpotent(rng: random.Random, dim: int) -> SparseMatrix:
-    entries = [((i := _randint(rng, 1, dim - 1)), _randint(rng, i + 1, dim),
-                _randint(rng, -4, 4) * (12 // _randint(rng, 1, 4)))
-               for _ in range(_randint(rng, 1, 2 * dim))]
+    getrandbits, k = rng.getrandbits, (dim - 1).bit_length()
+    while (count := getrandbits(dim.bit_length() + 1)) >= 2 * dim:  # randint(1, 2 * dim) - 1
+        pass
+    entries = []
+    for _ in range(count + 1):
+        while (i := getrandbits(k)) >= dim - 1:  # randint(1, dim - 1) - 1
+            pass
+        span = dim - 1 - i  # randint(i + 2, dim) - (i + 2) below
+        while (j := getrandbits(span.bit_length())) >= span:
+            pass
+        while (n := getrandbits(4)) >= 9:
+            pass
+        while (d := getrandbits(3)) >= 4:
+            pass
+        entries.append((i + 1, i + 2 + j, (n - 4) * (12 // (d + 1))))
     # P m P^T keeps nilpotency but leaves the triangle: (i, j) goes to (perm[i - 1], perm[j - 1])
     perm = list(range(1, dim + 1))
     for p in range(dim - 1, 0, -1):  # rng.shuffle(perm)'s Fisher-Yates
-        j = _randint(rng, 0, p)
+        while (j := getrandbits((p + 1).bit_length())) > p:  # randint(0, p)
+            pass
         perm[p], perm[j] = perm[j], perm[p]
-    return _case(dim, [(perm[i - 1], perm[j - 1], v) for i, j, v in entries])
+    return _case(dim, entries, perm)
 
 
 def _random_polynomials(rng: random.Random, m: SparseMatrix) -> tuple:
@@ -213,7 +252,9 @@ def _random_polynomials(rng: random.Random, m: SparseMatrix) -> tuple:
 def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
     """Randomized exact-core invariants; every case must hold exactly.
 
-    Four laws, cases // 4 cases each and the rest for exp-additivity:
+    Four laws, cases // 4 cases each and the rest for exp-additivity, so
+    cases must be at least 4 (ValueError otherwise: a law with no case
+    would pass with nothing compared):
     mixed-product (A x B)(C x D) = AC x BD, A, C and B, D of dim 2..4;
     exp-log-roundtrip exp(log(1 + m)) = 1 + m; pow1p-inverse
     (1 + m)^q (1 + m)^-q = 1, q = n/d with n in -6..6, d in 1..4; and
@@ -222,13 +263,18 @@ def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
     -4..4, d in 1..4, the last draw at a place kept; a nilpotent m (dim
     2..5) has them above the diagonal, then a random permutation relabels
     its indices.  Cases are built in ints, n/d as n * (12 // d) over den 12,
-    numerator drawn first.  The draws are random.Random's, bit for bit:
-    CPython's randint(a, b) is a + _randbelow(b - a + 1), _randbelow(n)
-    redraws getrandbits(n.bit_length()) until it is below n, and shuffle is
-    Fisher-Yates from the end; _randint and the permutation loop repeat them.
+    numerator drawn first, each matrix's rows written as it draws (a
+    nilpotent's once its permutation is drawn).  The draws are
+    random.Random's, bit for bit: CPython's randint(a, b) is
+    a + _randbelow(b - a + 1), _randbelow(n) redraws
+    getrandbits(n.bit_length()) until it is below n, and shuffle is
+    Fisher-Yates from the end; _randint and the case builders' inline loops
+    repeat them.  pow1p-inverse builds m's power chain once for both series.
     """
+    if cases < 4:
+        raise ValueError(f"core_property_checks needs cases >= 4, got {cases}")
     rng = random.Random(seed)
-    per = max(1, cases // 4)
+    per = cases // 4
     results = []
 
     tally = Tally("core[mixed-product]")
@@ -250,7 +296,8 @@ def core_property_checks(cases: int = 1000, seed: int = 20240801) -> list:
     for _ in range(per):
         m = _random_nilpotent(rng, _randint(rng, 2, 5))
         q = rat(_randint(rng, -6, 6), _randint(rng, 1, 4))
-        lhs = analytic_apply(pow1p(q), m) * analytic_apply(pow1p(-q), m)
+        powers = _powers(m)
+        lhs = analytic_apply(pow1p(q), m, powers) * analytic_apply(pow1p(-q), m, powers)
         tally.equal(lhs, SparseMatrix.identity(m.dim))
     results.append(tally.result())
 

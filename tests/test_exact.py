@@ -1,7 +1,7 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -108,14 +108,17 @@ def test_power_chain_on_full_shift(d, monkeypatch):
     assert len(products) == d - 1
 
 
-@pytest.mark.parametrize("m", [
-    SparseMatrix.unit(1, 1, 1, rat(-2, 3)),
-    SparseMatrix.from_entries(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 1): 1}),
-], ids=["nonzero-1x1", "4-cycle"])
-def test_non_nilpotent_is_rejected(m):
-    with pytest.raises(NotNilpotent):
+@pytest.mark.parametrize("m, k", [
+    (SparseMatrix.unit(1, 1, 1, rat(-2, 3)), 1),
+    (SparseMatrix.from_entries(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 1): 1}), 4),
+    (I2, 2),
+], ids=["nonzero-1x1", "4-cycle", "identity-2"])
+def test_non_nilpotent_is_rejected(m, k):
+    # the message names the first power at the bound m^dim = 0 that is not zero
+    message = rf"^m\^{k} != 0 for dim {m.dim}$"
+    with pytest.raises(NotNilpotent, match=message):
         nilpotency_index(m)
-    with pytest.raises(NotNilpotent):
+    with pytest.raises(NotNilpotent, match=message):
         analytic_apply(LOG1P, m)
 
 
@@ -350,7 +353,7 @@ SERIES = [EXP, LOG1P] + [pow1p(q) for q in (rat(-3, 2), rat(-1), rat(1, 3), rat(
 
 
 def series_coeff(fn, k):
-    if fn.kind == "exp":
+    if fn.kind in ("exp", "expm1"):
         return rat(1, factorial(k))
     if fn.kind == "log1p":
         return rat((-1) ** (k + 1), k)
@@ -359,7 +362,7 @@ def series_coeff(fn, k):
 
 def streaming_series(fn, m):
     """The series summed one new matrix per term: out + c_k * m^k."""
-    out = SparseMatrix.zero(m.dim) if fn.kind == "log1p" else SparseMatrix.identity(m.dim)
+    out = SparseMatrix.identity(m.dim) if fn.has_identity_term else SparseMatrix.zero(m.dim)
     power, k = m, 1
     while not power.is_zero():
         c = series_coeff(fn, k)
@@ -393,6 +396,18 @@ def test_separately_built_specs_share_their_coefficients():
     assert a is not b and a == b
     for k in range(1, 9):
         assert a.coefficient(k) is b.coefficient(k)  # one memo entry per (value, k)
+        assert a.numerators(k) is b.numerators(k)  # and per (value, K)
+
+
+@pytest.mark.parametrize("fn", [EXP, EXPM1, LOG1P, *(pow1p(q) for q in (rat(-3, 2), rat(0), rat(2)))])
+def test_series_table_is_the_coefficients_over_one_den(fn):
+    assert fn.numerators(0) == ((), 1)
+    for terms in range(1, 8):
+        nums, q = fn.numerators(terms)
+        cs = [fn.coefficient(k) for k in range(1, terms + 1)]
+        assert q == lcm(1, *(c.denominator for c in cs))
+        assert [Fraction(n, q) for n in nums] == cs
+        assert fn.numerators(terms) is fn.numerators(terms)  # from the memo
 
 
 @pytest.mark.parametrize("build", [
@@ -429,6 +444,54 @@ def test_series_matches_streaming_sum(m, fn):
     got = analytic_apply(fn, m)
     assert_well_formed(got)
     assert_canonical(got.reduced())
+    assert got == streaming_series(fn, m)
+
+
+ALL_SERIES = SERIES + [EXPM1]
+
+
+def inflated(m, f):
+    """m's value over den f * m.den: gcd(den, numerators) is f, not 1."""
+    return SparseMatrix(m.dim, {i: {j: f * v for j, v in r.items()} for i, r in m.rows.items()},
+                        f * m.den)
+
+
+@example(full_shift(5).scale(rat(1, 2)), EXPM1, 6)
+@given(sized_nilpotents(), st.sampled_from(ALL_SERIES), st.integers(2, 12))
+def test_series_over_a_den_that_is_not_canonical(m, fn, f):
+    wide = inflated(m, f)
+    got = analytic_apply(fn, wide)
+    assert_well_formed(got)
+    assert got == streaming_series(fn, m) == streaming_series(fn, wide)
+
+
+@pytest.mark.parametrize("fn", ALL_SERIES)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_series_of_zero_has_no_terms(fn, dim):
+    got = analytic_apply(fn, SparseMatrix.zero(dim))
+    assert_well_formed(got)
+    assert got == streaming_series(fn, SparseMatrix.zero(dim))
+    assert (got.rows, got.den) == (SparseMatrix.identity(dim).rows if fn.has_identity_term else {}, 1)
+
+
+@example(full_shift(5).scale(rat(-3, 4)), LOG1P)
+@given(sized_nilpotents(), st.sampled_from(ALL_SERIES))
+def test_series_reads_a_chain_it_is_handed(m, fn):
+    chain = exact._powers(m)
+    products = []
+    matmul = SparseMatrix.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return matmul(a, b)
+
+    SparseMatrix.__mul__ = counted
+    try:
+        got = analytic_apply(fn, m, chain)
+    finally:
+        SparseMatrix.__mul__ = matmul
+    assert not products  # no power is formed again
+    assert_well_formed(got)
     assert got == streaming_series(fn, m)
 
 

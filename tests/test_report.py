@@ -135,7 +135,8 @@ def test_nilpotent_permutation_is_random_shuffles(monkeypatch, dim):
     # the entries _random_nilpotent hands on, relabeled by the permutation it
     # drew, against the same draws through randint and shuffle
     handed = []
-    monkeypatch.setattr(report, "_case", lambda d, entries: handed.append(entries))
+    monkeypatch.setattr(report, "_case", lambda d, entries, perm: handed.append(
+        [(perm[i - 1], perm[j - 1], v) for i, j, v in entries]))
     for seed in range(200):
         rng, ref = random.Random(seed), random.Random(seed)
         report._random_nilpotent(rng, dim)
@@ -168,33 +169,62 @@ def _kron_right_transposed(a, b):
     return exact.kron(a, b.transpose())
 
 
-def _series_without_m2(coefficient):
-    return lambda spec, k: 0 * coefficient(spec, k) if k == 2 else coefficient(spec, k)
+def _series_without_m2(numerators):
+    # c_2 = 0 in every series
+    def without_m2(spec, terms):
+        nums, q = numerators(spec, terms)
+        return nums[:1] + (0,) * (terms > 1) + nums[2:], q
+    return without_m2
 
 
-def _pow1p_halved_k1(coefficient):
-    def halved(spec, k):
-        c = coefficient(spec, k)
-        return c / 2 if spec.kind == "pow1p" and k == 1 else c
+def _pow1p_halved_k1(numerators):
+    # c_1 / 2 in every pow1p series: the other numerators double over den 2q
+    def halved(spec, terms):
+        nums, q = numerators(spec, terms)
+        if spec.kind != "pow1p" or not terms:
+            return nums, q
+        return nums[:1] + tuple(2 * n for n in nums[1:]), 2 * q
     return halved
 
 
 # (law, residual) of core_property_checks(400, 3) per deliberately broken kernel
 @pytest.mark.parametrize("target, name, broken, residuals", [
     (report, "kron", lambda _: _kron_right_transposed, (489, 0, 0, 0)),
-    (AnalyticFnSpec, "coefficient", _series_without_m2, (0, 9, 58, 50)),
-    (AnalyticFnSpec, "coefficient", _pow1p_halved_k1, (0, 0, 58, 0)),
+    (AnalyticFnSpec, "numerators", _series_without_m2, (0, 9, 58, 50)),
+    (AnalyticFnSpec, "numerators", _pow1p_halved_k1, (0, 0, 58, 0)),
 ])
 def test_core_laws_catch_a_broken_kernel(monkeypatch, target, name, broken, residuals):
     laws = ["core[mixed-product]", "core[exp-log-roundtrip]",
             "core[pow1p-inverse]", "core[exp-additivity]"]
     clean = core_property_checks(400, 3)
     assert [(r.name, r.residual_nnz) for r in clean] == [(law, 0) for law in laws]
-    # the coefficient memo sits under the patched method, so the mutant takes effect
+    # the table memo sits under the patched method, so the mutant takes effect
     monkeypatch.setattr(target, name, broken(getattr(target, name)))
     got = core_property_checks(400, 3)
     assert [(r.name, r.residual_nnz) for r in got] == list(zip(laws, residuals))
     assert [r.passed for r in got] == [res == 0 for res in residuals]
+
+
+@pytest.mark.parametrize("cases", [-1, 0, 1, 3])
+def test_core_checks_refuse_fewer_than_four_cases(cases):
+    # with cases // 4 == 0 three laws would compare nothing and still pass
+    with pytest.raises(ValueError):
+        core_property_checks(cases, 3)
+
+
+def test_every_core_law_compares_at_four_cases(monkeypatch):
+    counts = {}
+    equal = Tally.equal
+
+    def counted(self, a, b):
+        counts[self.name] = counts.get(self.name, 0) + 1
+        return equal(self, a, b)
+
+    monkeypatch.setattr(Tally, "equal", counted)
+    got = core_property_checks(4, 3)
+    assert all(r.passed for r in got)
+    assert counts == {"core[mixed-product]": 1, "core[exp-log-roundtrip]": 1,
+                      "core[pow1p-inverse]": 1, "core[exp-additivity]": 2}
 
 
 def test_run_suite_small():
