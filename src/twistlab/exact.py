@@ -23,8 +23,9 @@ Also here: analytic functions (exp, exp - 1, log(1+m), (1+m)^q) of
 nilpotent matrices as finite series.  A series of K terms reads its
 coefficients as one int table, numerators over one den q_K, and is summed
 in place over the den q_K * m.den^K, known before the first term since
-m^k has den m.den^k.  There is no generic matrix inverse: every inverse the package
-needs is of the form 1 + nilpotent and is taken as the series (1+m)^-1.
+m^k has den m.den^k.  There is no generic matrix inverse: every inverse
+the package needs is of the form 1 + nilpotent and is taken as the series
+(1+m)^-1.
 Unipotent elements 1 + a are carried as their nilpotent part a (EXPM1 gives
 exp(m) - 1), and `unipotent_product` multiplies two of them as
 (1 + a)(1 + b) - 1 = ab + a + b, so no identity is built or multiplied.
@@ -70,10 +71,8 @@ class AnalyticFnSpec:
             # far faster than a Fraction, and a spec is built per call
             q = self.exponent
             key = self.kind if q is None else (q.numerator, q.denominator)
-            memo = self._memos.get(key)
-            if memo is None:
-                memo = self._memos[key] = ({}, {})
-            self.__dict__["_memo"] = memo  # the frozen dataclass's own __dict__, as cached_property writes
+            # the frozen dataclass's own __dict__, as cached_property writes
+            memo = self.__dict__["_memo"] = self._memos.setdefault(key, ({}, {}))
         return memo
 
     def coefficient(self, k: int) -> Rational:
@@ -390,7 +389,8 @@ def nilpotency_index(m: SparseMatrix) -> int:
     return 1 + len(_powers(m))
 
 
-def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix, powers: Optional[list] = None) -> SparseMatrix:
+def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix,
+                   powers: Optional[list] = None) -> SparseMatrix:
     """Finite-series value of fn on a nilpotent matrix, exactly.
 
     `powers` is m's chain [m, ..., m^K] as _powers builds it, when the caller

@@ -194,7 +194,8 @@ def _random_matrix(rng: random.Random, dim: int) -> SparseMatrix:
 
 
 def _case(dim: int, entries, perm) -> SparseMatrix:
-    """Each (i, j, n) as n / 12 at (perm[i - 1], perm[j - 1]), the last at a place kept, zeros dropped, reduced."""
+    """Each (i, j, n) as n / 12 at (perm[i - 1], perm[j - 1]), the last at a place
+    kept, zeros dropped, reduced."""
     rows: dict = {}
     for i, j, v in entries:
         i, j = perm[i - 1], perm[j - 1]

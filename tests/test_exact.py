@@ -399,7 +399,9 @@ def test_separately_built_specs_share_their_coefficients():
         assert a.numerators(k) is b.numerators(k)  # and per (value, K)
 
 
-@pytest.mark.parametrize("fn", [EXP, EXPM1, LOG1P, *(pow1p(q) for q in (rat(-3, 2), rat(0), rat(2)))])
+@pytest.mark.parametrize("fn", [
+    EXP, EXPM1, LOG1P, *(pow1p(q) for q in (rat(-3, 2), rat(0), rat(2))),
+])
 def test_series_table_is_the_coefficients_over_one_den(fn):
     assert fn.numerators(0) == ((), 1)
     for terms in range(1, 8):
@@ -471,7 +473,8 @@ def test_series_of_zero_has_no_terms(fn, dim):
     got = analytic_apply(fn, SparseMatrix.zero(dim))
     assert_well_formed(got)
     assert got == streaming_series(fn, SparseMatrix.zero(dim))
-    assert (got.rows, got.den) == (SparseMatrix.identity(dim).rows if fn.has_identity_term else {}, 1)
+    ones = SparseMatrix.identity(dim).rows if fn.has_identity_term else {}
+    assert (got.rows, got.den) == (ones, 1)
 
 
 @example(full_shift(5).scale(rat(-3, 4)), LOG1P)
