@@ -14,10 +14,20 @@ contragredient_morphism followed by a transpose, w(S(x)) = w*(x)^T.
 
 Each Morphism evaluates in the kernel kernel_for picks for its dim: exact.py,
 or packed.py, which builds and keeps a large one's every image in numpy arrays.
+
+The leaf builders gen and sigma_power are memoized (see memoized): each
+distinct leaf is built once per process, so equal requests get the identical
+node, with its hash kept, and every Morphism cache lookup of a tree holding
+it hits on identity.  They are pure: a leaf is an immutable tree fixed by the
+arguments alone.  twists.py's factor builders and states.py's generator
+map are memoized the same way.  A memo keeps what its builder returned under
+the code as it was then, so code that patches anything a builder reads
+(roots.cartan_element as twists.py reads it, pow1p, ...) calls clear_memos()
+after patching it and again after restoring it.
 """
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce, wraps
 from operator import add as _plus, mul as _times
 from typing import Callable, Tuple, Union
 
@@ -78,6 +88,43 @@ class Fn:
     __hash__ = _hash_once
 
 
+_MEMOIZED = []  # every memoized builder, emptied by clear_memos
+
+
+def memoized(build):
+    """build, each result kept under its arguments and built once per process.
+
+    Only for a pure builder of an immutable value: equal requests then get
+    the identical object.  The key holds each argument's type beside its
+    value (lru_cache's typed keys), so arguments equal across types (1/2 and
+    0.5, 1 and True) never share a result and each call returns or raises
+    what build itself would.  A call that raises keeps nothing; one with an
+    unhashable argument is built as usual and not kept.
+    """
+    kept = lru_cache(maxsize=None, typed=True)(build)
+    _MEMOIZED.append(kept)
+
+    @wraps(build)
+    def built(*args, **kwargs):
+        try:
+            return kept(*args, **kwargs)
+        except TypeError:
+            try:
+                hash((args, tuple(kwargs.values())))
+            except TypeError:  # an unhashable argument
+                return build(*args, **kwargs)
+            raise
+
+    return built
+
+
+def clear_memos():
+    """Empty every memoized builder's memo, so each builds afresh on next use."""
+    for kept in _MEMOIZED:
+        kept.cache_clear()
+
+
+@memoized
 def gen(i: int, j: int) -> Gen:
     return Gen(i, j)
 
@@ -122,9 +169,10 @@ def sigma(i: int, j: int) -> Fn:
     return Fn(LOG1P, Gen(i, j))
 
 
+@memoized
 def sigma_power(coefficient, i: int, j: int) -> Fn:
     """e^{c * sigma_{ij}} = (1 + E_ij)^c."""
-    return Fn(pow1p(coefficient), Gen(i, j))
+    return Fn(pow1p(coefficient), gen(i, j))
 
 
 def sigma_exponential(*terms) -> Expr:

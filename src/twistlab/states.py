@@ -7,7 +7,8 @@ the S terms carry the column index r, which costructure_table fills in.
 """
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from .errors import IndexOutOfRange, NotApplicable
 from .exact import SparseMatrix
@@ -17,6 +18,7 @@ from .expr import (
     delta_morphism,
     eval_expr,
     gen,
+    memoized,
     mul,
     scal,
     sigma_power,
@@ -172,9 +174,14 @@ EDGE_FACTORS = {
 }
 
 
-def heisenberg_pair_generators(n: int, r: int) -> Dict[str, Expr]:
-    """The eight generators of the single-column block: slot -> E_ij."""
-    return {
+@memoized
+def heisenberg_pair_generators(n: int, r: int) -> Mapping[str, Expr]:
+    """The eight generators of the single-column block: slot -> E_ij.
+
+    Built once per (N, r) (expr.memoized) and shared by every caller, so
+    the mapping is read-only.
+    """
+    return MappingProxyType({
         "e1r": gen(1, r),
         "e2r": gen(2, r),
         "e1n1": gen(1, n - 1),
@@ -183,7 +190,7 @@ def heisenberg_pair_generators(n: int, r: int) -> Dict[str, Expr]:
         "e2n": gen(2, n),
         "ern1": gen(r, n - 1),
         "ern": gen(r, n),
-    }
+    })
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,16 @@ Each factor is 1 + a with a nilpotent, and F is built as its nilpotent part
 F - 1: materialize_factor gives a = exp(argument) - 1, and nilpotent_part
 folds the parts with (1 + a)(1 + b) - 1 = ab + a + b, so no identity of the
 legs' space is built until materialize adds it once.
+
+The factor builders jordanian_factor, extension_factor and external_factor
+are memoized (expr.memoized): each distinct factor, its counit validation
+included, is built once per process, and every cache keyed by it (the parts
+kept beside a witness's coproduct) hits on identity.  They are pure: a
+factor is a frozen tree fixed by (N, k, r) or (N, which), and its counit is
+evaluated in zero_morphism, whose images depend on N alone.  The generic
+factors, whose carrier split alpha varies per run, are built on each call.
+A factor built from a patched input (cartan_element, sigma, ...) stays in
+the memo until expr.clear_memos() empties it.
 """
 
 from dataclasses import dataclass
@@ -26,6 +36,7 @@ from .expr import (
     eval_tensor_pairs,
     gen,
     kept_in_legs,
+    memoized,
     mul,
     scal,
     sigma,
@@ -82,6 +93,7 @@ def sequence(*factors: TwistFactor, n: int = None) -> TwistSequence:
 # -- the concrete factors ---------------------------------------------------
 
 
+@memoized
 def jordanian_factor(n: int, k: int) -> TwistFactor:
     """Chain-step Jordanian exp(H_{k,N-k+1} x sigma_{k,N-k+1})."""
     top = n - k + 1
@@ -92,6 +104,7 @@ def jordanian_factor(n: int, k: int) -> TwistFactor:
     )
 
 
+@memoized
 def extension_factor(n: int, k: int, r: int) -> TwistFactor:
     """exp(E_{k,r} x E_{r,N-k+1} e^{-sigma_{k,N-k+1}/2}), the canonical beta = 1/2."""
     top = n - k + 1
@@ -134,6 +147,7 @@ def chain_twist(n: int, p: int) -> TwistSequence:
     return sequence(*factors, n=n)
 
 
+@memoized
 def external_factor(n: int, which: str) -> TwistFactor:
     """External twisting factors for the 2-Jordanian-twisted algebra, N > 5.
 

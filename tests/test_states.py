@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from twistlab import expr, hopf, states
+from twistlab import expr, hopf, states, twists
 from twistlab.errors import IndexOutOfRange, NotApplicable
 from twistlab.exact import SparseMatrix, kron
 from twistlab.expr import (
@@ -13,9 +13,12 @@ from twistlab.expr import (
     eval_tensor_pairs,
     fundamental_morphism,
     gen,
+    mul,
+    scal,
 )
 from twistlab.hopf import TwistedCoalgebra, verify_dragging
 from twistlab.rationals import rat
+from twistlab.roots import cartan_element
 from twistlab.states import (
     Combinator,
     DIAGRAM_EDGES,
@@ -230,6 +233,8 @@ def test_registry_gives_the_papers_diagram():
 
 
 def test_a_wrong_registry_entry_fails_the_state_and_the_diagram(monkeypatch):
+    # a clean run first: every memoized builder it reaches is then warm
+    assert verify_state("E0J1J0", 3, fundamental_morphism(6)).passed
     labels, entries = STATES["E0J1J0"]
     assert entries["ern"] == ((1, Combinator("R", i=1)),)
     wrong = {**entries, "ern": ((1, Combinator("Pplus", i=1)),)}
@@ -237,6 +242,33 @@ def test_a_wrong_registry_entry_fails_the_state_and_the_diagram(monkeypatch):
     f6 = fundamental_morphism(6)
     assert not verify_state("E0J1J0", 3, f6).passed
     assert not verify_diagram(3, f6).passed
+
+
+def test_a_patched_builder_input_is_seen_once_the_memos_are_cleared(monkeypatch):
+    clean = jordanian_factor(6, 1)
+    assert verify_state("J1J0", 3, fundamental_morphism(6)).passed
+    # H_{1,6} doubled: J(1,6) is no longer the Jordanian twist the table claims
+    monkeypatch.setattr(twists, "cartan_element", lambda n, i, k: mul(scal(2), cartan_element(n, i, k)))
+    try:
+        assert jordanian_factor(6, 1) is clean
+        expr.clear_memos()
+        assert jordanian_factor(6, 1) != clean
+        assert not verify_state("J1J0", 3, fundamental_morphism(6)).passed
+    finally:
+        monkeypatch.undo()
+        expr.clear_memos()
+    assert jordanian_factor(6, 1) == clean
+    assert verify_state("J1J0", 3, fundamental_morphism(6)).passed
+
+
+def test_the_block_generators_are_one_read_only_map():
+    gens = heisenberg_pair_generators(6, 3)
+    assert heisenberg_pair_generators(6, 3) is gens
+    with pytest.raises(TypeError):
+        gens["e1r"] = gen(1, 4)
+    with pytest.raises(TypeError):
+        del gens["ern"]
+    assert len(gens) == 8 and gens["e1r"] is gen(1, 3)
 
 
 def test_a_flipped_sign_fails_the_same_in_both_kernels(monkeypatch):

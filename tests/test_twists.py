@@ -18,10 +18,11 @@ from twistlab.expr import (
     mul,
     scal,
     sigma,
+    sigma_power,
     zero_morphism,
 )
 from twistlab.hopf import TwistedCoalgebra
-from twistlab.rationals import rat
+from twistlab.rationals import HALF, rat
 from twistlab.report import WITNESSES
 from twistlab.roots import carrier_column, cartan_element
 from twistlab.states import costructure_table
@@ -115,6 +116,35 @@ def test_twist_factor_rejects_a_left_leg_with_nonzero_counit():
             twist_factor("bad", 3, [(left, sigma(1, 3))])
     h = cartan_element(3, 1, 3)
     assert twist_factor("J", 3, [(h, sigma(1, 3))]).terms == ((h, sigma(1, 3)),)
+
+
+@pytest.mark.parametrize("build, args", [
+    (gen, (1, 6)),
+    (sigma_power, (HALF, 1, 6)),
+    (jordanian_factor, (6, 1)),
+    (extension_factor, (6, 1, 3)),
+    (external_factor, (6, "E0tilde")),
+    (external_factor, (6, "E1tilde")),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_memoized_builder_returns_one_object_per_request(build, args):
+    assert build(*args) is build(*args)
+
+
+def test_memoized_builders_tell_equal_arguments_of_other_types_apart():
+    # 1/2 == 0.5 and 1 == True, but no builder takes a float or a bool for a rational
+    half = sigma_power(HALF, 1, 6)
+    sigma_power(1, 1, 6), jordanian_factor(6, 1)
+    assert sigma_power(rat(1, 2), 1, 6) is half  # equal values of one type share it
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="rat takes no float or bool"):
+            sigma_power(bad, 1, 6)
+    assert jordanian_factor(6, True).name == "J(True,6)"
+    assert jordanian_factor(6, 1).name == "J(1,6)"
+    # an unhashable argument is built as usual: the builder's own error, or its value
+    with pytest.raises(TypeError, match="argument should be a string or a Rational"):
+        sigma_power([1], 1, 6)
+    assert gen([1], 6).i == [1]
+    assert sigma_power(coefficient=HALF, i=1, j=6) is sigma_power(coefficient=HALF, i=1, j=6)
 
 
 def test_extension_bad_indices():
