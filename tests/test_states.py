@@ -247,7 +247,7 @@ def test_a_wrong_registry_entry_fails_the_state_and_the_diagram(monkeypatch):
 def test_a_patched_builder_input_is_seen_once_the_memos_are_cleared(monkeypatch):
     clean = jordanian_factor(6, 1)
     assert verify_state("J1J0", 3, fundamental_morphism(6)).passed
-    # H_{1,6} doubled: J(1,6) is no longer the Jordanian twist the table claims
+    # every H twists.py builds doubled: J(1,6) is no longer the Jordanian twist the table claims
     monkeypatch.setattr(twists, "cartan_element", lambda n, i, k: mul(scal(2), cartan_element(n, i, k)))
     try:
         assert jordanian_factor(6, 1) is clean

@@ -144,6 +144,7 @@ def test_memoized_builders_tell_equal_arguments_of_other_types_apart():
     with pytest.raises(TypeError, match="argument should be a string or a Rational"):
         sigma_power([1], 1, 6)
     assert gen([1], 6).i == [1]
+    # a keyword request is kept too
     assert sigma_power(coefficient=HALF, i=1, j=6) is sigma_power(coefficient=HALF, i=1, j=6)
 
 
