@@ -14,8 +14,10 @@ contragredient_morphism followed by a transpose, w(S(x)) = w*(x)^T.
 
 Each Morphism evaluates in the kernel kernel_for picks for its dim: exact.py,
 or packed.py, which builds and keeps a large one's every image in numpy arrays.
+A build in two or more legs takes the kernel of the space it is built in,
+kernel_for of the product of the legs' dims, so no caller picks a kernel.
 
-The leaf builders gen and sigma_power are memoized (see memoized): each
+The leaf builders gen, sigma and sigma_power are memoized (see memoized): each
 distinct leaf is built once per process, so equal requests get the identical
 node, with its hash kept, and every Morphism cache lookup of a tree holding
 it hits on identity.  They are pure: a leaf is an immutable tree fixed by the
@@ -27,7 +29,7 @@ after patching it and again after restoring it.
 """
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce, wraps
+from functools import lru_cache, reduce
 from operator import add as _plus, mul as _times
 from typing import Callable, Tuple, Union
 
@@ -98,30 +100,22 @@ def memoized(build):
     the identical object.  The key holds each argument's type beside its
     value (lru_cache's typed keys), so arguments equal across types (1/2 and
     0.5, 1 and True) never share a result and each call returns or raises
-    what build itself would.  A call that raises keeps nothing; one with an
-    unhashable argument is built as usual and not kept.
+    what build itself would.  A call that raises keeps nothing; an
+    unhashable argument raises TypeError.
     """
     kept = lru_cache(maxsize=None, typed=True)(build)
     _MEMOIZED.append(kept)
-
-    @wraps(build)
-    def built(*args, **kwargs):
-        try:
-            return kept(*args, **kwargs)
-        except TypeError:
-            try:
-                hash((args, tuple(kwargs.values())))
-            except TypeError:  # an unhashable argument
-                return build(*args, **kwargs)
-            raise
-
-    return built
+    return kept
 
 
 def clear_memos():
-    """Empty every memoized builder's memo, so each builds afresh on next use."""
+    """Empty every process-wide memo: each memoized builder's, and in place
+    (EXP and every other spec hold them) exact.AnalyticFnSpec's series tables."""
     for kept in _MEMOIZED:
         kept.cache_clear()
+    for tables in AnalyticFnSpec._memos.values():
+        for table in tables:
+            table.clear()
 
 
 @memoized
@@ -164,9 +158,10 @@ def mul(*factors: Expr) -> Expr:
     return Prod(tuple(flat))
 
 
+@memoized
 def sigma(i: int, j: int) -> Fn:
     """sigma_{ij} = log(1 + E_ij)."""
-    return Fn(LOG1P, Gen(i, j))
+    return Fn(LOG1P, gen(i, j))
 
 
 @memoized
@@ -260,7 +255,7 @@ def fundamental_morphism(n: int) -> Morphism:
     return Morphism(n, n, lambda i, j: SparseMatrix.unit(n, i, j), name=f"fund({n})")
 
 
-@cache
+@memoized
 def zero_morphism(n: int) -> Morphism:
     """Sends every generator to 0 in dim 1; realizes the counit.
 
@@ -298,18 +293,18 @@ def delta_morphism(left: Morphism, right: Morphism) -> Morphism:
     return out
 
 
-def kept_in_legs(left: Morphism, right: Morphism, key, kernel, build):
+def kept_in_legs(left: Morphism, right: Morphism, key, build):
     """build() in the two legs (left, right), kept under `key` beside their coproduct.
 
     A value is kept only in a witness's own two legs (left is right) whose
-    coproduct delta_morphism(left, left) is already kept, and only when
-    `kernel` is that coproduct's kernel, so each key has one kernel.  It goes
-    into the coproduct's cache of evaluated images, in canonical form, and is
+    coproduct delta_morphism(left, left) is already kept; build() must make
+    it in that coproduct's kernel, so each key has one kernel.  It goes into
+    the coproduct's cache of evaluated images, in canonical form, and is
     freed with it; every other pair of legs (mixed, three- or four-leg)
     builds it on each call.  Callers never mutate what comes back.
     """
     delta = left._delta if left is right else None
-    if delta is None or kernel is not delta.kernel:
+    if delta is None:
         return build()
     got = delta._cache.get(key)
     if got is None:
@@ -328,7 +323,7 @@ def contragredient_morphism(base: Morphism) -> Morphism:
     return Morphism(
         base.n,
         base.dim,
-        lambda i, j: -base.gen(i, j).transpose(),
+        lambda i, j: base.gen(i, j).transpose().scale(-1),
         name=f"dual[{base.name}]",
     )
 
@@ -354,13 +349,14 @@ def eval_expr(e: Expr, phi: Morphism):
     return out
 
 
-def eval_tensor_pairs(pairs, left: Morphism, right: Morphism, kernel=exact):
+def eval_tensor_pairs(pairs, left: Morphism, right: Morphism, *, kernel=None):
     """Sum of kron(eval(a), eval(b)) over two-leg terms (a, b).
 
     Each leg is evaluated in its own morphism's kernel; the krons and the sum
-    are taken in `kernel` (exact.py or packed.py), which must be packed.py
-    when a leg's is.
+    are taken in the kernel of the legs' space, or in `kernel`, which must be
+    packed.py when a leg's is.
     """
+    kernel = kernel or kernel_for(left.dim * right.dim)
     out = SparseMatrix.zero(left.dim * right.dim)
     for a, b in pairs:
         out = kernel.kron(eval_expr(a, left), eval_expr(b, right)) + out

@@ -74,11 +74,12 @@ class Tally:
         )
 
 
-def _unipotent_pair(part, kernel):
-    """(1 + part, (1 + part)^-1) in `kernel`, the inverse as the finite series.
+def _unipotent_pair(part):
+    """(1 + part, (1 + part)^-1) in part's space's kernel, the inverse as the finite series.
 
     part is reduced first: every power of the series is a product with it.
     """
+    kernel = kernel_for(part.dim)
     part = part.reduced()
     return ((kernel.identity(part.dim) + part).reduced(),
             kernel.analytic_apply(pow1p(-1), part).reduced())
@@ -94,10 +95,10 @@ class TwistedCoalgebra:
     the witness's one coproduct, shared with every other check in it.  F must
     be unipotent in those legs: F^-1 is the finite series (1 + (F - 1))^-1,
     and an F - 1 that is not nilpotent raises NotNilpotent.  F, F^-1, every
-    conjugation and `expected` are built in `kernel`, that of `delta`, so in
-    the kernel D(x) is evaluated in.  In the witness's own legs each factor
-    part and each `expected` entry is built once and kept beside the
-    witness's coproduct (expr.kept_in_legs).
+    conjugation and `expected` are built in the legs' space's kernel, that
+    of `delta`, so in the kernel D(x) is evaluated in.  In the witness's own
+    legs each factor part and each `expected` entry is built once and kept
+    beside the witness's coproduct (expr.kept_in_legs).
     """
 
     def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None):
@@ -105,8 +106,7 @@ class TwistedCoalgebra:
         self.right = right if right is not None else witness
         self.delta = delta_morphism(self.witness, self.right)
         self.kernel = self.delta.kernel
-        part = nilpotent_part(seq, self.witness, self.right, self.kernel)
-        self.f_mat, self.f_inv = _unipotent_pair(part, self.kernel)
+        self.f_mat, self.f_inv = _unipotent_pair(nilpotent_part(seq, self.witness, self.right))
 
     def conjugate(self, m):
         return self.f_mat * m * self.f_inv
@@ -117,8 +117,8 @@ class TwistedCoalgebra:
     def expected(self, pairs):
         """Evaluate a symbolic two-leg sum in the same pair of legs and kernel."""
         pairs = tuple(pairs)
-        return kept_in_legs(self.witness, self.right, pairs, self.kernel,
-                            lambda: eval_tensor_pairs(pairs, self.witness, self.right, self.kernel))
+        return kept_in_legs(self.witness, self.right, pairs,
+                            lambda: eval_tensor_pairs(pairs, self.witness, self.right))
 
 
 def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
@@ -135,17 +135,18 @@ def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
     return tally.result()
 
 
-def _parts_in(kernel, seq: TwistSequence, w: Morphism, dw: Morphism):
-    """The nilpotent parts G - 1 of F12 (dw x id)(F) and F23 (id x dw)(F), in `kernel`.
+def _parts_in(seq: TwistSequence, w: Morphism, dw: Morphism):
+    """The nilpotent parts G - 1 of F12 (dw x id)(F) and F23 (id x dw)(F).
 
     dw is the coproduct the twist is applied over, in the witness legs; no
     three-leg identity is built.  F12 and F23 come from F in the witness's
     own two legs, built in their kernel as every coalgebra builds it there.
     """
+    kernel = kernel_for(dw.dim * w.dim)
     ident = SparseMatrix.identity(w.dim)
-    f2 = nilpotent_part(seq, w, w, kernel_for(w.dim ** 2))
-    lhs = kernel.unipotent_product(kernel.kron(f2, ident), nilpotent_part(seq, dw, w, kernel))
-    rhs = kernel.unipotent_product(kernel.kron(ident, f2), nilpotent_part(seq, w, dw, kernel))
+    f2 = nilpotent_part(seq, w, w)
+    lhs = kernel.unipotent_product(kernel.kron(f2, ident), nilpotent_part(seq, dw, w))
+    rhs = kernel.unipotent_product(kernel.kron(ident, f2), nilpotent_part(seq, w, dw))
     return lhs, rhs
 
 
@@ -169,7 +170,7 @@ def cocycle_check(
                       name=f"delta_F[{base.name}]")
     else:
         dw = delta_morphism(witness, witness)
-    tally.equal(*_parts_in(kernel_for(witness.dim ** 3), seq, witness, dw))
+    tally.equal(*_parts_in(seq, witness, dw))
     return tally.result()
 
 
@@ -207,8 +208,7 @@ def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckRes
     tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
     dw = delta_morphism(witness, witness)
 
-    kernel = kernel_for(witness.dim ** 3)
-    sides = [_unipotent_pair(part, kernel) for part in _parts_in(kernel, seq, witness, dw)]
+    sides = [_unipotent_pair(part) for part in _parts_in(seq, witness, dw)]
     for x in xs:
         # dw is the witness's shared coproduct, but a morphism caches every
         # image it evaluates, so a three-leg one per element keeps a single
@@ -227,11 +227,11 @@ def _antipode_contraction(g, d: int, leg: int) -> SparseMatrix:
     S on a w* leg is the transpose, so entry (p, q) of m(S x id)(g) is
     sum_r g[(r, r), (p, q)]: the d rows (r, r) of g, each read as a d x d
     matrix, summed.  m(id x S)(g) is the same contraction of g^T.  A Packed
-    g is contracted by key arithmetic.  The result has the witness's d dims
+    g is contracted as its SparseMatrix.  The result has the witness's d dims
     and is reduced, since v is held and multiplied by every compare.
     """
     if not isinstance(g, SparseMatrix):
-        return g.leg_contraction(d, leg).reduced()
+        g = g.to_sparse()
     if leg == 2:
         g = g.transpose()
     rows: dict = {}
@@ -304,14 +304,12 @@ def verify_dragging(witness: Morphism) -> CheckResult:
     tally = Tally(f"dragging[E0~,N={n}]")
 
     j1 = TwistedCoalgebra(sequence(jordanian_factor(n, 2)), witness)
-    kernel = j1.kernel
-    row1 = [materialize_factor(extension_factor(n, 1, r), witness, witness, kernel=kernel)
-            for r in range(2, n)]
-    row2 = [materialize_factor(extension_factor(n, 2, r), witness, witness, kernel=kernel)
+    row1 = [materialize_factor(extension_factor(n, 1, r), witness, witness) for r in range(2, n)]
+    row2 = [materialize_factor(extension_factor(n, 2, r), witness, witness)
             for r in range(3, n - 1)]
     # row1's ends are the corner extensions E(1,2,N) and E(1,N-1,N)
-    lhs = j1.conjugate(kernel.unipotent_product(row1[0], row1[-1]))
-    rhs = materialize_factor(external_factor(n, "E0tilde"), witness, witness, kernel=kernel)
+    lhs = j1.conjugate(j1.kernel.unipotent_product(row1[0], row1[-1]))
+    rhs = materialize_factor(external_factor(n, "E0tilde"), witness, witness)
     tally.equal(lhs, rhs)
 
     for m1 in row2:

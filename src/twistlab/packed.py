@@ -147,15 +147,11 @@ class Packed:
     def commutator(self, other) -> "Packed":
         return self * other + (other * self).scale(-1)
 
-    def leg_contraction(self, d: int, leg: int) -> SparseMatrix:
-        """hopf._antipode_contraction in keys: an entry in row (r, r), 0-based
-        r * (d + 1), lands at its column's key (leg 1; leg 2 swaps the two)."""
-        (g,) = _fitting(lambda g: g.top * d, self)
-        rows, cols = np.divmod(g.keys, g.dim)
-        if leg == 2:
-            rows, cols = cols, rows
-        on = rows % (d + 1) == 0
-        return _summed(d, cols[on], g.vals[on], g.den).to_sparse()
+    def transpose(self) -> "Packed":
+        rows, cols = np.divmod(self.keys, self.dim)
+        keys = cols * self.dim + rows
+        order = np.argsort(keys, kind="stable")
+        return Packed(self.dim, keys[order], self.vals[order], self.den)
 
 
 def _same_dim(a, b) -> tuple:

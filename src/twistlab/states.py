@@ -346,8 +346,10 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
     # asymmetry is witnessed one tensor level up, where [internal, external]
     # vanishes exactly for i = j and is visibly nonzero otherwise.
     # Each factor is 1 + a with a nilpotent, and [1 + a, 1 + b] = [a, b]
-    # exactly, so the commutators are taken on the nilpotent parts, in the
-    # legs' kernel: packed.py for the doubled witness's coproduct.
+    # exactly, so the commutators are taken on the nilpotent parts, in one
+    # leg's kernel, not the four-leg space's: in the fundamental witness that
+    # space has 1,296 dims from N = 6, but a part only some 170-730 entries
+    # up to N = 8, and packed.py would import numpy into every such run.
     deep = delta_morphism(witness, witness)
     part = {label: materialize_factor(f, deep, deep, kernel=deep.kernel)
             for label, f in factors.items()}

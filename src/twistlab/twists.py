@@ -25,7 +25,6 @@ the memo until expr.clear_memos() empties it.
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import exact
 from .errors import DimensionMismatch, IndexOutOfRange, NotApplicable
 from .exact import EXPM1, SparseMatrix
 from .expr import (
@@ -36,6 +35,7 @@ from .expr import (
     eval_tensor_pairs,
     gen,
     kept_in_legs,
+    kernel_for,
     memoized,
     mul,
     scal,
@@ -187,20 +187,25 @@ def external_factor(n: int, which: str) -> TwistFactor:
 # -- materialization --------------------------------------------------------
 
 
-def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism, kernel=exact):
+def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism, *, kernel=None):
     """The factor's nilpotent part exp(argument) - 1 in the given legs.
 
-    `kernel` is the module whose kron, sum and series build it: exact.py,
-    or packed.py, which expr.kernel_for picks for large spaces and which a
-    leg evaluated there needs.  In a witness's own two legs the part is
-    built once and kept beside the witness's coproduct (expr.kept_in_legs).
+    It is built in the kernel of the legs' space (expr.kernel_for), and then
+    in a witness's own two legs it is built once and kept beside the
+    witness's coproduct (expr.kept_in_legs).  A `kernel` given instead, one
+    that the legs' images allow, builds it on each call.
     """
-    return kept_in_legs(left, right, factor, kernel, lambda: kernel.analytic_apply(
-        EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel)))
+    chosen = kernel or kernel_for(left.dim * right.dim)
+
+    def build():
+        return chosen.analytic_apply(
+            EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel=chosen))
+
+    return build() if kernel else kept_in_legs(left, right, factor, build)
 
 
-def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism, kernel=exact):
-    """F - 1, folded from the factors' nilpotent parts, in `kernel`.
+def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism):
+    """F - 1, folded from the factors' nilpotent parts, in the legs' space's kernel.
 
     The legs must be representations of the twist's own gl(N): a twist of
     gl(6) evaluated in gl(7) legs is a well-defined matrix but not that
@@ -216,10 +221,11 @@ def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism, kernel=e
         )
     if not seq.factors:
         return SparseMatrix.zero(left.dim * right.dim)
+    kernel = kernel_for(left.dim * right.dim)
     first, *rest = seq.factors
-    out = materialize_factor(first, left, right, kernel=kernel)
+    out = materialize_factor(first, left, right)
     for f in rest:
-        out = kernel.unipotent_product(materialize_factor(f, left, right, kernel=kernel), out)
+        out = kernel.unipotent_product(materialize_factor(f, left, right), out)
     return out
 
 
@@ -229,5 +235,5 @@ def materialize(seq: TwistSequence, left: Morphism, right: Morphism) -> SparseMa
     The result is held by its callers, so it is returned reduced to
     canonical form.
     """
-    identity = SparseMatrix.identity(left.dim * right.dim)
-    return (nilpotent_part(seq, left, right) + identity).reduced()
+    dim = left.dim * right.dim
+    return (nilpotent_part(seq, left, right) + kernel_for(dim).identity(dim)).reduced()

@@ -621,7 +621,7 @@ def test_antipode_contraction_matches_its_reference(d, leg, cancel):
     assert got == want
     assert_canonical(got)
     if packed is not None:
-        # a Packed g is contracted by key arithmetic, to the same canonical matrix
+        # a Packed g is contracted as its SparseMatrix, to the same canonical matrix
         got = _antipode_contraction(packed.pack(g), d, leg)
         assert isinstance(got, SparseMatrix) and got == want
         assert_canonical(got)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twistlab
+from twistlab import exact, expr
 from twistlab.errors import IndexOutOfRange
-from twistlab.exact import SparseMatrix, analytic_apply, kron, pow1p, LOG1P
+from twistlab.exact import EXP, SparseMatrix, analytic_apply, kron, pow1p, LOG1P
 from twistlab.expr import (
     Fn,
     add,
@@ -215,3 +216,24 @@ def test_a_large_morphism_holds_every_image_packed(monkeypatch):
     assert all(isinstance(m, SparseMatrix) for m in want)
     for m, ref in zip(got, want):
         assert list(m.entries()) == list(ref.entries()) and ref.rows
+
+
+def test_clear_memos_empties_every_process_wide_memo(monkeypatch):
+    # the series tables are held by every spec built before (EXP among
+    # them), and the leaf builders and zero_morphism keep what they built
+    half = pow1p(HALF)
+    assert half.numerators(3) == ((8, -2, 1), 16) and EXP.numerators(3) == ((6, 3, 1), 6)
+    leaf, eps = sigma(1, 6), zero_morphism(6)
+    monkeypatch.setattr(exact, "binomial_general", lambda q, k: rat(k))
+    monkeypatch.setattr(exact, "factorial", lambda k: 1)
+    try:
+        assert pow1p(HALF).numerators(3) == ((8, -2, 1), 16)
+        expr.clear_memos()
+        assert pow1p(HALF).numerators(3) == ((1, 2, 3), 1) == half.numerators(3)
+        assert EXP.numerators(3) == ((1, 1, 1), 1)
+        assert sigma(1, 6) is not leaf and zero_morphism(6) is not eps
+    finally:
+        monkeypatch.undo()
+        expr.clear_memos()
+    assert half.numerators(3) == ((8, -2, 1), 16) and EXP.numerators(3) == ((6, 3, 1), 6)
+    assert sigma(1, 6) == leaf

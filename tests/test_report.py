@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from twistlab import exact, hopf, report
+from twistlab import exact, expr, hopf, report
 from twistlab.errors import ConfigInvalid
 from twistlab.exact import AnalyticFnSpec, SparseMatrix, kron
 from twistlab.expr import Morphism, delta_morphism, eval_expr, eval_tensor_pairs
@@ -377,10 +377,10 @@ def test_a_doubled_run_builds_one_coproduct(monkeypatch):
 
     parts_in = hopf._parts_in
 
-    def spy_parts(kernel, seq, w, dw):
+    def spy_parts(seq, w, dw):
         if dw.name == dw_name:  # not a base-twisted D_F
             dws.append(dw)
-        return parts_in(kernel, seq, w, dw)
+        return parts_in(seq, w, dw)
 
     morphism = Morphism.__init__
 
@@ -478,10 +478,10 @@ def test_a_shared_coproduct_changes_no_row_and_no_matrix(witness, n, left_out, w
             assert value == new_delta.identity
         elif isinstance(key, TwistFactor):
             kinds.add("factor part")
-            assert value == materialize_factor(key, new, new, kernel=new_delta.kernel), key
+            assert value == materialize_factor(key, new, new), key
         elif isinstance(key, tuple) and isinstance(key[0], tuple):
             kinds.add("table entry")
-            assert value == eval_tensor_pairs(key, new, new, new_delta.kernel), key
+            assert value == eval_tensor_pairs(key, new, new), key
         elif isinstance(key, tuple):
             assert value == new_delta.gen(*key)
         else:
@@ -495,3 +495,30 @@ def _stored(m) -> tuple:
     if isinstance(m, SparseMatrix):
         return m.dim, m.den, {i: dict(row) for i, row in m.rows.items()}
     return m.dim, m.den, str(m.keys.dtype), m.keys.tolist(), str(m.vals.dtype), m.vals.tolist()
+
+
+# (N, suites) of the runs whose doubled witness is built under a floor of N^2
+# dims, so its own images are packed as well as every space built over it
+PACKED_WITNESS_RUNS = [
+    (3, ("twist-axioms", "rmatrix", "antipode", "transitions")),
+    (4, ("twist-axioms", "chain", "rmatrix", "antipode", "matreshka", "transitions")),
+    (6, ("nine-states",)),
+]
+
+
+@pytest.mark.parametrize("n, suites", PACKED_WITNESS_RUNS, ids=["n3", "n4", "n6"])
+def test_a_packed_doubled_witness_gives_the_default_rows_and_dumps(n, suites, tmp_path,
+                                                                    monkeypatch):
+    packed = pytest.importorskip("twistlab.packed")
+    runs = {}
+    for floor in (expr.PACKED_FLOOR, n * n):
+        monkeypatch.setattr(expr, "PACKED_FLOOR", floor)
+        assert isinstance(WITNESSES["doubled"](n).gen(1, 2), packed.Packed) == (floor == n * n)
+        out = tmp_path / str(floor)
+        cfg = SuiteConfig(n=n, suites=suites, r_values=(3,) if n >= 6 else (),
+                          witness="doubled", dump_dir=None if n >= 6 else str(out))
+        rows = _rows(run_suite(cfg))
+        assert rows and all(row["passed"] for row in rows)
+        dumps = {p.name: p.read_bytes() for p in out.iterdir()} if cfg.dump_dir else {}
+        runs[floor] = rows, dumps
+    assert runs[n * n] == runs[expr.PACKED_FLOOR]

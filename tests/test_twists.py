@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from twistlab import twists
+from twistlab import exact, twists
 from twistlab.cli import DUMPABLE, build_parser
 from twistlab.errors import IndexOutOfRange, NotApplicable, NotNilpotent
 from twistlab.exact import EXP, EXPM1, SparseMatrix, analytic_apply, dump_matrix_text, kron
@@ -46,10 +46,10 @@ def unit(dim, i, j, v=1):
 
 
 def reversed_factor_inverse(seq, left, right):
-    """F^-1 as the reversed product of the factors' exp(-argument)."""
+    """F^-1 as the reversed product of the factors' exp(-argument), in exact.py."""
     out = SparseMatrix.identity(left.dim * right.dim)
     for f in seq.factors:
-        out = out * analytic_apply(EXP, -eval_tensor_pairs(f.terms, left, right))
+        out = out * analytic_apply(EXP, -eval_tensor_pairs(f.terms, left, right, kernel=exact))
     return out
 
 
@@ -125,6 +125,7 @@ def test_twist_factor_rejects_a_left_leg_with_nonzero_counit():
     (extension_factor, (6, 1, 3)),
     (external_factor, (6, "E0tilde")),
     (external_factor, (6, "E1tilde")),
+    (sigma, (1, 6)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_a_memoized_builder_returns_one_object_per_request(build, args):
     assert build(*args) is build(*args)
@@ -140,10 +141,10 @@ def test_memoized_builders_tell_equal_arguments_of_other_types_apart():
             sigma_power(bad, 1, 6)
     assert jordanian_factor(6, True).name == "J(True,6)"
     assert jordanian_factor(6, 1).name == "J(1,6)"
-    # an unhashable argument is built as usual: the builder's own error, or its value
-    with pytest.raises(TypeError, match="argument should be a string or a Rational"):
-        sigma_power([1], 1, 6)
-    assert gen([1], 6).i == [1]
+    # no builder takes an unhashable argument, so one is refused
+    for bad in (lambda: sigma_power([1], 1, 6), lambda: gen([1], 6)):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            bad()
     # a keyword request is kept too
     assert sigma_power(coefficient=HALF, i=1, j=6) is sigma_power(coefficient=HALF, i=1, j=6)
 
