@@ -29,9 +29,13 @@ the package needs is of the form 1 + nilpotent and is taken as the series
 Unipotent elements 1 + a are carried as their nilpotent part a (EXPM1 gives
 exp(m) - 1), and `unipotent_product` multiplies two of them as
 (1 + a)(1 + b) - 1 = ab + a + b, so no identity is built or multiplied.
+
+Also here: the one registry of process-wide memos, which `memoized` adds a
+builder to and `clear_memos` empties (expr.py re-exports both).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import factorial, gcd, lcm
 from typing import Iterator, Optional
@@ -40,18 +44,36 @@ from .errors import DimensionMismatch, NotNilpotent
 from .rationals import Rational, ZERO, binomial_general, rat
 
 
+_MEMOIZED = []  # every memoized builder, emptied by clear_memos
+
+
+def memoized(build):
+    """build, each result kept under its arguments and built once per process.
+
+    Only for a pure builder of an immutable value: equal requests then get
+    the identical object.  The key holds each argument's type beside its
+    value (lru_cache's typed keys), so arguments equal across types (1/2 and
+    0.5, 1 and True) never share a result and each call returns or raises
+    what build itself would.  A call that raises keeps nothing; an
+    unhashable argument raises TypeError.
+    """
+    kept = lru_cache(maxsize=None, typed=True)(build)
+    _MEMOIZED.append(kept)
+    return kept
+
+
+def clear_memos():
+    """Empty every process-wide memo, one per memoized builder."""
+    for kept in _MEMOIZED:
+        kept.cache_clear()
+
+
 @dataclass(frozen=True)
 class AnalyticFnSpec:
-    """One of exp(m), exp(m) - 1, log(1+m), (1+m)^q; q rational, only for pow1p.
-
-    Per value, one memo holds each coefficient c_k and each table of the
-    first K of them as int numerators over one den (see numerators); a
-    spec binds it on first use, so a pow1p(q) built again shares it.
-    """
+    """One of exp(m), exp(m) - 1, log(1+m), (1+m)^q; q rational, only for pow1p."""
 
     kind: str  # "exp" | "expm1" | "log1p" | "pow1p"
     exponent: Optional[Rational] = None
-    _memos = {}  # not a field: value -> ({k: c_k}, {K: table}), one per value
 
     def __post_init__(self):
         if self.kind not in ("exp", "expm1", "log1p", "pow1p"):
@@ -64,40 +86,31 @@ class AnalyticFnSpec:
         """exp and pow1p start at 1; expm1 and log1p have no constant term."""
         return self.kind in ("exp", "pow1p")
 
-    def _value_memo(self) -> tuple:
-        memo = self.__dict__.get("_memo")
-        if memo is None:
-            # keyed by the kind, or by q's ints for pow1p(q): an int tuple hashes
-            # far faster than a Fraction, and a spec is built per call
-            q = self.exponent
-            key = self.kind if q is None else (q.numerator, q.denominator)
-            # the frozen dataclass's own __dict__, as cached_property writes
-            memo = self.__dict__["_memo"] = self._memos.setdefault(key, ({}, {}))
-        return memo
-
     def coefficient(self, k: int) -> Rational:
-        """c_k, the coefficient of m^k (k >= 1) in the series, computed once per (value, k)."""
-        coefficients = self._value_memo()[0]
-        if k not in coefficients:
-            coefficients[k] = (rat(1, factorial(k)) if self.kind in ("exp", "expm1")
-                               else rat((-1) ** (k + 1), k) if self.kind == "log1p"
-                               else binomial_general(self.exponent, k))
-        return coefficients[k]
+        """c_k, the coefficient of m^k (k >= 1) in the series."""
+        return (rat(1, factorial(k)) if self.kind in ("exp", "expm1")
+                else rat((-1) ** (k + 1), k) if self.kind == "log1p"
+                else binomial_general(self.exponent, k))
 
     def numerators(self, terms: int) -> tuple:
         """((n_1, ..., n_K), q_K) with c_k = n_k / q_K, q_K the lcm of c_1..c_K's dens.
 
-        K = terms; K = 0 gives ((), 1) without binding the memo.  Built once per (value, K).
+        K = terms; K = 0 gives ((), 1).  Built once per (value, K) by _series_table.
         """
-        if not terms:
-            return (), 1
-        tables = self._value_memo()[1]
-        table = tables.get(terms)
-        if table is None:
-            cs = [self.coefficient(k) for k in range(1, terms + 1)]
-            q = lcm(1, *(c.denominator for c in cs))
-            table = tables[terms] = (tuple(c.numerator * (q // c.denominator) for c in cs), q)
-        return table
+        q = self.exponent
+        if q is None:  # not `if not q`: pow1p(0) has the exponent 0
+            return _series_table(self.kind, None, None, terms)
+        return _series_table(self.kind, q.numerator, q.denominator, terms)
+
+
+@memoized
+def _series_table(kind: str, num: Optional[int], den: Optional[int], terms: int) -> tuple:
+    """AnalyticFnSpec(kind, num / den).numerators(terms), keyed by ints, which
+    hash far faster than pow1p's Fraction: a spec is built per call."""
+    fn = AnalyticFnSpec(kind, None if num is None else rat(num, den))
+    cs = [fn.coefficient(k) for k in range(1, terms + 1)]
+    q = lcm(1, *(c.denominator for c in cs))
+    return tuple(c.numerator * (q // c.denominator) for c in cs), q
 
 
 EXP = AnalyticFnSpec("exp")
@@ -417,12 +430,16 @@ def analytic_apply(fn: AnalyticFnSpec, m: SparseMatrix,
 # -- dump format -----------------------------------------------------------
 
 
-def dump_matrix_text(m: SparseMatrix) -> str:
-    """Plain-text dump: "dim <d>" then "row col num den" per entry."""
-    lines = [f"dim {m.dim}"]
+def dump_matrix_lines(m: SparseMatrix) -> Iterator[str]:
+    """The dump's lines, each ending in a newline: "dim <d>" then "row col num den" per entry."""
+    yield f"dim {m.dim}\n"
     for i, j, v in m.entries():
-        lines.append(f"{i} {j} {v.numerator} {v.denominator}")
-    return "\n".join(lines) + "\n"
+        yield f"{i} {j} {v.numerator} {v.denominator}\n"
+
+
+def dump_matrix_text(m: SparseMatrix) -> str:
+    """Plain-text dump, the join of dump_matrix_lines."""
+    return "".join(dump_matrix_lines(m))
 
 
 def parse_matrix_text(text: str) -> SparseMatrix:

@@ -17,25 +17,26 @@ or packed.py, which builds and keeps a large one's every image in numpy arrays.
 A build in two or more legs takes the kernel of the space it is built in,
 kernel_for of the product of the legs' dims, so no caller picks a kernel.
 
-The leaf builders gen, sigma and sigma_power are memoized (see memoized): each
-distinct leaf is built once per process, so equal requests get the identical
-node, with its hash kept, and every Morphism cache lookup of a tree holding
-it hits on identity.  They are pure: a leaf is an immutable tree fixed by the
-arguments alone.  twists.py's factor builders and states.py's generator
-map are memoized the same way.  A memo keeps what its builder returned under
-the code as it was then, so code that patches anything a builder reads
-(roots.cartan_element as twists.py reads it, pow1p, ...) calls clear_memos()
-after patching it and again after restoring it.
+The leaf builders gen, sigma and sigma_power are memoized (exact.memoized,
+re-exported here with clear_memos): each distinct leaf is built once per
+process, so equal requests get the identical node, with its hash kept, and
+every Morphism cache lookup of a tree holding it hits on identity.  They are
+pure: a leaf is an immutable tree fixed by the arguments alone.  twists.py's
+factor builders, states.py's generator map and coblock terms and exact.py's
+series tables are memoized the same way.  A memo keeps what its builder
+returned under the code as it was then, so code that patches anything a
+builder reads (roots.cartan_element as twists.py reads it, pow1p, ...) calls
+clear_memos() after patching it and again after restoring it.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add as _plus, mul as _times
 from typing import Callable, Tuple, Union
 
 from . import exact
 from .errors import IndexOutOfRange
-from .exact import LOG1P, AnalyticFnSpec, SparseMatrix, pow1p
+from .exact import LOG1P, AnalyticFnSpec, SparseMatrix, clear_memos, memoized, pow1p
 from .rationals import Rational, rat
 
 Expr = Union["Gen", "Scalar", "Sum", "Prod", "Fn"]
@@ -88,34 +89,6 @@ class Fn:
     fn: AnalyticFnSpec
     arg: Expr
     __hash__ = _hash_once
-
-
-_MEMOIZED = []  # every memoized builder, emptied by clear_memos
-
-
-def memoized(build):
-    """build, each result kept under its arguments and built once per process.
-
-    Only for a pure builder of an immutable value: equal requests then get
-    the identical object.  The key holds each argument's type beside its
-    value (lru_cache's typed keys), so arguments equal across types (1/2 and
-    0.5, 1 and True) never share a result and each call returns or raises
-    what build itself would.  A call that raises keeps nothing; an
-    unhashable argument raises TypeError.
-    """
-    kept = lru_cache(maxsize=None, typed=True)(build)
-    _MEMOIZED.append(kept)
-    return kept
-
-
-def clear_memos():
-    """Empty every process-wide memo: each memoized builder's, and in place
-    (EXP and every other spec hold them) exact.AnalyticFnSpec's series tables."""
-    for kept in _MEMOIZED:
-        kept.cache_clear()
-    for tables in AnalyticFnSpec._memos.values():
-        for table in tables:
-            table.clear()
 
 
 @memoized

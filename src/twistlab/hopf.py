@@ -227,11 +227,14 @@ def _antipode_contraction(g, d: int, leg: int) -> SparseMatrix:
     S on a w* leg is the transpose, so entry (p, q) of m(S x id)(g) is
     sum_r g[(r, r), (p, q)]: the d rows (r, r) of g, each read as a d x d
     matrix, summed.  m(id x S)(g) is the same contraction of g^T.  A Packed
-    g is contracted as its SparseMatrix.  The result has the witness's d dims
-    and is reduced, since v is held and multiplied by every compare.
+    g keeps only its entries in those rows (leg 1) or columns (leg 2), the
+    0-based indices r * (d + 1), and is contracted as their SparseMatrix.
+    The result has the witness's d dims and is reduced, since v is held and
+    multiplied by every compare.
     """
     if not isinstance(g, SparseMatrix):
-        g = g.to_sparse()
+        kept = (g.keys // g.dim if leg == 1 else g.keys % g.dim) % (d + 1) == 0
+        g = type(g)(g.dim, g.keys[kept], g.vals[kept], g.den).to_sparse()
     if leg == 2:
         g = g.transpose()
     rows: dict = {}

@@ -94,7 +94,10 @@ class Packed:
         return SparseMatrix(self.dim, rows, self.den)
 
     def entries(self):
-        return self.to_sparse().entries()
+        # in key order, which is SparseMatrix.entries' order, and with no dict built
+        r, c = np.divmod(self.keys, self.dim)
+        for i, j, v in zip((r + 1).tolist(), (c + 1).tolist(), self.vals.tolist()):
+            yield i, j, rat(v, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Packed, SparseMatrix)):

@@ -15,7 +15,7 @@ from .exact import (
     _add_into,
     _powers,
     analytic_apply,
-    dump_matrix_text,
+    dump_matrix_lines,
     kron,
     parse_matrix_text,
     pow1p,
@@ -61,7 +61,7 @@ WITNESSES = {"fundamental": fundamental_morphism, "doubled": coproduct_morphism}
 class SuiteConfig:
     n: int
     suites: Tuple[str, ...]
-    r_values: Tuple[int, ...] = ()
+    r_values: Optional[Tuple[int, ...]] = None  # None: every column r
     alpha_values: Tuple = DEFAULT_ALPHAS
     witness: str = "fundamental"
     output: str = "text"
@@ -88,7 +88,10 @@ class SuiteConfig:
             raise ConfigInvalid(f"unknown output format {self.output!r}")
         if self.dump_dir == "":
             raise ConfigInvalid("dump_dir '' names no directory; leave it out to write no dumps")
-        for r in self.r_values:
+        # below N = 5 there is no column r, and [] is every r, as the echo shows
+        if self.r_values is not None and not self.r_values and self.n >= 5:
+            raise ConfigInvalid("no r values")
+        for r in self.r_values or ():
             if not 3 <= r <= self.n - 2:
                 raise ConfigInvalid(f"r={r} outside 3..{self.n - 2}")
 
@@ -458,7 +461,7 @@ def emit_report(rep: SuiteReport) -> str:
 
 def dump_matrix(m: SparseMatrix, path: str):
     with open(path, "w") as fh:
-        fh.write(dump_matrix_text(m))
+        fh.writelines(dump_matrix_lines(m))
 
 
 def load_matrix(path: str) -> SparseMatrix:

@@ -48,18 +48,14 @@ class Combinator:
     r: Optional[int] = None
 
 
-def _sigma_legs(n: int, i: int) -> Tuple[int, int]:
-    # sigma_{i, N+1-i}: (1, N) and (2, N-1)
-    return i, n + 1 - i
-
-
+@memoized
 def combinator_terms(c: Combinator, L: Optional[Expr], n: int):
-    """Two-leg expression terms of a coblock symbol applied to L."""
+    """Two-leg expression terms of a coblock symbol applied to L, built once per (c, L, N)."""
     one = scal(1)
 
     def sig(i, coeff):
-        a, b = _sigma_legs(n, i)
-        return sigma_power(coeff, a, b)
+        # e^{coeff sigma_{i, N+1-i}}: sigma_1 on (1, N), sigma_2 on (2, N-1)
+        return sigma_power(coeff, i, n + 1 - i)
 
     k = c.kind
     if k == "P0":

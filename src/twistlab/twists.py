@@ -12,14 +12,14 @@ folds the parts with (1 + a)(1 + b) - 1 = ab + a + b, so no identity of the
 legs' space is built until materialize adds it once.
 
 The factor builders jordanian_factor, extension_factor and external_factor
-are memoized (expr.memoized): each distinct factor, its counit validation
-included, is built once per process, and every cache keyed by it (the parts
-kept beside a witness's coproduct) hits on identity.  They are pure: a
-factor is a frozen tree fixed by (N, k, r) or (N, which), and its counit is
-evaluated in zero_morphism, whose images depend on N alone.  The generic
-factors, whose carrier split alpha varies per run, are built on each call.
-A factor built from a patched input (cartan_element, sigma, ...) stays in
-the memo until expr.clear_memos() empties it.
+are memoized (exact.memoized, which expr re-exports): each distinct factor,
+its counit validation included, is built once per process, and every cache
+keyed by it (the parts kept beside a witness's coproduct) hits on identity.
+They are pure: a factor is a frozen tree fixed by (N, k, r) or (N, which),
+and its counit is evaluated in zero_morphism, whose images depend on N
+alone.  The generic factors, whose carrier split alpha varies per run, are
+built on each call.  A factor built from a patched input (cartan_element,
+sigma, ...) stays in the memo until clear_memos() empties the registry.
 """
 
 from dataclasses import dataclass

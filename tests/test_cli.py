@@ -200,6 +200,11 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
     # an empty list flag empties the file's list, as it does with no file
     (["--config", "{tmp}/full.json", "--suites", ""], "no suites requested"),
     (["--config", "{tmp}/full.json", "--alpha", ","], "no alpha values"),
+    (["--config", "{tmp}/seven.json", "--r", ""], "no r values"),
+    # an empty r list is refused as an empty alpha list is, in each spelling
+    (["--n", "6", "--suites", "nine-states", "--r", ""], "no r values"),
+    (["--n", "6", "--suites", "nine-states", "--r", ","], "no r values"),
+    (["--config", "{tmp}/no_r.json"], "no r values"),
     # an empty path is a path that cannot be used, not a missing flag
     (["--config", "", "--n", "3", "--suites", "rmatrix", "--alpha", "1/2"],
      "cannot read --config ''"),
@@ -212,6 +217,7 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
         "config-float-n", "config-float-r", "config-missing-n", "config-list",
         "config-float-alpha", "config-bool-alpha", "config-misspelled-key",
         "config-flag-name-key", "config-empty-suites-flag", "config-empty-alpha-flag",
+        "config-empty-r-flag", "r-empty", "r-comma", "config-r-empty",
         "config-empty-path", "dump-dir-empty-path"])
 def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     from twistlab import cli
@@ -254,6 +260,12 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
         json.dumps({"n": 3, "suites": ["rmatrix"], "alpha": ["1/3"]})
     )
     (tmp_path / "full.json").write_text(json.dumps(FILE_CONFIG))
+    (tmp_path / "seven.json").write_text(
+        json.dumps({**FILE_CONFIG, "n": 7, "suites": ["nine-states"], "r_values": [3]})
+    )
+    (tmp_path / "no_r.json").write_text(
+        json.dumps({"n": 6, "suites": ["nine-states"], "r_values": []})
+    )
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert cli.main(["verify", *argv]) == 2
     err = capsys.readouterr().err
@@ -273,9 +285,7 @@ def test_a_reports_config_runs_as_a_config_file(tmp_path, capsys):
     ({}, ["--n", "6", "--suites", "nine-states", "--r", "3"],
      {"n": 6, "suites": ["nine-states"], "r_values": [3]}),
     ({}, ["--witness", "doubled"], {"witness": "doubled"}),
-    ({"n": 7, "suites": ["nine-states"], "r_values": [3]}, ["--r", ""],
-     {"n": 7, "suites": ["nine-states"], "r_values": [3, 4, 5]}),
-], ids=["n-suites-r", "witness", "empty-r"])
+], ids=["n-suites-r", "witness"])
 def test_flags_override_the_config_file(tmp_path, capsys, file_keys, argv, expected):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**FILE_CONFIG, **file_keys}))
@@ -283,6 +293,12 @@ def test_flags_override_the_config_file(tmp_path, capsys, file_keys, argv, expec
     assert config == {**FILE_CONFIG, **file_keys, **expected, "output": "json",
                       "dump_dir": None}
     assert checks and all(check["passed"] for check in checks)
+
+
+def test_an_omitted_r_runs_every_column(capsys):
+    config, checks = _verify_json(capsys, ["--n", "7", "--suites", "nine-states"])
+    assert config["r_values"] == [3, 4, 5]
+    assert len(checks) == 1 + 9 * 3 and all(check["passed"] for check in checks)
 
 
 def test_check_that_raises_aborts_with_exit_two(monkeypatch, capsys):

@@ -388,15 +388,22 @@ def test_series_coefficients_equal_their_closed_forms(fn):
             for j in range(k):
                 closed *= (fn.exponent - j) / (j + 1)
         assert fn.coefficient(k) == closed, (fn, k)
-        assert fn.coefficient(k) == closed, (fn, k)  # again, from the memo
+        assert fn.coefficient(k) == closed, (fn, k)  # again, the same value
 
 
 def test_separately_built_specs_share_their_coefficients():
     a, b = pow1p(rat(1, 3)), pow1p(rat(1, 3))
     assert a is not b and a == b
     for k in range(1, 9):
-        assert a.coefficient(k) is b.coefficient(k)  # one memo entry per (value, k)
-        assert a.numerators(k) is b.numerators(k)  # and per (value, K)
+        assert a.numerators(k) is b.numerators(k)  # one memo entry per (value, K)
+
+
+def test_clear_memos_empties_the_series_tables():
+    tables = [fn.numerators(4) for fn in (EXP, LOG1P, pow1p(rat(0)), pow1p(rat(-1, 2)))]
+    assert pow1p(rat(-1, 2)).numerators(4) is tables[-1]
+    exact.clear_memos()
+    again = [fn.numerators(4) for fn in (EXP, LOG1P, pow1p(rat(0)), pow1p(rat(-1, 2)))]
+    assert again == tables and all(a is not t for a, t in zip(again, tables))
 
 
 @pytest.mark.parametrize("fn", [

@@ -15,6 +15,7 @@ from twistlab.expr import (
     gen,
     mul,
     scal,
+    sigma_power,
 )
 from twistlab.hopf import TwistedCoalgebra, verify_dragging
 from twistlab.rationals import rat
@@ -330,6 +331,28 @@ def test_combinator_terms_take_their_n():
     w = fundamental_morphism(7)
     got = combinator_matrix(Combinator("S1minus", r=3), None, w)
     assert got == kron(unit(7, 1, 3, -1), unit(7, 2, 7))
+
+
+def test_equal_requests_get_the_identical_terms():
+    c, L = Combinator("R", i=1), gen(1, 3)
+    terms = combinator_terms(c, L, 6)
+    assert combinator_terms(Combinator("R", i=1), gen(1, 3), 6) is terms
+    assert combinator_terms(Combinator("R", i=2), L, 6) is not terms
+
+
+def test_patched_terms_input_is_seen_once_the_memos_are_cleared(monkeypatch):
+    c, L = Combinator("Pplus", i=1), gen(1, 3)
+    clean = combinator_terms(c, L, 6)
+    assert clean == ((L, sigma_power(rat(1, 2), 1, 6)), (scal(1), L))
+    monkeypatch.setattr(states, "HALF", rat(1, 3))
+    try:
+        assert combinator_terms(c, L, 6) is clean
+        expr.clear_memos()
+        assert combinator_terms(c, L, 6) == ((L, sigma_power(rat(1, 3), 1, 6)), (scal(1), L))
+    finally:
+        monkeypatch.undo()
+        expr.clear_memos()
+    assert combinator_terms(c, L, 6) == clean and combinator_terms(c, L, 6) is not clean
 
 
 def test_no_public_check_picks_its_own_witness():
