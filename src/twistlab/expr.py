@@ -285,6 +285,15 @@ def kept_in_legs(left: Morphism, right: Morphism, key, build):
     return got
 
 
+def kept_value(witness: Morphism, key):
+    """What kept_in_legs keeps under `key` in the witness's own legs, or None.
+
+    None as well when the witness's coproduct is not built yet.
+    """
+    delta = witness._delta
+    return None if delta is None else delta._cache.get(key)
+
+
 def coproduct_morphism(n: int) -> Morphism:
     """Undeformed coproduct on the fundamental legs (also the doubled witness)."""
     f = fundamental_morphism(n)

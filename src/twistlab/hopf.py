@@ -55,11 +55,14 @@ class Tally:
         self.dims = 0
         self._t0 = time.perf_counter()
 
-    def equal(self, lhs: SparseMatrix, rhs: SparseMatrix):
+    def equal(self, lhs: SparseMatrix, rhs: SparseMatrix) -> bool:
+        """Add the entries of lhs - rhs to the residual; True when the sides are equal."""
         # equal sides (the common case) never build a difference matrix
-        if lhs != rhs:
+        same = lhs is rhs or lhs == rhs
+        if not same:
             self.residual += (lhs - rhs).nnz
         self.dims = max(self.dims, lhs.dim)
+        return same
 
     def nonzero(self, m: SparseMatrix):
         # witness checks: the *absence* of entries is the failure
@@ -74,31 +77,36 @@ class Tally:
         )
 
 
-def _unipotent_pair(part):
-    """(1 + part, (1 + part)^-1) in part's space's kernel, the inverse as the finite series.
+def _unipotent_inverse(part):
+    """(1 + part)^-1 in part's space's kernel, as the finite series.
 
-    part is reduced first: every power of the series is a product with it.
+    part must be reduced: every power of the series is a product with it.
     """
-    kernel = kernel_for(part.dim)
-    part = part.reduced()
-    return ((kernel.identity(part.dim) + part).reduced(),
-            kernel.analytic_apply(pow1p(-1), part).reduced())
+    return kernel_for(part.dim).analytic_apply(pow1p(-1), part).reduced()
+
+
+def _conjugated(part, inverse, m):
+    """(1 + part) m inverse, as (m + part m) inverse: the identity is never multiplied."""
+    return (part * m + m) * inverse
 
 
 class TwistedCoalgebra:
     """A twist F materialized once in a pair of legs, with its conjugation.
 
-    The legs are (witness, right); right defaults to the witness.  f_mat and
-    f_inv are F and F^-1 in those legs, conjugate(m) is F m F^-1, and
-    coproduct(x) is the deformed coproduct D_F(x) = F D(x) F^-1 with D(x)
-    evaluated in the same legs by `delta`; in the witness's own legs that is
-    the witness's one coproduct, shared with every other check in it.  F must
-    be unipotent in those legs: F^-1 is the finite series (1 + (F - 1))^-1,
-    and an F - 1 that is not nilpotent raises NotNilpotent.  F, F^-1, every
-    conjugation and `expected` are built in the legs' space's kernel, that
-    of `delta`, so in the kernel D(x) is evaluated in.  In the witness's own
-    legs each factor part and each `expected` entry is built once and kept
-    beside the witness's coproduct (expr.kept_in_legs).
+    The legs are (witness, right); right defaults to the witness.  `part` is
+    the nilpotent part F - 1, and f_mat and f_inv are F and F^-1, all three
+    reduced and built at construction, so a twist of the wrong gl(N) raises
+    DimensionMismatch and one that is not unipotent in those legs raises
+    NotNilpotent here: F^-1 is the finite series (1 + (F - 1))^-1.
+    conjugate(m) is F m F^-1, taken as (m + (F - 1) m) F^-1, so F's identity
+    rows are never multiplied; coproduct(x) is the deformed coproduct
+    D_F(x) = F D(x) F^-1 with D(x) evaluated in the same legs by `delta`.  In
+    the witness's own legs that is the witness's one coproduct, shared with
+    every other check in it.  F, F^-1, every conjugation and `expected` are
+    built in the legs' space's kernel, that of `delta`, so in the kernel D(x)
+    is evaluated in.  In the witness's own legs each factor part and each
+    `expected` entry is built once and kept beside the witness's coproduct
+    (expr.kept_in_legs).
     """
 
     def __init__(self, seq: TwistSequence, witness: Morphism, right: Morphism = None):
@@ -106,19 +114,29 @@ class TwistedCoalgebra:
         self.right = right if right is not None else witness
         self.delta = delta_morphism(self.witness, self.right)
         self.kernel = self.delta.kernel
-        self.f_mat, self.f_inv = _unipotent_pair(nilpotent_part(seq, self.witness, self.right))
+        self.part = nilpotent_part(seq, self.witness, self.right).reduced()
+        self.f_mat = (self.kernel.identity(self.delta.dim) + self.part).reduced()
+        self.f_inv = _unipotent_inverse(self.part)
 
     def conjugate(self, m):
-        return self.f_mat * m * self.f_inv
+        return _conjugated(self.part, self.f_inv, m)
 
     def coproduct(self, x: Expr):
         return self.conjugate(eval_expr(x, self.delta))
 
     def expected(self, pairs):
         """Evaluate a symbolic two-leg sum in the same pair of legs and kernel."""
-        pairs = tuple(pairs)
-        return kept_in_legs(self.witness, self.right, pairs,
-                            lambda: eval_tensor_pairs(pairs, self.witness, self.right))
+        return two_leg_sum(pairs, self.witness, self.right)
+
+
+def two_leg_sum(pairs, left: Morphism, right: Morphism):
+    """Sum of a x b over the two-leg terms (a, b), in the legs (left, right).
+
+    It is built in the legs' space's kernel, and in a witness's own two legs
+    once, kept beside the witness's coproduct (expr.kept_in_legs).
+    """
+    pairs = tuple(pairs)
+    return kept_in_legs(left, right, pairs, lambda: eval_tensor_pairs(pairs, left, right))
 
 
 def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
@@ -202,19 +220,21 @@ def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckRes
 
     D is coassociative, so (D x id)D(x) = (id x D)D(x) is one three-leg
     image, evaluated once; each side conjugates it by its three-leg twist
-    G = F12 (D x id)(F) or F23 (id x D)(F) of the cocycle check, and each
-    G^-1 is the finite series (1 + (G - 1))^-1.
+    G = F12 (D x id)(F) or F23 (id x D)(F) of the cocycle check, through
+    G - 1 as TwistedCoalgebra.conjugate does, and each G^-1 is the finite
+    series (1 + (G - 1))^-1.
     """
     tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
     dw = delta_morphism(witness, witness)
 
-    sides = [_unipotent_pair(part) for part in _parts_in(seq, witness, dw)]
+    parts = [part.reduced() for part in _parts_in(seq, witness, dw)]
+    sides = [(part, _unipotent_inverse(part)) for part in parts]
     for x in xs:
         # dw is the witness's shared coproduct, but a morphism caches every
         # image it evaluates, so a three-leg one per element keeps a single
         # three-leg image alive at a time
         image = eval_expr(x, delta_morphism(dw, witness))
-        tally.equal(*(g * image * g_inv for g, g_inv in sides))
+        tally.equal(*(_conjugated(part, inverse, image) for part, inverse in sides))
     return tally.result()
 
 
@@ -316,7 +336,7 @@ def verify_dragging(witness: Morphism) -> CheckResult:
     tally.equal(lhs, rhs)
 
     for m1 in row2:
-        tally.equal(m1 * j1.f_mat, j1.f_mat * m1)
+        tally.equal(m1 * j1.part, j1.part * m1)
         for m0 in row1 + row2:
             tally.equal(m1 * m0, m0 * m1)
     return tally.result()

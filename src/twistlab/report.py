@@ -402,9 +402,11 @@ SUITES = {
     "core": (2, lambda cfg, w: core_property_checks(cases=200)),
     "twist-axioms": (3, _twist_axioms),
     "chain": (4, _chain),
-    "nine-states": (6, lambda cfg, w: [two_jordanian_table_check(w)] + [
+    # the block check, J1J0's table at every column, runs after the state
+    # checks so it reads the coproducts they proved (states._Deformed)
+    "nine-states": (6, lambda cfg, w: [
         verify_state(sid, r, w) for r in cfg.effective_r_values() for sid in STATE_IDS
-    ]),
+    ] + [two_jordanian_table_check(w)]),
     "diagram": (6, lambda cfg, w: [verify_dragging(w)] + [
         verify_diagram(r, w) for r in cfg.effective_r_values()
     ]),

@@ -18,12 +18,14 @@ from .expr import (
     delta_morphism,
     eval_expr,
     gen,
+    kept_in_legs,
+    kept_value,
     memoized,
     mul,
     scal,
     sigma_power,
 )
-from .hopf import CheckResult, TwistedCoalgebra, Tally
+from .hopf import CheckResult, TwistedCoalgebra, Tally, two_leg_sum
 from .rationals import HALF, rat
 from .roots import carrier_column, carrier_generators, cartan_element
 from .twists import (
@@ -251,8 +253,11 @@ def table_payload(state_id: str, n: int, r: int) -> dict:
     }
 
 
-def expected_entry(table: CostructureTable, slot: str, co: TwistedCoalgebra):
-    """The table's claim for D_F at one slot, evaluated in co's legs and kernel."""
+def expected_entry(table: CostructureTable, slot: str, co):
+    """The table's claim for D_F at one slot, evaluated in co's legs and kernel.
+
+    co is a TwistedCoalgebra, or a _Deformed, whose legs are the witness's own.
+    """
     g = heisenberg_pair_generators(table.n, table.r)[slot]
     return co.expected([
         (a if sign == 1 else mul(scal(sign), a), b)
@@ -261,18 +266,72 @@ def expected_entry(table: CostructureTable, slot: str, co: TwistedCoalgebra):
     ])
 
 
+@dataclass(frozen=True)
+class ProvenCoproduct:
+    """The key of a record: D_F(x) for the twist `recipe` in a witness.
+
+    A table check that proves D_F(x) equal to the entry it compared against
+    keeps that entry, already kept and canonical, under this key beside the
+    witness's coproduct (expr.kept_in_legs), so the record costs no matrix
+    and is freed with the witness.  A key of its own type equals no
+    expression, twist factor or tuple of two-leg terms kept there.
+    """
+
+    recipe: TwistSequence
+    x: Expr
+
+
+class _Deformed:
+    """x -> D_F(x) for one twist in a witness's own legs, read before built.
+
+    D_F(x) is its ProvenCoproduct record when one is kept; otherwise it is
+    conjugated in the twist's TwistedCoalgebra, built on the first such x,
+    so a twist whose every x is recorded builds none.  A record holds D_F(x)
+    itself, so every compare gives what conjugating would.  `expected` is
+    TwistedCoalgebra's, in the same legs and kernel.
+    """
+
+    def __init__(self, recipe: TwistSequence, witness: Morphism):
+        self.recipe = recipe
+        self.witness = witness
+        self._co = None
+
+    def __call__(self, x: Expr):
+        got = kept_value(self.witness, ProvenCoproduct(self.recipe, x))
+        if got is None:
+            if self._co is None:
+                self._co = TwistedCoalgebra(self.recipe, self.witness)
+            got = self._co.coproduct(x)
+        return got
+
+    def expected(self, pairs):
+        return two_leg_sum(pairs, self.witness, self.witness)
+
+    def record(self, x: Expr, proven):
+        """Keep `proven`, an `expected` value D_F(x) was just found equal to."""
+        kept_in_legs(self.witness, self.witness, ProvenCoproduct(self.recipe, x), lambda: proven)
+
+
 def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
     """D_F(g) against each table's entry, for every generator g the tables
-    name, in one coalgebra of their shared twist; each g is compared once."""
+    name, in one coalgebra of their shared twist; each g is compared once.
+
+    D_F(g) is read from a record where an earlier check proved it (see
+    _Deformed), so the coalgebra is built only if some g has none; each
+    compare that passes records the entry D_F(g) was proven equal to, and a
+    failing one records nothing.
+    """
     tally = Tally(name)
-    co = TwistedCoalgebra(tables[0].twist_recipe, witness)
+    deformed = _Deformed(tables[0].twist_recipe, witness)
     seen = set()
     for table in tables:
         for slot, g in heisenberg_pair_generators(table.n, table.r).items():
             # the four slots outside column r are the same at every r
             if g not in seen:
                 seen.add(g)
-                tally.equal(co.coproduct(g), expected_entry(table, slot, co))
+                want = expected_entry(table, slot, deformed)
+                if tally.equal(deformed(g), want):
+                    deformed.record(g, want)
     return tally.result()
 
 
@@ -309,8 +368,12 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
     """Edges reproduce target tables; squares commute; commutation is i=j only.
 
     The squares are the two-label states, each against its labels applied
-    in the other order.  Each state coalgebra and each edge-factor
-    coalgebra is built once.
+    in the other order.  Each edge-factor coalgebra is built once, and the
+    source and square coproducts D_F(g) are read from the records a state
+    check left (see _Deformed): a state's coalgebra is built, once, only if
+    one of its generators has none, so after `nine-states` none is.  The
+    edges' and the other orders' coproducts are never recorded, since no
+    table check proves them.
     """
     n = witness.n
     _require_state_args(n, r)
@@ -320,8 +383,8 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
 
     deformed = {}
     for sid in dict.fromkeys([src for src, _, _ in DIAGRAM_EDGES] + squares):
-        co = TwistedCoalgebra(costructure_table(sid, n, r).twist_recipe, witness)
-        deformed[sid] = {slot: co.coproduct(g) for slot, g in gens.items()}
+        coproduct = _Deformed(costructure_table(sid, n, r).twist_recipe, witness)
+        deformed[sid] = {slot: coproduct(g) for slot, g in gens.items()}
     factors = {label: build(n, r) for label, build in EDGE_FACTORS.items()}
     edges = {label: TwistedCoalgebra(sequence(f), witness) for label, f in factors.items()}
     for src, label, dst in DIAGRAM_EDGES:
@@ -380,7 +443,13 @@ def verify_matreshka(witness: Morphism) -> CheckResult:
 
 
 def verify_transition_schemes(witness: Morphism) -> CheckResult:
-    """Before/after coproduct patterns of the one-pair and two-row schemes."""
+    """Before/after coproduct patterns of the one-pair and two-row schemes.
+
+    From N = 6 it adds verify_state at r = 3 for the five states at most one
+    edge from J1J0.  Those compare every generator against the tables again,
+    but after `nine-states` in the same witness they read each D_F(g) from
+    its record and build no coalgebra (see _Deformed).
+    """
     n = witness.n
     if n < 3:
         raise NotApplicable("transition schemes need N >= 3")

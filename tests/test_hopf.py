@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -216,7 +217,8 @@ def _doubled_n6_rows(suites):
     def counted(method):
         def count(self, *args):
             counts[self.name] = counts.get(self.name, 0) + 1
-            method(self, *args)
+            # the verdict is passed on: a table check records what it proved
+            return method(self, *args)
         return count
 
     Tally.equal, Tally.nonzero = counted(equal), counted(nonzero)
@@ -389,6 +391,43 @@ def test_tally_equal_counts_differing_entries():
     assert tally.dims == 3
     with pytest.raises(DimensionMismatch):
         tally.equal(SparseMatrix.identity(2), SparseMatrix.identity(3))
+
+
+def test_tally_equal_returns_its_verdict():
+    a = SparseMatrix.from_entries(3, {(1, 1): rat(1, 2), (2, 3): 1})
+    same = SparseMatrix(3, {1: {1: 2}, 2: {3: 4}}, 4)  # a's value over another den
+    b = SparseMatrix.from_entries(3, {(1, 1): rat(1, 2)})
+    tally = Tally("t")
+    assert tally.equal(a, a) is True
+    assert tally.equal(a, same) is True
+    assert tally.residual == 0
+    assert tally.equal(a, b) is False
+    assert tally.residual == 1
+
+
+@pytest.mark.parametrize("witness", ["fundamental", "doubled"])
+def test_conjugation_through_the_nilpotent_part_is_f_m_f_inverse(witness):
+    # (m + (F - 1) m) F^-1 against the plain product F m F^-1, in exact.py
+    # for the fundamental witness and in packed.py for the doubled one
+    if witness == "doubled":
+        pytest.importorskip("twistlab.packed")
+    w = (fundamental_morphism if witness == "fundamental" else coproduct_morphism)(6)
+    d = w.dim ** 2
+    # dense in the 36-dim fundamental coproduct; in the 1,296-dim doubled
+    # one every 37th entry of each row, which still meets every column
+    step = 1 if witness == "fundamental" else 37
+    rng = random.Random(30)
+    dense = SparseMatrix.from_entries(d, {
+        (i, j): rng.choice([-3, -1, 1, 2, rat(1, 2)])
+        for i in range(1, d + 1) for j in range(1 + i % step, d + 1, step)
+    })
+    gens = heisenberg_pair_generators(6, 3).values()
+    for sid in STATE_IDS:
+        co = TwistedCoalgebra(costructure_table(sid, 6, 3).twist_recipe, w)
+        assert co.kernel is kernel_for(d)
+        assert co.f_mat == co.part + SparseMatrix.identity(d)
+        for m in [eval_expr(g, co.delta) for g in gens] + [SparseMatrix.zero(d), dense]:
+            assert co.conjugate(m) == co.f_mat * m * co.f_inv, sid
 
 
 def test_twisted_coproduct_jordanian_e():

@@ -23,6 +23,7 @@ from twistlab.report import (
     load_matrix,
     run_suite,
 )
+from twistlab.states import ProvenCoproduct
 from twistlab.twists import TwistFactor, materialize_factor
 
 
@@ -473,9 +474,15 @@ def test_a_shared_coproduct_changes_no_row_and_no_matrix(witness, n, left_out, w
     new = WITNESSES[witness](n)
     new_delta = delta_morphism(new, new)
     kinds = set()
+    coalgebras = {}
     for key, value in held.items():
         if key == "I":
             assert value == new_delta.identity
+        elif isinstance(key, ProvenCoproduct):
+            kinds.add("record")
+            if key.recipe not in coalgebras:
+                coalgebras[key.recipe] = hopf.TwistedCoalgebra(key.recipe, new)
+            assert value == coalgebras[key.recipe].coproduct(key.x), key
         elif isinstance(key, TwistFactor):
             kinds.add("factor part")
             assert value == materialize_factor(key, new, new), key
@@ -487,7 +494,8 @@ def test_a_shared_coproduct_changes_no_row_and_no_matrix(witness, n, left_out, w
         else:
             kinds.add("image")
             assert value == eval_expr(key, new_delta), key
-    assert kinds == {"factor part", "table entry", "image"}
+    # the state tables, and so their records, start at N = 6
+    assert kinds == {"factor part", "table entry", "image"} | ({"record"} if n >= 6 else set())
 
 
 def _stored(m) -> tuple:

@@ -13,16 +13,19 @@ from twistlab.expr import (
     eval_tensor_pairs,
     fundamental_morphism,
     gen,
+    kept_value,
     mul,
     scal,
     sigma_power,
 )
 from twistlab.hopf import TwistedCoalgebra, verify_dragging
 from twistlab.rationals import rat
+from twistlab.report import SuiteConfig, run_suite
 from twistlab.roots import cartan_element
 from twistlab.states import (
     Combinator,
     DIAGRAM_EDGES,
+    ProvenCoproduct,
     STATE_IDS,
     STATES,
     combinator_terms,
@@ -243,6 +246,61 @@ def test_a_wrong_registry_entry_fails_the_state_and_the_diagram(monkeypatch):
     f6 = fundamental_morphism(6)
     assert not verify_state("E0J1J0", 3, f6).passed
     assert not verify_diagram(3, f6).passed
+
+
+def test_a_failing_compare_records_nothing(monkeypatch):
+    labels, entries = STATES["E0J1J0"]
+    wrong = {**entries, "ern": ((1, Combinator("Pplus", i=1)),)}
+    monkeypatch.setitem(STATES, "E0J1J0", (labels, wrong))
+    f6 = fundamental_morphism(6)
+    assert not verify_state("E0J1J0", 3, f6).passed
+    recipe = costructure_table("E0J1J0", 6, 3).twist_recipe
+    recorded = {slot for slot, g in heisenberg_pair_generators(6, 3).items()
+                if kept_value(f6, ProvenCoproduct(recipe, g)) is not None}
+    # the seven slots the wrong entry leaves alone were proven, E_{r,N} was not
+    assert recorded == set(entries) - {"ern"}
+    # the diagram conjugates D_F(E_{r,N}) afresh; its residual is that of a
+    # run with no records (pinned from the code before records existed)
+    res = verify_diagram(3, f6)
+    assert (res.passed, res.residual_nnz, res.dims) == (False, 1, 1296)
+    assert kept_value(f6, ProvenCoproduct(recipe, gen(3, 6))) is None
+    fresh = verify_diagram(3, fundamental_morphism(6))
+    assert (fresh.passed, fresh.residual_nnz, fresh.dims) == (False, 1, 1296)
+
+
+def test_a_combined_run_conjugates_each_coproduct_once(monkeypatch):
+    suites = ("nine-states", "diagram", "transitions")
+    recipe_of, conjugated = {}, []
+    init, coproduct = TwistedCoalgebra.__init__, TwistedCoalgebra.coproduct
+
+    def spy_init(self, seq, *args):
+        recipe_of[self] = seq
+        init(self, seq, *args)
+
+    def spy_coproduct(self, x):
+        conjugated.append((recipe_of[self], x))
+        return coproduct(self, x)
+
+    monkeypatch.setattr(TwistedCoalgebra, "__init__", spy_init)
+    monkeypatch.setattr(TwistedCoalgebra, "coproduct", spy_coproduct)
+    combined = _rows(run_suite(SuiteConfig(n=6, suites=suites, r_values=(3,))))
+    assert all(row[1] for row in combined)
+    assert conjugated and len(conjugated) == len(set(conjugated))
+    # each state's coalgebra is built once, by its own table check: the
+    # diagram and the transitions' re-runs read records, and so does the
+    # block check, which builds J1J0's again only for the column r = 4
+    built = list(recipe_of.values())
+    counts = {sid: built.count(costructure_table(sid, 6, 3).twist_recipe) for sid in STATE_IDS}
+    assert counts == {sid: 1 + (sid == "J1J0") for sid in STATE_IDS}
+    # a suite run alone builds what it needs and gives the same rows
+    for suite in ("diagram", "transitions"):
+        alone = _rows(run_suite(SuiteConfig(n=6, suites=(suite,), r_values=(3,))))
+        names = {row[0] for row in alone}
+        assert alone == [row for row in combined if row[0] in names], suite
+
+
+def _rows(rep) -> list:
+    return [(c.name, c.passed, c.residual_nnz, c.dims) for c in rep.results]
 
 
 def test_a_patched_builder_input_is_seen_once_the_memos_are_cleared(monkeypatch):
