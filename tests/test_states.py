@@ -268,6 +268,15 @@ def test_a_failing_compare_records_nothing(monkeypatch):
     assert (fresh.passed, fresh.residual_nnz, fresh.dims) == (False, 1, 1296)
 
 
+def test_a_record_key_equals_only_a_record_key():
+    recipe = costructure_table("J1J0", 6, 3).twist_recipe
+    key = ProvenCoproduct(recipe, gen(1, 3))
+    assert key == ProvenCoproduct(costructure_table("J1J0", 6, 4).twist_recipe, gen(1, 3))
+    assert hash(key) == hash(ProvenCoproduct(recipe, gen(1, 3)))
+    assert key != ProvenCoproduct(recipe, gen(1, 4))
+    assert key != (recipe, gen(1, 3)) and key != gen(1, 3) and key != recipe
+
+
 def test_a_combined_run_conjugates_each_coproduct_once(monkeypatch):
     suites = ("nine-states", "diagram", "transitions")
     recipe_of, conjugated = {}, []
