@@ -144,12 +144,12 @@ def sigma_power(coefficient, i: int, j: int) -> Fn:
 
 
 def sigma_exponential(*terms) -> Expr:
-    """e^{sum of c * sigma_{ij}} as a product of (1+E_ij)^c factors.
+    """e^{sum of c * sigma_{ij}} as a product of (1+E_ij)^c factors in (i, j) order.
 
-    Valid whenever the E_ij involved commute, which holds for every
-    exponent appearing in the costructure tables.
+    Valid whenever the E_ij involved commute, which holds for every exponent
+    in the costructure tables; terms given in any order build one tree.
     """
-    return mul(*[sigma_power(c, i, j) for (c, i, j) in terms])
+    return mul(*[sigma_power(c, i, j) for (c, i, j) in sorted(terms, key=lambda t: t[1:])])
 
 
 # A space of this many dims or more is built in packed.py: in the doubled

@@ -316,8 +316,11 @@ def antipode_checks(seq: TwistSequence, generators, witness: Morphism) -> CheckR
 def verify_dragging(witness: Morphism) -> CheckResult:
     """J1-conjugation of the corner extensions equals the external factor.
 
-    Also confirms the commutation facts the rearrangement relies on: the
-    second-row extension commutes with J1 and with every extension factor.
+    It also compares each second-row extension E(2,r,N-1) with J1 and every
+    extension factor in both orders, though these do not commute in
+    U(gl(N))xU(gl(N)): the doubled witness at N = 6 gives residual 168 (the
+    strict xfail in tests/test_hopf.py), and the fundamental one passes only
+    because both products of all 14 compares are zero there (ROADMAP item 7).
     Factors are taken as their nilpotent parts: F(1 + x)F^-1 = 1 + FxF^-1
     and [1 + a, M] = [a, M], so every residual is that of the whole factors.
     """

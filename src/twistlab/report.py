@@ -31,7 +31,7 @@ from .hopf import (
     verify_dragging,
 )
 from .rationals import parse_rat, rat, rat_str
-from .roots import carrier_column, carrier_generators, cartan_element
+from .roots import carrier_column, carrier_generators, cartan_element, deepest_chain_step
 from .states import (
     STATE_IDS,
     heisenberg_pair_generators,
@@ -333,7 +333,7 @@ def _named_twists(cfg: SuiteConfig) -> dict:
         )
     if n >= 4:
         out["2chain"] = chain_twist(n, 1)
-    p_max = (n - 2) // 2
+    p_max = deepest_chain_step(n)
     if p_max > 1:
         out[f"chain(p={p_max})"] = chain_twist(n, p_max)
     return out
@@ -367,7 +367,7 @@ def _chain(cfg: SuiteConfig, w) -> list:
     else:
         gens = [gen(1, 2), gen(1, n), gen(2, n)]
     results.append(coassociativity_check(two, gens, w))
-    p_max = (n - 2) // 2
+    p_max = deepest_chain_step(n)
     if p_max > 1:
         results.extend(_axiom_pair(chain_twist(n, p_max), w))
     return results

@@ -36,7 +36,7 @@ def constituent_roots(n: int, k: int) -> Tuple[Tuple[Root, ...], Tuple[Root, ...
     equal to e_{k+1} - e_{N-k}; both empty when the nested block is sl(2) or
     sl(3) (no interior index s).
     """
-    if k < 0 or n - 2 * k < 2:
+    if not 0 <= k <= deepest_chain_step(n):
         raise IndexOutOfRange(f"step {k} too deep for gl({n})")
     lo, hi = k + 1, n - k
     prime = tuple(Root(lo, s) for s in range(lo + 1, hi))
@@ -58,15 +58,20 @@ class ChainPlan:
     maximal: bool
 
 
+def deepest_chain_step(n: int) -> int:
+    """The last chain step k for gl(N): its nested block sl(N - 2k) is sl(2) or sl(3)."""
+    return (n - 2) // 2
+
+
 def chain_plan(n: int, p: int) -> ChainPlan:
     """Steps 0..p of the twist chain for gl(N); maximal when p cannot grow."""
-    if p < 0 or n - 2 * p < 2:
+    if not 0 <= p <= deepest_chain_step(n):
         raise IndexOutOfRange(f"chain depth {p} invalid for gl({n})")
     steps = []
     for k in range(p + 1):
         prime, doubleprime = constituent_roots(n, k)
         steps.append(ChainStep(Root(k + 1, n - k), prime, doubleprime))
-    return ChainPlan(n, tuple(steps), maximal=(p == (n - 2) // 2))
+    return ChainPlan(n, tuple(steps), maximal=(p == deepest_chain_step(n)))
 
 
 def carrier_column(n: int) -> int:

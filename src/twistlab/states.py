@@ -103,9 +103,7 @@ _T1 = Combinator("T", i=1)
 _T2 = Combinator("T", i=2)
 _Tpp = Combinator("Tpp")
 _Tmp = Combinator("Tmp")
-_Tpm = Combinator("Tpm")
 _TR1 = Combinator("TR", i=1)
-_TR2 = Combinator("TR", i=2)
 # the S terms get the table's column r in costructure_table
 _S1m = Combinator("S1minus")
 _S1p = Combinator("S1plus")
@@ -116,12 +114,25 @@ _CENTER_PLAIN = {"e1n1": ((1, _Tpp),), "e1n": ((1, _T1),),
                  "e2n1": ((1, _T2),), "e2n": ((1, _Tpp),)}
 _CENTER_TILDE0 = {"e1n1": ((1, _Tmp),), "e1n": ((1, _T1),),
                   "e2n1": ((1, _T2),), "e2n": ((1, _TR1),)}
-_CENTER_TILDE1 = {"e1n1": ((1, _TR2),), "e1n": ((1, _T1),),
-                  "e2n1": ((1, _T2),), "e2n": ((1, _Tpm),)}
+
+# theta: 1 <-> 2, N-1 <-> N on the block's slots, combinator kinds and indices i
+_THETA = {"e1r": "e2r", "ern1": "ern", "e1n1": "e2n", "e1n": "e2n1",
+          "Tmp": "Tpm", "S1minus": "S2minus", "S1plus": "S2plus", 1: 2}
+_THETA.update({b: a for a, b in _THETA.items()})
+
+
+def mirror_table(entries):
+    """theta's image of one state's entries, in the same slot order."""
+    return {slot: tuple((sign, Combinator(_THETA.get(c.kind, c.kind), _THETA.get(c.i, c.i), c.r))
+                        for sign, c in entries[_THETA.get(slot, slot)])
+            for slot in entries}
+
 
 # The one table of the nine states: id -> (edge labels in application order
 # after J0 J1, the eight table entries keyed by generator slot).  An id is its
-# labels written right to left, then J1J0.
+# labels written right to left, then J1J0.  A mirrored state gives the state
+# it is the theta-image of, for mirror_table to fill in below; labels stay
+# written: E1E1tJ1J0 applies E1t then E1, its image E0tE0J1J0 E0 then E0t.
 STATES = {
     "J1J0": ((), {
         "e1r": ((1, _P1p),), "e2r": ((1, _P2p),), **_CENTER_PLAIN,
@@ -131,10 +142,7 @@ STATES = {
         "e1r": ((1, _P1p),), "e2r": ((1, _P2p), (-1, _S1m)), **_CENTER_TILDE0,
         "ern1": ((1, _P2p), (-1, _S1p)), "ern": ((1, _P1p),),
     }),
-    "E1tJ1J0": (("E1t",), {
-        "e1r": ((1, _P1p), (-1, _S2m)), "e2r": ((1, _P2p),), **_CENTER_TILDE1,
-        "ern1": ((1, _P2p),), "ern": ((1, _P1p), (-1, _S2p)),
-    }),
+    "E1tJ1J0": (("E1t",), "E0tJ1J0"),
     "E0J1J0": (("E0",), {
         "e1r": ((1, _P1m),), "e2r": ((1, _P2p), (1, _S1m)), **_CENTER_PLAIN,
         "ern1": ((1, _P2p), (1, _S1p)), "ern": ((1, _R1),),
@@ -143,23 +151,16 @@ STATES = {
         "e1r": ((1, _P1m),), "e2r": ((1, _P2p),), **_CENTER_TILDE0,
         "ern1": ((1, _P2p),), "ern": ((1, _R1),),
     }),
-    "E1E0E1tJ1J0": (("E1t", "E0", "E1"), {
-        "e1r": ((1, _P1m),), "e2r": ((1, _P2m), (1, _S1m)), **_CENTER_TILDE1,
-        "ern1": ((1, _R2), (1, _S1p)), "ern": ((1, _R1),),
-    }),
-    "E1J1J0": (("E1",), {
-        "e1r": ((1, _P1p), (1, _S2m)), "e2r": ((1, _P2m),), **_CENTER_PLAIN,
-        "ern1": ((1, _R2),), "ern": ((1, _P1p), (1, _S2p)),
-    }),
+    "E1E0E1tJ1J0": (("E1t", "E0", "E1"), "E1E0E0tJ1J0"),
+    "E1J1J0": (("E1",), "E0J1J0"),
     "E1E0E0tJ1J0": (("E0t", "E0", "E1"), {
         "e1r": ((1, _P1m), (1, _S2m)), "e2r": ((1, _P2m),), **_CENTER_TILDE0,
         "ern1": ((1, _R2),), "ern": ((1, _R1), (1, _S2p)),
     }),
-    "E1E1tJ1J0": (("E1t", "E1"), {
-        "e1r": ((1, _P1p),), "e2r": ((1, _P2m),), **_CENTER_TILDE1,
-        "ern1": ((1, _R2),), "ern": ((1, _P1p),),
-    }),
+    "E1E1tJ1J0": (("E1t", "E1"), "E0tE0J1J0"),
 }
+STATES.update({sid: (labels, mirror_table(STATES[rep][1]))
+               for sid, (labels, rep) in STATES.items() if isinstance(rep, str)})
 
 STATE_IDS = tuple(STATES)
 

@@ -151,37 +151,22 @@ def chain_twist(n: int, p: int) -> TwistSequence:
 def external_factor(n: int, which: str) -> TwistFactor:
     """External twisting factors for the 2-Jordanian-twisted algebra, N > 5.
 
-    E0tilde couples row 1 to the corner E_{2,N}/E_{N-1,N} pair with a
-    quadratic first leg; E1tilde is its image under the renumbering
-    (1 <-> 2, N-1 <-> N).
+    One body over indices (a, b, c, d).  E0tilde, over (1, 2, N-1, N),
+    couples row 1 to the corner E_{2,N}/E_{N-1,N} pair with a quadratic first
+    leg; E1tilde is its image under theta: 1 <-> 2, N-1 <-> N, the same body
+    over (2, 1, N, N-1), and sigma_exponential makes it E1tilde's very tree.
     """
     if n < 6:
         raise NotApplicable("external factors need N > 5")
-    if which == "E0tilde":
-        first = add(
-            gen(1, 2),
-            mul(scal(HALF), gen(1, n - 1)),
-            mul(gen(1, n - 1), cartan_element(n, 2, n - 1)),
-        )
-        term1 = (first, mul(gen(2, n), sigma_exponential((-HALF, 1, n), (-HALF, 2, n - 1))))
-        term2 = (
-            gen(1, n - 1),
-            mul(gen(n - 1, n), sigma_exponential((-HALF, 1, n), (HALF, 2, n - 1))),
-        )
-        return twist_factor("E0~", n, [term1, term2])
-    if which == "E1tilde":
-        first = add(
-            gen(2, 1),
-            mul(scal(HALF), gen(2, n)),
-            mul(gen(2, n), cartan_element(n, 1, n)),
-        )
-        term1 = (first, mul(gen(1, n - 1), sigma_exponential((-HALF, 1, n), (-HALF, 2, n - 1))))
-        term2 = (
-            gen(2, n),
-            mul(gen(n, n - 1), sigma_exponential((HALF, 1, n), (-HALF, 2, n - 1))),
-        )
-        return twist_factor("E1~", n, [term1, term2])
-    raise ValueError(f"unknown external factor {which!r}")
+    indices = {"E0tilde": ("E0~", 1, 2, n - 1, n), "E1tilde": ("E1~", 2, 1, n, n - 1)}
+    if which not in indices:
+        raise ValueError(f"unknown external factor {which!r}")
+    name, a, b, c, d = indices[which]
+    first = add(gen(a, b), mul(scal(HALF), gen(a, c)), mul(gen(a, c), cartan_element(n, b, c)))
+    return twist_factor(name, n, [
+        (first, mul(gen(b, d), sigma_exponential((-HALF, a, d), (-HALF, b, c)))),
+        (gen(a, c), mul(gen(c, d), sigma_exponential((-HALF, a, d), (HALF, b, c)))),
+    ])
 
 
 # -- materialization --------------------------------------------------------

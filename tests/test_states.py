@@ -444,3 +444,94 @@ def test_no_public_check_picks_its_own_witness():
     }
     # expected_entry evaluates in the legs (and kernel) of the coalgebra it is given
     assert list(inspect.signature(states.expected_entry).parameters) == ["table", "slot", "co"]
+
+
+# -- the mirror theta: 1 <-> 2, N-1 <-> N --------------------------------------
+
+# each state theta derives -> the written state it is the image of
+MIRRORED = {"E1tJ1J0": "E0tJ1J0", "E1J1J0": "E0J1J0",
+            "E1E1tJ1J0": "E0tE0J1J0", "E1E0E1tJ1J0": "E1E0E0tJ1J0"}
+
+
+def _c(kind, i=None):
+    return Combinator(kind, i=i)
+
+
+# the four tables as they were written out before theta derived them
+WRITTEN_MIRRORS = {
+    "E1tJ1J0": (("E1t",), {
+        "e1r": ((1, _c("Pplus", 1)), (-1, _c("S2minus"))), "e2r": ((1, _c("Pplus", 2)),),
+        "e1n1": ((1, _c("TR", 2)),), "e1n": ((1, _c("T", 1)),),
+        "e2n1": ((1, _c("T", 2)),), "e2n": ((1, _c("Tpm")),),
+        "ern1": ((1, _c("Pplus", 2)),), "ern": ((1, _c("Pplus", 1)), (-1, _c("S2plus"))),
+    }),
+    "E1E0E1tJ1J0": (("E1t", "E0", "E1"), {
+        "e1r": ((1, _c("Pminus", 1)),), "e2r": ((1, _c("Pminus", 2)), (1, _c("S1minus"))),
+        "e1n1": ((1, _c("TR", 2)),), "e1n": ((1, _c("T", 1)),),
+        "e2n1": ((1, _c("T", 2)),), "e2n": ((1, _c("Tpm")),),
+        "ern1": ((1, _c("R", 2)), (1, _c("S1plus"))), "ern": ((1, _c("R", 1)),),
+    }),
+    "E1J1J0": (("E1",), {
+        "e1r": ((1, _c("Pplus", 1)), (1, _c("S2minus"))), "e2r": ((1, _c("Pminus", 2)),),
+        "e1n1": ((1, _c("Tpp")),), "e1n": ((1, _c("T", 1)),),
+        "e2n1": ((1, _c("T", 2)),), "e2n": ((1, _c("Tpp")),),
+        "ern1": ((1, _c("R", 2)),), "ern": ((1, _c("Pplus", 1)), (1, _c("S2plus"))),
+    }),
+    "E1E1tJ1J0": (("E1t", "E1"), {
+        "e1r": ((1, _c("Pplus", 1)),), "e2r": ((1, _c("Pminus", 2)),),
+        "e1n1": ((1, _c("TR", 2)),), "e1n": ((1, _c("T", 1)),),
+        "e2n1": ((1, _c("T", 2)),), "e2n": ((1, _c("Tpm")),),
+        "ern1": ((1, _c("R", 2)),), "ern": ((1, _c("Pplus", 1)),),
+    }),
+}
+
+
+def test_derived_tables_equal_the_written_ones():
+    assert STATE_IDS == ("J1J0", "E0tJ1J0", "E1tJ1J0", "E0J1J0", "E0tE0J1J0",
+                         "E1E0E1tJ1J0", "E1J1J0", "E1E0E0tJ1J0", "E1E1tJ1J0")
+    for sid, (labels, written) in WRITTEN_MIRRORS.items():
+        got_labels, entries = STATES[sid]
+        assert got_labels == labels
+        # entry by entry, in slot order
+        assert list(entries.items()) == list(written.items())
+        # theta is an involution: the image of the image is the written state
+        assert states.mirror_table(entries) == STATES[MIRRORED[sid]][1]
+
+
+# theta with some of its pairs left out: per derived state, the residual of
+# verify_state on the table it gives (fundamental witness, N = 6, r = 3)
+PARTIAL_THETAS = {
+    "ern and ern1 fixed": (("ern1",), {"E1tJ1J0": 6, "E1J1J0": 8, "E1E1tJ1J0": 6,
+                                       "E1E0E1tJ1J0": 10}),
+    "no Tmp <-> Tpm": (("Tmp",), {"E1tJ1J0": 2, "E1J1J0": 0, "E1E1tJ1J0": 2,
+                                  "E1E0E1tJ1J0": 2}),
+    "no S1 <-> S2": (("S1minus", "S1plus"), {"E1tJ1J0": 4, "E1J1J0": 4, "E1E1tJ1J0": 0,
+                                             "E1E0E1tJ1J0": 4}),
+    "no i -> 3 - i": ((1,), {"E1tJ1J0": 14, "E1J1J0": 14, "E1E1tJ1J0": 16,
+                             "E1E0E1tJ1J0": 18}),
+    "centre fixed": (("e1n1", "e1n"), {"E1tJ1J0": 8, "E1J1J0": 4, "E1E1tJ1J0": 8,
+                                       "E1E0E1tJ1J0": 8}),
+}
+
+
+@pytest.mark.parametrize("partial", sorted(PARTIAL_THETAS))
+def test_a_partial_theta_fails_a_derived_table(partial, monkeypatch):
+    dropped, residuals = PARTIAL_THETAS[partial]
+    monkeypatch.setattr(states, "_THETA", {
+        a: b for a, b in states._THETA.items() if a not in dropped and b not in dropped
+    })
+    for sid, rep in MIRRORED.items():
+        monkeypatch.setitem(STATES, sid, (STATES[sid][0], states.mirror_table(STATES[rep][1])))
+    w = fundamental_morphism(6)
+    assert {sid: verify_state(sid, 3, w).residual_nnz for sid in MIRRORED} == residuals
+
+
+def test_the_diagram_is_theta_closed():
+    label_image = {"E0": "E1", "E1": "E0", "E0t": "E1t", "E1t": "E0t"}
+    state_image = {"J1J0": "J1J0", **MIRRORED, **{b: a for a, b in MIRRORED.items()}}
+    assert set(state_image) == set(STATES)
+    for sid, (labels, _) in STATES.items():
+        assert {label_image[x] for x in labels} == set(STATES[state_image[sid]][0])
+    image = {(state_image[src], label_image[label], state_image[dst])
+             for src, label, dst in DIAGRAM_EDGES}
+    assert len(DIAGRAM_EDGES) == 10 and image == set(DIAGRAM_EDGES)

@@ -18,10 +18,11 @@ from twistlab.expr import (
     mul,
     scal,
     sigma,
+    sigma_exponential,
     sigma_power,
     zero_morphism,
 )
-from twistlab.hopf import TwistedCoalgebra
+from twistlab.hopf import TwistedCoalgebra, cocycle_check
 from twistlab.rationals import HALF, rat
 from twistlab.report import WITNESSES
 from twistlab.roots import carrier_column, cartan_element
@@ -217,6 +218,49 @@ def test_external_factor_shapes():
     assert len(fac1.terms) == 2
     with pytest.raises(NotApplicable):
         external_factor(5, "E0tilde")
+
+
+def written_e1tilde_terms(n):
+    """E1~'s terms as they were written out before theta derived them from E0~'s."""
+    first = add(gen(2, 1), mul(scal(HALF), gen(2, n)), mul(gen(2, n), cartan_element(n, 1, n)))
+    term1 = (first, mul(gen(1, n - 1), mul(sigma_power(-HALF, 1, n), sigma_power(-HALF, 2, n - 1))))
+    term2 = (gen(2, n),
+             mul(gen(n, n - 1), mul(sigma_power(HALF, 1, n), sigma_power(-HALF, 2, n - 1))))
+    return (term1, term2)
+
+
+def external_body(n, a, b, c, d):
+    """external_factor's one body over the indices (a, b, c, d)."""
+    first = add(gen(a, b), mul(scal(HALF), gen(a, c)), mul(gen(a, c), cartan_element(n, b, c)))
+    return twist_factor("E~", n, [
+        (first, mul(gen(b, d), sigma_exponential((-HALF, a, d), (-HALF, b, c)))),
+        (gen(a, c), mul(gen(c, d), sigma_exponential((-HALF, a, d), (HALF, b, c)))),
+    ])
+
+
+def test_e1tilde_is_e0tilde_over_the_mirrored_indices():
+    for n in range(6, 12):
+        e0, e1 = external_factor(n, "E0tilde"), external_factor(n, "E1tilde")
+        assert (e0.name, e1.name) == ("E0~", "E1~")
+        # the same tree as the written-out builder, not only the same value
+        assert e1.terms == written_e1tilde_terms(n)
+        assert e0.terms == external_body(n, 1, 2, n - 1, n).terms
+        assert e1.terms == external_body(n, 2, 1, n, n - 1).terms
+    # the sigma factors come in index order whatever order they are given in
+    swapped = sigma_exponential((HALF, 2, 5), (-HALF, 1, 6))
+    assert swapped == mul(sigma_power(-HALF, 1, 6), sigma_power(HALF, 2, 5))
+    with pytest.raises(ValueError, match="unknown external factor"):
+        external_factor(6, "E2tilde")
+
+
+def test_half_of_theta_on_e0tilde_fails_the_cocycle():
+    # the rows alone or the columns alone swapped is no twist after J0 J1
+    n = 6
+    base = sequence(jordanian_factor(n, 1), jordanian_factor(n, 2))
+    w = fundamental_morphism(n)
+    got = {idx: cocycle_check(base.then(external_body(n, *idx)), w).residual_nnz
+           for idx in ((1, 2, 5, 6), (2, 1, 6, 5), (2, 1, 5, 6), (1, 2, 6, 5))}
+    assert got == {(1, 2, 5, 6): 0, (2, 1, 6, 5): 0, (2, 1, 5, 6): 24, (1, 2, 6, 5): 24}
 
 
 def test_materialize_makes_one_product_per_extra_factor(monkeypatch):
