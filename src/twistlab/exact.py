@@ -122,16 +122,6 @@ def pow1p(exponent) -> AnalyticFnSpec:
     return AnalyticFnSpec("pow1p", rat(exponent))
 
 
-def _reduced(rows: dict, den: int):
-    """The canonical (rows, den): gcd(den, numerators) divided out."""
-    if den == 1 or not rows:
-        return rows, 1
-    g = gcd(den, *chain.from_iterable(map(dict.values, rows.values())))
-    if g == 1:
-        return rows, den
-    return {i: {j: v // g for j, v in r.items()} for i, r in rows.items()}, den // g
-
-
 def _add_into(rows: dict, other: dict, factor: int):
     """rows += factor * other on numerators, in place, storing no zeros."""
     for i, orow in other.items():
@@ -167,8 +157,13 @@ class SparseMatrix:
 
     def reduced(self) -> "SparseMatrix":
         """The canonical form: gcd(den, every numerator) == 1."""
-        rows, den = _reduced(self.rows, self.den)
-        return self if den == self.den else SparseMatrix(self.dim, rows, den)
+        if self.den == 1:
+            return self
+        g = gcd(self.den, *chain.from_iterable(map(dict.values, self.rows.values())))
+        if g == 1:
+            return self
+        rows = {i: {j: v // g for j, v in r.items()} for i, r in self.rows.items()}
+        return SparseMatrix(self.dim, rows, self.den // g)
 
     # -- construction -----------------------------------------------------
 

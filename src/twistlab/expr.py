@@ -15,7 +15,8 @@ contragredient_morphism followed by a transpose, w(S(x)) = w*(x)^T.
 Each Morphism evaluates in the kernel kernel_for picks for its dim: exact.py,
 or packed.py, which builds and keeps a large one's every image in numpy arrays.
 A build in two or more legs takes the kernel of the space it is built in,
-kernel_for of the product of the legs' dims, so no caller picks a kernel.
+kernel_for of the product of the legs' dims, so no caller picks a kernel
+but verify_diagram, through eval_tensor_pairs' one override.
 
 The leaf builders gen, sigma and sigma_power are memoized (exact.memoized,
 re-exported here with clear_memos): each distinct leaf is built once per
@@ -336,7 +337,8 @@ def eval_tensor_pairs(pairs, left: Morphism, right: Morphism, *, kernel=None):
 
     Each leg is evaluated in its own morphism's kernel; the krons and the sum
     are taken in the kernel of the legs' space, or in `kernel`, which must be
-    packed.py when a leg's is.
+    packed.py when a leg's is: the diagram's four-leg arguments take one
+    leg's kernel, the one override of kernel_for.
     """
     kernel = kernel or kernel_for(left.dim * right.dim)
     out = SparseMatrix.zero(left.dim * right.dim)

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import NotApplicable
-from .exact import SparseMatrix, _add_into, analytic_apply, kron, pow1p, swap_matrix
+from .exact import SparseMatrix, _add_into, kron, pow1p, swap_matrix
 from .expr import (
     Expr,
     Morphism,
@@ -295,7 +295,7 @@ def antipode_checks(seq: TwistSequence, generators, witness: Morphism) -> CheckR
     dual_right = TwistedCoalgebra(seq, witness, wdual)
     v = _antipode_contraction(dual_right.f_mat, d, 2)
     tally.equal(v * _antipode_contraction(dual_left.f_inv, d, 1), ident)
-    v_inv = analytic_apply(pow1p(-1), v - ident)
+    v_inv = _unipotent_inverse(v - ident)
 
     # m(S_F x id)(g) = v m(S x id)((1 x v^-1) g) and
     # m(id x S_F)(g) = m(id x S)(g (v x 1)) v^-1

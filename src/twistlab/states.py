@@ -17,6 +17,7 @@ from .expr import (
     Morphism,
     delta_morphism,
     eval_expr,
+    eval_tensor_pairs,
     gen,
     kept_in_legs,
     kept_value,
@@ -36,7 +37,6 @@ from .twists import (
     external_factor,
     generic_jordanian_factor,
     jordanian_factor,
-    materialize_factor,
     sequence,
 )
 
@@ -318,10 +318,6 @@ class _Deformed:
     def expected(self, pairs):
         return two_leg_sum(pairs, self.witness, self.witness)
 
-    def record(self, x: Expr, proven):
-        """Keep `proven`, an `expected` value D_F(x) was just found equal to."""
-        kept_in_legs(self.witness, self.witness, ProvenCoproduct(self.recipe, x), lambda: proven)
-
 
 def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
     """D_F(g) against each table's entry, for every generator g the tables
@@ -333,7 +329,8 @@ def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
     failing one records nothing.
     """
     tally = Tally(name)
-    deformed = _Deformed(tables[0].twist_recipe, witness)
+    recipe = tables[0].twist_recipe
+    deformed = _Deformed(recipe, witness)
     seen = set()
     for table in tables:
         for slot, g in heisenberg_pair_generators(table.n, table.r).items():
@@ -342,7 +339,7 @@ def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
                 seen.add(g)
                 want = expected_entry(table, slot, deformed)
                 if tally.equal(deformed(g), want):
-                    deformed.record(g, want)
+                    kept_in_legs(witness, witness, ProvenCoproduct(recipe, g), lambda: want)
     return tally.result()
 
 
@@ -414,18 +411,24 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
 
     # The fundamental representation kills all four commutators, so the
     # asymmetry is witnessed one tensor level up, where [internal, external]
-    # vanishes exactly for i = j and is visibly nonzero otherwise.
-    # Each factor is 1 + a with a nilpotent, and [1 + a, 1 + b] = [a, b]
-    # exactly, so the commutators are taken on the nilpotent parts, in one
-    # leg's kernel, not the four-leg space's: in the fundamental witness that
-    # space has 1,296 dims from N = 6, but a part only some 170-730 entries
-    # up to N = 8, and packed.py would import numpy into every such run.
+    # vanishes exactly for i = j and is visibly nonzero otherwise.  The
+    # commutators are taken on the factors' arguments X, not on exp(X): for
+    # nilpotent X and Y, exp X commutes with exp Y exactly when X commutes
+    # with Y (exp X exp Y exp(-X) = exp(e^{ad X} Y), log is one-to-one on
+    # unipotent matrices, and (e^{ad X} - 1)/ad X is invertible).  Every X
+    # is nilpotent in every leg space: each left leg (E_{1r}, E_{12},
+    # E_{1,N-1}, E_{1,N-1} H_{2,N-1}) strictly raises the weight of row 1,
+    # and for E1 and E1~ its theta image that of row 2.  They are built in
+    # one leg's kernel, not the four-leg space's: in the fundamental witness
+    # that space has 1,296 dims from N = 6, but an argument only 168-720
+    # entries up to N = 8, and packed.py would import numpy into every such
+    # run.
     deep = delta_morphism(witness, witness)
-    part = {label: materialize_factor(f, deep, deep, kernel=deep.kernel)
-            for label, f in factors.items()}
+    arg = {label: eval_tensor_pairs(f.terms, deep, deep, kernel=deep.kernel)
+           for label, f in factors.items()}
     for i in (0, 1):
         for j in (0, 1):
-            comm = part[f"E{i}"].commutator(part[f"E{j}t"])
+            comm = arg[f"E{i}"].commutator(arg[f"E{j}t"])
             if i == j:
                 tally.equal(comm, SparseMatrix.zero(comm.dim))
             else:

@@ -11,14 +11,14 @@ F - 1: materialize_factor gives a = exp(argument) - 1, and nilpotent_part
 folds the parts with (1 + a)(1 + b) - 1 = ab + a + b, so no identity of the
 legs' space is built until materialize adds it once.
 
-The factor builders jordanian_factor, extension_factor and external_factor
-are memoized (exact.memoized, which expr re-exports): each distinct factor,
-its counit validation included, is built once per process, and every cache
-keyed by it (the parts kept beside a witness's coproduct) hits on identity.
-They are pure: a factor is a frozen tree fixed by (N, k, r) or (N, which),
-and its counit is evaluated in zero_morphism, whose images depend on N
-alone.  The generic factors, whose carrier split alpha varies per run, are
-built on each call.  A factor built from a patched input (cartan_element,
+The factor builders jordanian_factor, extension_factor, external_factor,
+the two generic ones and extended_twist_generic are memoized
+(exact.memoized, which expr re-exports): each distinct factor, its counit
+validation included, is built once per process, and every cache keyed by it
+(the parts kept beside a witness's coproduct) hits on identity.  They are
+pure: a factor is a frozen tree fixed by (N, k, r), (N, which) or
+(N, r, alpha), and its counit is evaluated in zero_morphism, whose images
+depend on N alone.  A factor built from a patched input (cartan_element,
 sigma, ...) stays in the memo until clear_memos() empties the registry.
 """
 
@@ -114,12 +114,14 @@ def extension_factor(n: int, k: int, r: int) -> TwistFactor:
     return twist_factor(f"E({k},{r},{top})", n, [(gen(k, r), right)])
 
 
+@memoized
 def generic_jordanian_factor(n: int, r: int, alpha) -> TwistFactor:
     """Jordanian on the generic carrier H' = alpha*E_11 - beta*E_NN."""
     h, _, _, _ = carrier_generators(n, r, alpha)
     return twist_factor(f"Jg(a={rat(alpha)})", n, [(h, sigma(1, n))])
 
 
+@memoized
 def generic_extension_factor(n: int, r: int, alpha) -> TwistFactor:
     """exp(A x B e^{-beta*sigma}) on the generic carrier, beta = 1 - alpha."""
     _, a, b, _ = carrier_generators(n, r, alpha)
@@ -129,6 +131,7 @@ def generic_extension_factor(n: int, r: int, alpha) -> TwistFactor:
     )
 
 
+@memoized
 def extended_twist_generic(n: int, r: int, alpha) -> TwistSequence:
     """Extended Jordanian twist: extension applied after the Jordanian."""
     return sequence(
@@ -172,21 +175,16 @@ def external_factor(n: int, which: str) -> TwistFactor:
 # -- materialization --------------------------------------------------------
 
 
-def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism, *, kernel=None):
+def materialize_factor(factor: TwistFactor, left: Morphism, right: Morphism):
     """The factor's nilpotent part exp(argument) - 1 in the given legs.
 
-    It is built in the kernel of the legs' space (expr.kernel_for), and then
-    in a witness's own two legs it is built once and kept beside the
-    witness's coproduct (expr.kept_in_legs).  A `kernel` given instead, one
-    that the legs' images allow, builds it on each call.
+    It is built in the kernel of the legs' space (expr.kernel_for), and in a
+    witness's own two legs it is built once and kept beside the witness's
+    coproduct (expr.kept_in_legs).
     """
-    chosen = kernel or kernel_for(left.dim * right.dim)
-
-    def build():
-        return chosen.analytic_apply(
-            EXPM1, eval_tensor_pairs(factor.terms, left, right, kernel=chosen))
-
-    return build() if kernel else kept_in_legs(left, right, factor, build)
+    kernel = kernel_for(left.dim * right.dim)
+    return kept_in_legs(left, right, factor, lambda: kernel.analytic_apply(
+        EXPM1, eval_tensor_pairs(factor.terms, left, right)))
 
 
 def nilpotent_part(seq: TwistSequence, left: Morphism, right: Morphism):

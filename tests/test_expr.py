@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import sys
 
 import pytest
@@ -237,3 +240,30 @@ def test_clear_memos_empties_every_process_wide_memo(monkeypatch):
         expr.clear_memos()
     assert half.numerators(3) == ((8, -2, 1), 16) and EXP.numerators(3) == ((6, 3, 1), 6)
     assert sigma(1, 6) == leaf
+
+
+def _own_callables(module):
+    # (name, callable) for each function and method the module defines
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_no_function_but_eval_tensor_pairs_takes_a_kernel():
+    # each space picks its own kernel (kernel_for); the one override sums the
+    # diagram's four-leg arguments in one leg's kernel
+    pytest.importorskip("numpy")
+    takes_kernel = set()
+    for info in pkgutil.iter_modules(twistlab.__path__):
+        module = importlib.import_module(f"twistlab.{info.name}")
+        for name, fn in _own_callables(module):
+            if "kernel" in inspect.signature(fn).parameters:
+                takes_kernel.add(f"{info.name}.{name}")
+    assert takes_kernel == {"expr.eval_tensor_pairs"}

@@ -325,9 +325,9 @@ def test_comparisons_per_suite(suite, count, monkeypatch):
     assert len(calls) == count
 
 
-# doubled diagram is left out: about 58 s at N = 6, almost all of it in the
-# asymmetry lift (ROADMAP item 7); the part of it that fails is
-# test_hopf.py::test_dragging_fails_in_the_doubled_witness
+# doubled diagram is left out: about 3.3 s and 540 MB at N = 6, most of it in
+# the asymmetry lift, and its dragging row fails (ROADMAP item 7); that part
+# is test_hopf.py::test_dragging_fails_in_the_doubled_witness
 LEFT_OUT = {("diagram", "doubled")}
 
 

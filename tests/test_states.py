@@ -5,7 +5,7 @@ import pytest
 
 from twistlab import expr, hopf, states, twists
 from twistlab.errors import IndexOutOfRange, NotApplicable
-from twistlab.exact import SparseMatrix, kron
+from twistlab.exact import SparseMatrix, kron, nilpotency_index
 from twistlab.expr import (
     coproduct_morphism,
     delta_morphism,
@@ -163,14 +163,20 @@ def test_diagram_n6():
 @pytest.mark.parametrize("n, r", [(6, 3), (7, 3), (7, 4)])
 def test_diagram_commutators_on_nilpotent_parts(n, r):
     # [1 + a, 1 + b] = [a, b]: the diagram's commutators of whole factors equal
-    # those of their nilpotent parts, zero exactly for the pairs (Ei, Eit)
+    # those of their nilpotent parts, zero exactly for the pairs (Ei, Eit);
+    # and the parts a = exp(X) - 1 commute exactly when the nilpotent
+    # arguments X do, which verify_diagram compares instead
     deep = delta_morphism(fundamental_morphism(n), fundamental_morphism(n))
     one = SparseMatrix.identity(deep.dim ** 2)
-    whole = {
+    factors = {
         "E0": extension_factor(n, 1, r), "E1": extension_factor(n, 2, r),
         "E0t": external_factor(n, "E0tilde"), "E1t": external_factor(n, "E1tilde"),
     }
-    whole = {label: materialize_factor(f, deep, deep) + one for label, f in whole.items()}
+    arg = {label: eval_tensor_pairs(f.terms, deep, deep, kernel=deep.kernel)
+           for label, f in factors.items()}
+    for x in arg.values():
+        assert nilpotency_index(x) == 3
+    whole = {label: materialize_factor(f, deep, deep) + one for label, f in factors.items()}
     for i in (0, 1):
         mi = whole[f"E{i}"]
         for j in (0, 1):
@@ -180,6 +186,7 @@ def test_diagram_commutators_on_nilpotent_parts(n, r):
             assert comm.is_zero() == (i == j)
             if i != j:
                 assert comm.nnz == (mi * mj - mj * mi).nnz
+            assert arg[f"E{i}"].commutator(arg[f"E{j}t"]).is_zero() == comm.is_zero()
 
 
 def test_diagram_rejects_small_n():
@@ -355,6 +362,24 @@ def test_a_flipped_sign_fails_the_same_in_both_kernels(monkeypatch):
         res = verify_state("E0J1J0", 3, w)
         rows.append((res.passed, res.residual_nnz, res.dims))
     assert rows == [(False, 168, 1296)] * 2
+
+
+def test_a_table_wrong_at_sigma_cubed_passes_both_shipped_witnesses(monkeypatch):
+    # J1J0's e1n entry T1 as -3 P0 + 3 P1+ + P1-: its right leg agrees with
+    # e^sigma through E^2 and differs at E^3 (E = E_{1N}).  E has nilpotency
+    # index 2 in V and 3 in V x V, so the fundamental and doubled witnesses
+    # cannot see it; in V x V x V, where the index is 4, it fails.  The first
+    # two asserts flip once a witness that deep ships.
+    labels, entries = STATES["J1J0"]
+    assert entries["e1n"] == ((1, Combinator("T", i=1)),)
+    mutant = {**entries, "e1n": ((-3, Combinator("P0")), (3, Combinator("Pplus", i=1)),
+                                 (1, Combinator("Pminus", i=1)))}
+    monkeypatch.setitem(STATES, "J1J0", (labels, mutant))
+    assert verify_state("J1J0", 3, fundamental_morphism(6)).passed
+    assert verify_state("J1J0", 3, coproduct_morphism(6)).passed
+    deeper = delta_morphism(coproduct_morphism(6), fundamental_morphism(6))
+    res = verify_state("J1J0", 3, deeper)
+    assert (res.passed, res.residual_nnz, res.dims) == (False, 108, 46_656)
 
 
 def test_diagram_builds_each_coalgebra_once(monkeypatch):

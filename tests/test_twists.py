@@ -132,6 +132,18 @@ def test_a_memoized_builder_returns_one_object_per_request(build, args):
     assert build(*args) is build(*args)
 
 
+@pytest.mark.parametrize("build", [
+    generic_jordanian_factor, generic_extension_factor, extended_twist_generic,
+], ids=lambda v: v.__name__)
+def test_a_generic_builder_is_memoized_until_the_memos_are_cleared(build):
+    kept = build(6, 3, rat(1, 3))
+    assert build(6, 3, rat(1, 3)) is kept
+    assert build(6, 3, rat(2, 5)) != kept
+    exact.clear_memos()
+    again = build(6, 3, rat(1, 3))
+    assert again == kept and again is not kept
+
+
 def test_memoized_builders_tell_equal_arguments_of_other_types_apart():
     # 1/2 == 0.5 and 1 == True, but no builder takes a float or a bool for a rational
     half = sigma_power(HALF, 1, 6)
