@@ -286,13 +286,14 @@ def kept_in_legs(left: Morphism, right: Morphism, key, build):
     return got
 
 
-def kept_value(witness: Morphism, key):
-    """What kept_in_legs keeps under `key` in the witness's own legs, or None.
+def kept_dict(witness: Morphism, key) -> dict:
+    """The dict kept under `key` beside the witness's coproduct, empty when new.
 
-    None as well when the witness's coproduct is not built yet.
+    It lives in delta_morphism(witness, witness)'s cache, built here if it is
+    not yet, and is freed with it.  It is the one kept value its callers add
+    to: every other kept value is built once and never changed.
     """
-    delta = witness._delta
-    return None if delta is None else delta._cache.get(key)
+    return delta_morphism(witness, witness)._cache.setdefault(key, {})
 
 
 def coproduct_morphism(n: int) -> Morphism:

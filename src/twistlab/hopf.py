@@ -115,7 +115,7 @@ class TwistedCoalgebra:
         self.delta = delta_morphism(self.witness, self.right)
         self.kernel = self.delta.kernel
         self.part = nilpotent_part(seq, self.witness, self.right).reduced()
-        self.f_mat = (self.kernel.identity(self.delta.dim) + self.part).reduced()
+        self.f_mat = (self.delta.identity + self.part).reduced()
         self.f_inv = _unipotent_inverse(self.part)
 
     def conjugate(self, m):

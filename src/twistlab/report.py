@@ -471,11 +471,15 @@ def load_matrix(path: str) -> SparseMatrix:
         return parse_matrix_text(fh.read())
 
 
-def _config_exact(value, key: str, kind: str = "an integer"):
-    # int() would truncate 6.7 to 6 and read True as 1; parse_rat would get '0.5'
-    if isinstance(value, (bool, float)):
-        raise ConfigInvalid(f"{key!r} needs {kind}, got {value!r}")
-    return value
+def _config_exact(value, key: str, parse=int, kind: str = "an integer"):
+    # parse(value), or an error naming key; int() would truncate 6.7 to 6 and
+    # read True as 1, and parse_rat would get '0.5'; '1/0' is left to the caller
+    if not isinstance(value, (bool, float)):
+        try:
+            return parse(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigInvalid(f"{key!r} needs {kind}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> SuiteConfig:
@@ -497,12 +501,13 @@ def config_from_dict(data: dict) -> SuiteConfig:
             if data.get(key) is not None and not isinstance(data[key], str):
                 raise ConfigInvalid(f"{key!r} must be a string, got {data[key]!r}")
         # a key the object leaves out takes SuiteConfig's default
-        parsed = {**data, "n": int(_config_exact(data["n"], "n")), "suites": tuple(data["suites"])}
+        parsed = {**data, "n": _config_exact(data["n"], "n"), "suites": tuple(data["suites"])}
         if "r_values" in data:
-            parsed["r_values"] = tuple(int(_config_exact(r, "r_values")) for r in data["r_values"])
+            parsed["r_values"] = tuple(_config_exact(r, "r_values") for r in data["r_values"])
         if "alpha_values" in data:
             parsed["alpha_values"] = tuple(
-                parse_rat(str(_config_exact(a, "alpha_values", "an integer or a 'p/q' string")))
+                _config_exact(a, "alpha_values", lambda a: parse_rat(str(a)),
+                              "an integer or a 'p/q' string")
                 for a in data["alpha_values"]
             )
         return SuiteConfig(**parsed)

@@ -19,8 +19,7 @@ from .expr import (
     eval_expr,
     eval_tensor_pairs,
     gen,
-    kept_in_legs,
-    kept_value,
+    kept_dict,
     memoized,
     mul,
     scal,
@@ -254,92 +253,67 @@ def table_payload(state_id: str, n: int, r: int) -> dict:
     }
 
 
-def expected_entry(table: CostructureTable, slot: str, co):
-    """The table's claim for D_F at one slot, evaluated in co's legs and kernel.
+def expected_entry(table: CostructureTable, slot: str, witness: Morphism):
+    """The table's claim for D_F at one slot, in the witness's own two legs.
 
-    co is a TwistedCoalgebra, or a _Deformed, whose legs are the witness's own.
+    It is evaluated by two_leg_sum, in the legs' kernel, and kept beside the
+    witness's coproduct, so equal claims give the identical matrix.
     """
     g = heisenberg_pair_generators(table.n, table.r)[slot]
-    return co.expected([
+    return two_leg_sum([
         (a if sign == 1 else mul(scal(sign), a), b)
         for sign, comb in table.entry(slot)
         for a, b in combinator_terms(comb, g, table.n)
-    ])
-
-
-class ProvenCoproduct:
-    """The key of a record: D_F(x) for the twist `recipe` in a witness.
-
-    A table check that proves D_F(x) equal to the entry it compared against
-    keeps that entry, already kept and canonical, under this key beside the
-    witness's coproduct (expr.kept_in_legs), so the record costs no matrix
-    and is freed with the witness.  A key equals only a key, never an
-    expression, twist factor or tuple of two-leg terms kept there.  (A plain
-    class: a frozen dataclass would add about 0.8 ms to every import.)
-    """
-
-    __slots__ = ("recipe", "x")
-
-    def __init__(self, recipe: TwistSequence, x: Expr):
-        self.recipe = recipe
-        self.x = x
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is ProvenCoproduct
-                and self.recipe == other.recipe and self.x == other.x)
-
-    def __hash__(self) -> int:
-        return hash((self.recipe, self.x))
+    ], witness, witness)
 
 
 class _Deformed:
     """x -> D_F(x) for one twist in a witness's own legs, read before built.
 
-    D_F(x) is its ProvenCoproduct record when one is kept; otherwise it is
+    `proven` is the twist's dict x -> the kept table entry a check proved
+    equal to D_F(x) (expr.kept_dict, under the twist's TwistSequence, which
+    equals no other key kept there), so it holds no new matrix and is freed
+    with the witness.  D_F(x) is read from it when present; otherwise it is
     conjugated in the twist's TwistedCoalgebra, built on the first such x,
-    so a twist whose every x is recorded builds none.  A record holds D_F(x)
-    itself, so every compare gives what conjugating would.  `expected` is
-    TwistedCoalgebra's, in the same legs and kernel.
+    so a twist whose every x is proven builds none.  An entry is D_F(x)
+    itself, so every compare gives what conjugating would.
     """
 
     def __init__(self, recipe: TwistSequence, witness: Morphism):
         self.recipe = recipe
         self.witness = witness
+        self.proven = kept_dict(witness, recipe)
         self._co = None
 
     def __call__(self, x: Expr):
-        got = kept_value(self.witness, ProvenCoproduct(self.recipe, x))
+        got = self.proven.get(x)
         if got is None:
             if self._co is None:
                 self._co = TwistedCoalgebra(self.recipe, self.witness)
             got = self._co.coproduct(x)
         return got
 
-    def expected(self, pairs):
-        return two_leg_sum(pairs, self.witness, self.witness)
-
 
 def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
     """D_F(g) against each table's entry, for every generator g the tables
     name, in one coalgebra of their shared twist; each g is compared once.
 
-    D_F(g) is read from a record where an earlier check proved it (see
-    _Deformed), so the coalgebra is built only if some g has none; each
-    compare that passes records the entry D_F(g) was proven equal to, and a
-    failing one records nothing.
+    D_F(g) is read from the twist's proven dict where an earlier check
+    proved it (see _Deformed), so the coalgebra is built only if some g has
+    none; each compare that passes adds g -> the entry it was proven equal
+    to, and a failing one adds nothing.
     """
     tally = Tally(name)
-    recipe = tables[0].twist_recipe
-    deformed = _Deformed(recipe, witness)
+    deformed = _Deformed(tables[0].twist_recipe, witness)
     seen = set()
     for table in tables:
         for slot, g in heisenberg_pair_generators(table.n, table.r).items():
             # the four slots outside column r are the same at every r
             if g not in seen:
                 seen.add(g)
-                want = expected_entry(table, slot, deformed)
+                want = expected_entry(table, slot, witness)
                 if tally.equal(deformed(g), want):
-                    kept_in_legs(witness, witness, ProvenCoproduct(recipe, g), lambda: want)
+                    deformed.proven[g] = want
     return tally.result()
 
 
@@ -377,11 +351,11 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
 
     The squares are the two-label states, each against its labels applied
     in the other order.  Each edge-factor coalgebra is built once, and the
-    source and square coproducts D_F(g) are read from the records a state
-    check left (see _Deformed): a state's coalgebra is built, once, only if
-    one of its generators has none, so after `nine-states` none is.  The
-    edges' and the other orders' coproducts are never recorded, since no
-    table check proves them.
+    source and square coproducts D_F(g) are read from the proven dicts the
+    state checks left (see _Deformed): a state's coalgebra is built, once,
+    only if one of its generators is not in its dict, so after `nine-states`
+    none is.  The edges' and the other orders' coproducts are never added,
+    since no table check proves them.
     """
     n = witness.n
     _require_state_args(n, r)
@@ -399,7 +373,7 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
         dst_table = costructure_table(dst, n, r)
         for slot, _ in dst_table.entries:
             got = edges[label].conjugate(deformed[src][slot])
-            tally.equal(got, expected_entry(dst_table, slot, edges[label]))
+            tally.equal(got, expected_entry(dst_table, slot, witness))
 
     base = sequence(jordanian_factor(n, 1), jordanian_factor(n, 2))
     for sid in squares:
@@ -462,7 +436,7 @@ def verify_transition_schemes(witness: Morphism) -> CheckResult:
     From N = 6 it adds verify_state at r = 3 for the five states at most one
     edge from J1J0.  Those compare every generator against the tables again,
     but after `nine-states` in the same witness they read each D_F(g) from
-    its record and build no coalgebra (see _Deformed).
+    its twist's proven dict and build no coalgebra (see _Deformed).
     """
     n = witness.n
     if n < 3:

@@ -195,6 +195,14 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
      "'alpha_values' needs an integer or a 'p/q' string, got 0.5"),
     (["--config", "{tmp}/bool_alpha.json"],
      "'alpha_values' needs an integer or a 'p/q' string, got True"),
+    # a value int() or parse_rat cannot read is named as a float is
+    (["--config", "{tmp}/null_n.json"], "'n' needs an integer, got None"),
+    (["--config", "{tmp}/text_n.json"], "'n' needs an integer, got '6.7'"),
+    (["--config", "{tmp}/list_r.json"], "'r_values' needs an integer, got [3]"),
+    (["--config", "{tmp}/null_alpha.json"],
+     "'alpha_values' needs an integer or a 'p/q' string, got None"),
+    (["--config", "{tmp}/text_alpha.json"],
+     "'alpha_values' needs an integer or a 'p/q' string, got 'abc'"),
     (["--config", "{tmp}/misspelled_key.json"], "unknown config keys ['witnes']"),
     (["--config", "{tmp}/flag_name_key.json"], "unknown config keys ['alpha']"),
     # an empty list flag empties the file's list, as it does with no file
@@ -215,7 +223,8 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
         "config-string-alphas", "config-alpha-zero-den",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
         "config-float-n", "config-float-r", "config-missing-n", "config-list",
-        "config-float-alpha", "config-bool-alpha", "config-misspelled-key",
+        "config-float-alpha", "config-bool-alpha", "config-null-n", "config-text-n",
+        "config-list-r", "config-null-alpha", "config-text-alpha", "config-misspelled-key",
         "config-flag-name-key", "config-empty-suites-flag", "config-empty-alpha-flag",
         "config-empty-r-flag", "r-empty", "r-comma", "config-r-empty",
         "config-empty-path", "dump-dir-empty-path"])
@@ -247,7 +256,13 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, argv, message):
     )
     (tmp_path / "no_n.json").write_text(json.dumps({"suites": ["rmatrix"]}))
     (tmp_path / "list.json").write_text(json.dumps([6]))
-    for name, alpha in (("float_alpha", 0.5), ("bool_alpha", True)):
+    for name, n in (("null_n", None), ("text_n", "6.7")):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "suites": ["rmatrix"]}))
+    (tmp_path / "list_r.json").write_text(
+        json.dumps({"n": 6, "suites": ["nine-states"], "r_values": [[3]]})
+    )
+    for name, alpha in (("float_alpha", 0.5), ("bool_alpha", True), ("null_alpha", None),
+                        ("text_alpha", "abc")):
         (tmp_path / f"{name}.json").write_text(
             json.dumps({"n": 3, "suites": ["rmatrix"], "alpha_values": [alpha]})
         )

@@ -1,6 +1,8 @@
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 import sys
 
 import pytest
@@ -267,3 +269,11 @@ def test_no_function_but_eval_tensor_pairs_takes_a_kernel():
             if "kernel" in inspect.signature(fn).parameters:
                 takes_kernel.add(f"{info.name}.{name}")
     assert takes_kernel == {"expr.eval_tensor_pairs"}
+
+
+def test_no_module_but_expr_reads_a_morphisms_store():
+    # a morphism's cache and its kept coproduct are read and written through
+    # expr's accessors alone (eval_expr, kept_in_legs, kept_dict, ...)
+    readers = {path.name for path in pathlib.Path(twistlab.__file__).parent.glob("*.py")
+               if re.search(r"\._(cache|delta)\b", path.read_text())}
+    assert readers == {"expr.py"}

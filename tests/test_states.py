@@ -13,7 +13,7 @@ from twistlab.expr import (
     eval_tensor_pairs,
     fundamental_morphism,
     gen,
-    kept_value,
+    kept_dict,
     mul,
     scal,
     sigma_power,
@@ -25,11 +25,11 @@ from twistlab.roots import cartan_element
 from twistlab.states import (
     Combinator,
     DIAGRAM_EDGES,
-    ProvenCoproduct,
     STATE_IDS,
     STATES,
     combinator_terms,
     costructure_table,
+    expected_entry,
     heisenberg_pair_generators,
     two_jordanian_table_check,
     verify_diagram,
@@ -262,26 +262,33 @@ def test_a_failing_compare_records_nothing(monkeypatch):
     f6 = fundamental_morphism(6)
     assert not verify_state("E0J1J0", 3, f6).passed
     recipe = costructure_table("E0J1J0", 6, 3).twist_recipe
-    recorded = {slot for slot, g in heisenberg_pair_generators(6, 3).items()
-                if kept_value(f6, ProvenCoproduct(recipe, g)) is not None}
+    proven = kept_dict(f6, recipe)
+    recorded = {slot for slot, g in heisenberg_pair_generators(6, 3).items() if g in proven}
     # the seven slots the wrong entry leaves alone were proven, E_{r,N} was not
     assert recorded == set(entries) - {"ern"}
     # the diagram conjugates D_F(E_{r,N}) afresh; its residual is that of a
     # run with no records (pinned from the code before records existed)
     res = verify_diagram(3, f6)
     assert (res.passed, res.residual_nnz, res.dims) == (False, 1, 1296)
-    assert kept_value(f6, ProvenCoproduct(recipe, gen(3, 6))) is None
+    assert gen(3, 6) not in kept_dict(f6, recipe)
     fresh = verify_diagram(3, fundamental_morphism(6))
     assert (fresh.passed, fresh.residual_nnz, fresh.dims) == (False, 1, 1296)
 
 
-def test_a_record_key_equals_only_a_record_key():
-    recipe = costructure_table("J1J0", 6, 3).twist_recipe
-    key = ProvenCoproduct(recipe, gen(1, 3))
-    assert key == ProvenCoproduct(costructure_table("J1J0", 6, 4).twist_recipe, gen(1, 3))
-    assert hash(key) == hash(ProvenCoproduct(recipe, gen(1, 3)))
-    assert key != ProvenCoproduct(recipe, gen(1, 4))
-    assert key != (recipe, gen(1, 3)) and key != gen(1, 3) and key != recipe
+def test_a_record_holds_no_new_matrix_and_belongs_to_one_twist():
+    f6 = fundamental_morphism(6)
+    assert verify_state("E0J1J0", 3, f6).passed
+    table = costructure_table("E0J1J0", 6, 3)
+    proven = kept_dict(f6, table.twist_recipe)
+    gens = heisenberg_pair_generators(6, 3)
+    assert set(proven) == set(gens.values())
+    for slot, g in gens.items():
+        # the entry the compare was made against, kept once beside the coproduct
+        assert proven[g] is expected_entry(table, slot, f6), slot
+    assert kept_dict(f6, costructure_table("E1J1J0", 6, 3).twist_recipe) == {}
+    # the key is the twist itself, and equals none of the other kinds kept there
+    recipe = table.twist_recipe
+    assert recipe != (recipe.factors, recipe.n) and recipe != recipe.factors[0]
 
 
 def test_a_combined_run_conjugates_each_coproduct_once(monkeypatch):
@@ -463,12 +470,13 @@ def test_no_public_check_picks_its_own_witness():
     assert takes_witness == {
         "TwistedCoalgebra", "counit_check", "cocycle_check", "r_matrix_checks",
         "coassociativity_check", "twist_antipode_correction", "antipode_checks",
-        "verify_dragging", "verify_state",
+        "verify_dragging", "verify_state", "expected_entry",
         "two_jordanian_table_check", "verify_diagram", "verify_matreshka",
         "verify_transition_schemes",
     }
-    # expected_entry evaluates in the legs (and kernel) of the coalgebra it is given
-    assert list(inspect.signature(states.expected_entry).parameters) == ["table", "slot", "co"]
+    # expected_entry evaluates in the witness's own two legs, as every caller does
+    assert list(inspect.signature(states.expected_entry).parameters) == [
+        "table", "slot", "witness"]
 
 
 # -- the mirror theta: 1 <-> 2, N-1 <-> N --------------------------------------
