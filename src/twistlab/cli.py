@@ -17,6 +17,7 @@ from .report import (
     SuiteConfig,
     config_from_dict,
     dump_matrix,
+    dump_witness,
     emit_report,
     run_suite,
 )
@@ -47,7 +48,9 @@ DUMPABLE = {
 def _parse(text, parse, flag):
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise ConfigInvalid(f"{flag} {text!r}: zero denominator") from exc
+    except ValueError as exc:
         raise ConfigInvalid(f"{flag} {text!r}: {exc}") from exc
 
 
@@ -118,7 +121,7 @@ def _verify_config(args) -> SuiteConfig:
 
 def _dump_twist(args) -> int:
     seq = DUMPABLE[args.twist](args)
-    w = WITNESSES[args.witness](args.n)
+    w = dump_witness(WITNESSES[args.witness](args.n))
     dump_matrix(materialize(seq, w, w), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -36,9 +36,9 @@ from operator import add as _plus, mul as _times
 from typing import Callable, Tuple, Union
 
 from . import exact
-from .errors import IndexOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange
 from .exact import LOG1P, AnalyticFnSpec, SparseMatrix, clear_memos, memoized, pow1p
-from .rationals import Rational, rat
+from .rationals import HALF, Rational, rat
 
 Expr = Union["Gen", "Scalar", "Sum", "Prod", "Fn"]
 
@@ -206,6 +206,10 @@ class Morphism:
         self._cache: dict = {}
         self._gen = _cached_images(self._cache, gen_image)
         self._delta = None  # delta_morphism(self, self), once built
+        # (B, B^-1) and the same representation in the basis residuals and
+        # dumps are read in, for a morphism written in another (doubled_morphism)
+        self.basis = None
+        self.standard = None
 
     def gen(self, i: int, j: int) -> SparseMatrix:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -297,9 +301,99 @@ def kept_dict(witness: Morphism, key) -> dict:
 
 
 def coproduct_morphism(n: int) -> Morphism:
-    """Undeformed coproduct on the fundamental legs (also the doubled witness)."""
+    """Undeformed coproduct on the fundamental legs, in the e_i x e_j basis."""
     f = fundamental_morphism(n)
     return delta_morphism(f, f)
+
+
+def sym_alt_basis(n: int):
+    """(B, B^-1) for V x V = Sym^2 V + Lambda^2 V, V of dim n.
+
+    B's columns, in e_i x e_j coordinates (index (i - 1) n + j), are e_i x e_i
+    and e_i x e_j + e_j x e_i for i < j, the Sym^2 V range, then
+    e_i x e_j - e_j x e_i for i < j, the Lambda^2 V range, each in (i, j)
+    order.  B has entries +-1 and B^-1 entries 1 and +-1/2.
+    """
+    def at(i, j):
+        return (i - 1) * n + j
+
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    b, b_inv = {}, {}
+    for col, (i, j) in enumerate(pairs, 1):
+        b[at(i, j), col] = b[at(j, i), col] = 1
+        b_inv[col, at(i, j)] = b_inv[col, at(j, i)] = 1 if i == j else HALF
+    for col, (i, j) in enumerate([(i, j) for i, j in pairs if i < j], len(pairs) + 1):
+        b[at(i, j), col], b[at(j, i), col] = 1, -1
+        b_inv[col, at(i, j)], b_inv[col, at(j, i)] = HALF, -HALF
+    return SparseMatrix.from_entries(n * n, b), SparseMatrix.from_entries(n * n, b_inv)
+
+
+def doubled_morphism(n: int) -> Morphism:
+    """The doubled witness x -> x x 1 + 1 x x, in its Sym^2 V + Lambda^2 V basis.
+
+    It is coproduct_morphism(n) written in sym_alt_basis(n): each image is
+    B^-1 D(E_ij) B.  D is cocommutative, so every image commutes with the
+    flip of V x V and is block diagonal in this basis, as is every operator
+    built on its legs, which so keeps fewer entries than in the e_i x e_j
+    basis.  No verdict depends on the basis; what does, the residual of a
+    failing compare and a dumped matrix, is read in the e_i x e_j basis
+    (in_standard_basis, and `standard`, the coproduct_morphism the images
+    are taken from).
+    """
+    std = coproduct_morphism(n)
+    b, b_inv = sym_alt_basis(n)
+    out = Morphism(n, n * n, lambda i, j: b_inv * std.gen(i, j) * b, name=f"doubled({n})")
+    out.basis, out.standard = (b, b_inv), std
+    return out
+
+
+def _relabel(entries: dict, moves: dict, stride: int, d: int, axis: int) -> dict:
+    """The entries {(row, col): num} with one leg's index on `axis` mapped by `moves`.
+
+    Indices are 0-based, the leg's digit is index // stride % d, and digit
+    p goes to each q of moves[p + 1] = {q: factor} (1-based), its entry
+    times the factor.
+    """
+    out: dict = {}
+    for key, v in entries.items():
+        index = key[axis]
+        digit = index // stride % d
+        for to, factor in moves.get(digit + 1, {}).items():
+            moved = index + (to - 1 - digit) * stride
+            key2 = (moved, key[1]) if axis == 0 else (key[0], moved)
+            out[key2] = out.get(key2, 0) + factor * v
+    return {key: v for key, v in out.items() if v}
+
+
+def in_standard_basis(m, witness: Morphism) -> SparseMatrix:
+    """m, an operator on k legs of the witness, in its `standard` basis.
+
+    That is B^(xk) m (B^-1)^(xk), (B, B^-1) = witness.basis; a witness with
+    no basis is in it already, and m comes back as it is.  It is taken leg
+    by leg on m's entries, each a column of B and a row of B^-1 with at most
+    two entries, so no k-leg B is built.
+    """
+    if witness.basis is None:
+        return m
+    if not isinstance(m, SparseMatrix):
+        m = m.to_sparse()
+    b, b_inv = witness.basis
+    d, legs, size = b.dim, 0, 1
+    while size < m.dim:
+        size, legs = size * d, legs + 1
+    if size != m.dim:
+        raise DimensionMismatch(f"dim {m.dim} is no power of the witness's {d}")
+    into, out_of = b.transpose().rows, b_inv.rows
+    entries = {(i - 1, j - 1): v for i, row in m.rows.items() for j, v in row.items()}
+    stride = 1
+    for _ in range(legs):
+        entries = _relabel(entries, into, stride, d, 0)
+        entries = _relabel(entries, out_of, stride, d, 1)
+        stride *= d
+    rows: dict = {}
+    for (i, j), v in entries.items():
+        rows.setdefault(i + 1, {})[j + 1] = v
+    return SparseMatrix(m.dim, rows, m.den * (b.den * b_inv.den) ** legs).reduced()
 
 
 def contragredient_morphism(base: Morphism) -> Morphism:

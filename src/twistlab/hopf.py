@@ -20,6 +20,7 @@ from .expr import (
     eval_expr,
     eval_tensor_pairs,
     gen,
+    in_standard_basis,
     kept_in_legs,
     kernel_for,
     zero_morphism,
@@ -47,10 +48,16 @@ class CheckResult:
 
 
 class Tally:
-    """Accumulates residuals for a named group of exact comparisons."""
+    """Accumulates residuals for a named group of exact comparisons.
 
-    def __init__(self, name: str):
+    A residual is counted in the e_i x e_j basis: the compares of a check in
+    a witness written in another (expr.doubled_morphism) are on its legs,
+    and a failing one's difference is mapped back with expr.in_standard_basis.
+    """
+
+    def __init__(self, name: str, *, witness: Morphism = None):
         self.name = name
+        self.witness = witness
         self.residual = 0
         self.dims = 0
         self._t0 = time.perf_counter()
@@ -60,7 +67,10 @@ class Tally:
         # equal sides (the common case) never build a difference matrix
         same = lhs is rhs or lhs == rhs
         if not same:
-            self.residual += (lhs - rhs).nnz
+            diff = lhs - rhs
+            if self.witness is not None:
+                diff = in_standard_basis(diff, self.witness)
+            self.residual += diff.nnz
         self.dims = max(self.dims, lhs.dim)
         return same
 
@@ -146,7 +156,7 @@ def counit_check(seq: TwistSequence, witness: Morphism) -> CheckResult:
     residual is that of F against the identity.
     """
     eps = zero_morphism(seq.n)
-    tally = Tally(f"counit[{seq.name},N={seq.n}]")
+    tally = Tally(f"counit[{seq.name},N={seq.n}]", witness=witness)
     zero = SparseMatrix.zero(witness.dim)
     tally.equal(nilpotent_part(seq, eps, witness), zero)
     tally.equal(nilpotent_part(seq, witness, eps), zero)
@@ -180,7 +190,7 @@ def cocycle_check(
     """
     label = f"cocycle[{seq.name},N={seq.n}]" if base is None else \
         f"cocycle[{seq.name}|{base.name},N={seq.n}]"
-    tally = Tally(label)
+    tally = Tally(label, witness=witness)
 
     if base is not None and base.factors:
         co = TwistedCoalgebra(base, witness)
@@ -199,7 +209,7 @@ def r_matrix_checks(seq: TwistSequence, witness: Morphism) -> CheckResult:
     operators and products are built in kernel_for's kernel.
     """
     d = witness.dim
-    tally = Tally(f"rmatrix[{seq.name},N={seq.n}]")
+    tally = Tally(f"rmatrix[{seq.name},N={seq.n}]", witness=witness)
     co = TwistedCoalgebra(seq, witness)
     p = swap_matrix(d)
     r = p * co.f_mat * p * co.f_inv
@@ -224,7 +234,7 @@ def coassociativity_check(seq: TwistSequence, xs, witness: Morphism) -> CheckRes
     G - 1 as TwistedCoalgebra.conjugate does, and each G^-1 is the finite
     series (1 + (G - 1))^-1.
     """
-    tally = Tally(f"coassoc[{seq.name},N={seq.n}]")
+    tally = Tally(f"coassoc[{seq.name},N={seq.n}]", witness=witness)
     dw = delta_morphism(witness, witness)
 
     parts = [part.reduced() for part in _parts_in(seq, witness, dw)]
@@ -289,7 +299,7 @@ def antipode_checks(seq: TwistSequence, generators, witness: Morphism) -> CheckR
     eps = zero_morphism(seq.n)
     d = witness.dim
     ident = SparseMatrix.identity(d)
-    tally = Tally(f"antipode[{seq.name},N={seq.n}]")
+    tally = Tally(f"antipode[{seq.name},N={seq.n}]", witness=witness)
 
     dual_left = TwistedCoalgebra(seq, wdual, witness)
     dual_right = TwistedCoalgebra(seq, witness, wdual)
@@ -327,7 +337,7 @@ def verify_dragging(witness: Morphism) -> CheckResult:
     n = witness.n
     if n < 6:
         raise NotApplicable("dragging identity needs N > 5")
-    tally = Tally(f"dragging[E0~,N={n}]")
+    tally = Tally(f"dragging[E0~,N={n}]", witness=witness)
 
     j1 = TwistedCoalgebra(sequence(jordanian_factor(n, 2)), witness)
     row1 = [materialize_factor(extension_factor(n, 1, r), witness, witness) for r in range(2, n)]

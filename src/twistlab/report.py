@@ -20,7 +20,7 @@ from .exact import (
     parse_matrix_text,
     pow1p,
 )
-from .expr import Morphism, coproduct_morphism, fundamental_morphism, gen
+from .expr import Morphism, doubled_morphism, fundamental_morphism, gen
 from .hopf import (
     Tally,
     antipode_checks,
@@ -53,8 +53,9 @@ from .twists import (
 
 DEFAULT_ALPHAS = (rat(0), rat(1, 3), rat(1, 2), rat(2, 5))
 
-# witness name -> its representation of gl(N); "doubled" is x -> x(x)1 + 1(x)x
-WITNESSES = {"fundamental": fundamental_morphism, "doubled": coproduct_morphism}
+# witness name -> its representation of gl(N); "doubled" is x -> x(x)1 + 1(x)x,
+# computed in its Sym^2 V + Lambda^2 V basis and reported and dumped in e_i(x)e_j
+WITNESSES = {"fundamental": fundamental_morphism, "doubled": doubled_morphism}
 
 
 @dataclass
@@ -435,12 +436,23 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)
+        dumped = dump_witness(w)
         for name, seq in _named_twists(cfg).items():
             path = os.path.join(cfg.dump_dir, f"{_slug(name)}_N{cfg.n}.mat")
-            dump_matrix(materialize(seq, w, w), path)
+            dump_matrix(materialize(seq, dumped, dumped), path)
 
     results.sort(key=lambda res: res.name)
     return SuiteReport(cfg, results, time.perf_counter() - t0)
+
+
+def dump_witness(w: Morphism) -> Morphism:
+    """The witness a dump materializes F in: w in the e_i(x)e_j basis.
+
+    A witness computed in another basis dumps from its `standard` morphism,
+    not by mapping F back, which at N = 35 doubled would cost more than
+    building F there.
+    """
+    return w if w.standard is None else w.standard
 
 
 def _slug(name: str) -> str:
@@ -473,10 +485,13 @@ def load_matrix(path: str) -> SparseMatrix:
 
 def _config_exact(value, key: str, parse=int, kind: str = "an integer"):
     # parse(value), or an error naming key; int() would truncate 6.7 to 6 and
-    # read True as 1, and parse_rat would get '0.5'; '1/0' is left to the caller
+    # read True as 1, and parse_rat would get '0.5'
     if not isinstance(value, (bool, float)):
         try:
             return parse(value)
+        except ZeroDivisionError:
+            raise ConfigInvalid(f"bad config: {key!r} has a zero denominator, got {value!r}") \
+                from None
         except (TypeError, ValueError):
             pass
     raise ConfigInvalid(f"{key!r} needs {kind}, got {value!r}")
@@ -515,5 +530,5 @@ def config_from_dict(data: dict) -> SuiteConfig:
         raise
     except KeyError as exc:
         raise ConfigInvalid(f"bad config: missing key {exc}") from exc
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad config: {exc}") from exc

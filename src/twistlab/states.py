@@ -303,7 +303,7 @@ def _table_check(name: str, tables, witness: Morphism) -> CheckResult:
     none; each compare that passes adds g -> the entry it was proven equal
     to, and a failing one adds nothing.
     """
-    tally = Tally(name)
+    tally = Tally(name, witness=witness)
     deformed = _Deformed(tables[0].twist_recipe, witness)
     seen = set()
     for table in tables:
@@ -359,7 +359,7 @@ def verify_diagram(r: int, witness: Morphism) -> CheckResult:
     """
     n = witness.n
     _require_state_args(n, r)
-    tally = Tally(f"diagram[N={n},r={r}]")
+    tally = Tally(f"diagram[N={n},r={r}]", witness=witness)
     gens = heisenberg_pair_generators(n, r)
     squares = [sid for sid, (labels, _) in STATES.items() if len(labels) == 2]
 
@@ -418,7 +418,7 @@ def verify_matreshka(witness: Morphism) -> CheckResult:
     n = witness.n
     if n < 4:
         raise NotApplicable("matreshka needs N >= 4")
-    tally = Tally(f"matreshka[N={n}]")
+    tally = Tally(f"matreshka[N={n}]", witness=witness)
     co = TwistedCoalgebra(chain_twist(n, 0), witness)
     block = range(2, n)
     xs = [gen(i, j) for i in block for j in block if i != j]
@@ -441,7 +441,7 @@ def verify_transition_schemes(witness: Morphism) -> CheckResult:
     n = witness.n
     if n < 3:
         raise NotApplicable("transition schemes need N >= 3")
-    tally = Tally(f"transitions[N={n}]")
+    tally = Tally(f"transitions[N={n}]", witness=witness)
     r = carrier_column(n)
     one = scal(1)
 

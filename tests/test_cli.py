@@ -112,6 +112,16 @@ def test_failing_check_exit_one(monkeypatch, capsys):
     assert "0 passed / 1 failed" in out
 
 
+def test_dump_names_a_zero_denominator(tmp_path, capsys):
+    from twistlab import cli
+
+    out = tmp_path / "extended.mat"
+    argv = ["dump", "--twist", "extended", "--n", "3", "--alpha", "1/0", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "config error: --alpha '1/0': zero denominator\n"
+    assert not out.exists()
+
+
 def test_dump_chain_round_trip(tmp_path):
     from twistlab.expr import fundamental_morphism
     from twistlab.report import load_matrix
@@ -172,6 +182,7 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
 
 @pytest.mark.parametrize("argv, message", [
     (["--n", "3", "--suites", "rmatrix", "--alpha", "1/0"], "--alpha '1/0'"),
+    (["--n", "3", "--suites", "rmatrix", "--alpha", "1/3,1/0"], "--alpha '1/0': zero denominator"),
     (["--n", "3", "--suites", "rmatrix", "--alpha", "abc"], "--alpha 'abc'"),
     (["--n", "6", "--suites", "nine-states", "--r", "x"], "--r 'x'"),
     (["--config", "{tmp}/missing.json"], "cannot read --config"),
@@ -183,6 +194,8 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
      "'suites' entries must be strings, got [{'a': 1}]"),
     (["--config", "{tmp}/string_alphas.json"], "'alpha_values' must be a list"),
     (["--config", "{tmp}/zero_alpha.json"], "bad config"),
+    (["--config", "{tmp}/zero_alpha.json"],
+     "bad config: 'alpha_values' has a zero denominator, got '1/0'"),
     (["--n", "3", "--suites", "twist-axioms", "--alpha", ","], "no alpha values"),
     (["--config", "{tmp}/no_alphas.json"], "no alpha values"),
     (["--config", "{tmp}/int_dump_dir.json"], "'dump_dir' must be a string, got 5"),
@@ -218,9 +231,9 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
      "cannot read --config ''"),
     (["--n", "3", "--suites", "rmatrix", "--alpha", "1/2", "--dump-dir", ""],
      "dump_dir '' names no directory"),
-], ids=["alpha-zero-den", "alpha-text", "r-text", "config-missing", "config-not-json",
+], ids=["alpha-zero-den", "alpha-zero-den-named", "alpha-text", "r-text", "config-missing", "config-not-json",
         "config-string-suites", "config-nested-suites", "config-object-suites",
-        "config-string-alphas", "config-alpha-zero-den",
+        "config-string-alphas", "config-alpha-zero-den", "config-alpha-zero-den-named",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",
         "config-float-n", "config-float-r", "config-missing-n", "config-list",
         "config-float-alpha", "config-bool-alpha", "config-null-n", "config-text-n",

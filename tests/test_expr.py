@@ -4,13 +4,14 @@ import pathlib
 import pkgutil
 import re
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
 import twistlab
 from twistlab import exact, expr
-from twistlab.errors import IndexOutOfRange
+from twistlab.errors import DimensionMismatch, IndexOutOfRange
 from twistlab.exact import EXP, SparseMatrix, analytic_apply, kron, pow1p, LOG1P
 from twistlab.expr import (
     Fn,
@@ -18,14 +19,17 @@ from twistlab.expr import (
     contragredient_morphism,
     coproduct_morphism,
     delta_morphism,
+    doubled_morphism,
     eval_expr,
     eval_tensor_pairs,
     fundamental_morphism,
     gen,
+    in_standard_basis,
     mul,
     scal,
     sigma,
     sigma_power,
+    sym_alt_basis,
     zero_morphism,
 )
 from twistlab.rationals import HALF, rat
@@ -277,3 +281,40 @@ def test_no_module_but_expr_reads_a_morphisms_store():
     readers = {path.name for path in pathlib.Path(twistlab.__file__).parent.glob("*.py")
                if re.search(r"\._(cache|delta)\b", path.read_text())}
     assert readers == {"expr.py"}
+
+
+# -- the doubled witness's Sym^2 V + Lambda^2 V basis ----------------------------
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_the_sym_alt_basis_inverts(n):
+    b, b_inv = sym_alt_basis(n)
+    assert b_inv * b == SparseMatrix.identity(n * n) == b * b_inv
+    assert {v for _, _, v in b.entries()} == {1, -1}
+    assert {v for _, _, v in b_inv.entries()} == {1, HALF, -HALF}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_doubled_image_keeps_sym2_and_lambda2_apart(n):
+    w, std = doubled_morphism(n), coproduct_morphism(n)
+    sym = n * (n + 1) // 2  # indices 1..sym span Sym^2 V, the rest Lambda^2 V
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            m = w.gen(i, j)
+            assert all((row <= sym) == (col <= sym) for row, col, _ in m.entries()), (i, j)
+            assert in_standard_basis(m, w) == std.gen(i, j), (i, j)
+    assert w.standard.name == std.name and w.standard.basis is None
+
+
+def test_an_operator_on_k_legs_maps_back_leg_by_leg():
+    w, std = doubled_morphism(3), coproduct_morphism(3)
+    args = [(1, 2), (3, 1), (2, 2)]
+    for legs in (1, 2, 3):
+        got = in_standard_basis(reduce(kron, [w.gen(*a) for a in args[:legs]]), w)
+        assert got == reduce(kron, [std.gen(*a) for a in args[:legs]]), legs
+    # a difference that is no operator on the witness's legs is refused
+    with pytest.raises(DimensionMismatch):
+        in_standard_basis(SparseMatrix.identity(10), w)
+    # a witness in the e_i x e_j basis already gives the operator back as it is
+    m = std.gen(1, 2)
+    assert in_standard_basis(m, std) is m

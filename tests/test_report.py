@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 import random
@@ -8,7 +9,14 @@ import pytest
 from twistlab import exact, expr, hopf, report
 from twistlab.errors import ConfigInvalid
 from twistlab.exact import AnalyticFnSpec, SparseMatrix, kron
-from twistlab.expr import Morphism, delta_morphism, eval_expr, eval_tensor_pairs
+from twistlab.expr import (
+    Morphism,
+    coproduct_morphism,
+    delta_morphism,
+    doubled_morphism,
+    eval_expr,
+    eval_tensor_pairs,
+)
 from twistlab.hopf import Tally
 from twistlab.rationals import rat
 from twistlab.report import (
@@ -23,6 +31,7 @@ from twistlab.report import (
     load_matrix,
     run_suite,
 )
+from twistlab.states import STATES, Combinator
 from twistlab.twists import TwistFactor, TwistSequence, materialize_factor
 
 
@@ -364,7 +373,7 @@ def _rows(rep) -> list:
 
 
 def test_a_doubled_run_builds_one_coproduct(monkeypatch):
-    w_name = "delta[fund(4),fund(4)]"
+    w_name = "doubled(4)"
     dw_name = f"delta[{w_name},{w_name}]"
     deltas, dws, built = [], [], []
 
@@ -399,6 +408,51 @@ def test_a_doubled_run_builds_one_coproduct(monkeypatch):
     assert len(deltas) >= 2 and dws
     assert all(d is dws[0] for d in deltas + dws)
     assert built and len(built) == len(set(built))
+
+
+# (N, suites, whether E0J1J0's E_{r,N} entry is the wrong one of
+# test_states.py::test_a_failing_compare_records_nothing, the failing rows)
+BASIS_RUNS = [
+    (4, None, False, []),
+    (5, None, False, []),
+    (6, ("twist-axioms", "nine-states", "diagram"), False,
+     [["dragging[E0~,N=6]", False, 168, 1296, 15]]),
+    (6, ("nine-states",), True, [["state[E0J1J0,N=6,r=3]", False, 144, 1296, 8]]),
+]
+
+
+@pytest.mark.parametrize("n, suites, wrong, failing", BASIS_RUNS,
+                         ids=["n4", "n5", "n6", "n6-wrong-entry"])
+def test_the_doubled_witness_reports_what_its_e_i_e_j_basis_does(n, suites, wrong, failing,
+                                                                 monkeypatch):
+    # every suite at N = 4 and 5; each row's name, verdict, residual and dims,
+    # and its count of Tally compares, in doubled_morphism's basis and in
+    # coproduct_morphism's, the same representation in e_i x e_j
+    if wrong:
+        labels, entries = STATES["E0J1J0"]
+        wrong_entries = {**entries, "ern": ((1, Combinator("Pplus", i=1)),)}
+        monkeypatch.setitem(STATES, "E0J1J0", (labels, wrong_entries))
+    compares = collections.Counter()
+
+    def counted(original):
+        def method(self, *args):
+            compares[self.name] += 1
+            return original(self, *args)
+        return method
+
+    for name in ("equal", "nonzero"):
+        monkeypatch.setattr(Tally, name, counted(getattr(Tally, name)))
+    suites = suites or tuple(s for s, (need, _) in SUITES.items() if need <= n)
+    cfg = SuiteConfig(n=n, suites=suites, r_values=(3,) if n >= 5 else (),
+                      alpha_values=(rat(1, 3), rat(1, 2)), witness="doubled")
+    rows = {}
+    for build in (doubled_morphism, coproduct_morphism):
+        monkeypatch.setitem(WITNESSES, "doubled", build)
+        compares.clear()
+        rows[build] = [[r.name, r.passed, r.residual_nnz, r.dims, compares[r.name]]
+                       for r in run_suite(cfg).results]
+    assert rows[doubled_morphism] == rows[coproduct_morphism]
+    assert [row for row in rows[doubled_morphism] if not row[1]] == failing
 
 
 def test_a_run_frees_its_witness(monkeypatch):

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from twistlab import exact, twists
-from twistlab.cli import DUMPABLE, build_parser
+from twistlab.cli import DUMPABLE, build_parser, main
 from twistlab.errors import IndexOutOfRange, NotApplicable, NotNilpotent
 from twistlab.exact import EXP, EXPM1, SparseMatrix, analytic_apply, dump_matrix_text, kron
 from twistlab.expr import (
@@ -15,6 +15,7 @@ from twistlab.expr import (
     eval_tensor_pairs,
     fundamental_morphism,
     gen,
+    in_standard_basis,
     mul,
     scal,
     sigma,
@@ -24,7 +25,7 @@ from twistlab.expr import (
 )
 from twistlab.hopf import TwistedCoalgebra, cocycle_check
 from twistlab.rationals import HALF, rat
-from twistlab.report import WITNESSES
+from twistlab.report import WITNESSES, dump_witness
 from twistlab.roots import carrier_column, cartan_element
 from twistlab.states import costructure_table
 from twistlab.twists import (
@@ -397,22 +398,23 @@ DUMP_HASHES = {
 }
 
 
-def test_dumped_twists_and_their_inverses_keep_their_bytes():
-    # the sequences `twistlab dump --twist <name> --n 6` builds, default options
+def test_dumped_twists_and_their_inverses_keep_their_bytes(tmp_path):
+    # what `twistlab dump --twist <name> --n 6 --witness <w>` writes, default
+    # options, and F^-1 in the legs it was written in
     n = 6
     parse = build_parser().parse_args
-    dumpable = {
-        name: build(parse(["dump", "--twist", name, "--n", str(n), "--out", "-"]))
-        for name, build in DUMPABLE.items()
-    }
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
     got = {}
     for wname, build in WITNESSES.items():
         w = build(n)
-        for name, seq in dumpable.items():
-            co = TwistedCoalgebra(seq, w)
-            assert co.f_mat == materialize(seq, w, w)
-            got[wname, name] = tuple(
-                hashlib.sha256(dump_matrix_text(m).encode()).hexdigest()
-                for m in (co.f_mat, co.f_inv)
-            )
+        for name, make in DUMPABLE.items():
+            argv = ["dump", "--twist", name, "--n", str(n), "--witness", wname]
+            path = tmp_path / f"{wname}-{name}.mat"
+            assert main([*argv, "--out", str(path)]) == 0
+            seq = make(parse([*argv, "--out", "-"]))
+            co = TwistedCoalgebra(seq, dump_witness(w))
+            assert path.read_text() == dump_matrix_text(co.f_mat)
+            # the F the checks build, in the witness's own basis, is that matrix
+            assert in_standard_basis(TwistedCoalgebra(seq, w).f_mat, w) == co.f_mat
+            got[wname, name] = sha(path.read_text()), sha(dump_matrix_text(co.f_inv))
     assert got == DUMP_HASHES
