@@ -23,8 +23,8 @@ re-exported here with clear_memos): each distinct leaf is built once per
 process, so equal requests get the identical node, with its hash kept, and
 every Morphism cache lookup of a tree holding it hits on identity.  They are
 pure: a leaf is an immutable tree fixed by the arguments alone.  twists.py's
-factor builders, states.py's generator map and coblock terms and exact.py's
-series tables are memoized the same way.  A memo keeps what its builder
+factor builders, states.py's generator map and coblock terms, exact.py's
+series tables and sym_alt_basis are memoized the same way.  A memo keeps what its builder
 returned under the code as it was then, so code that patches anything a
 builder reads (roots.cartan_element as twists.py reads it, pow1p, ...) calls
 clear_memos() after patching it and again after restoring it.
@@ -206,9 +206,8 @@ class Morphism:
         self._cache: dict = {}
         self._gen = _cached_images(self._cache, gen_image)
         self._delta = None  # delta_morphism(self, self), once built
-        # (B, B^-1) and the same representation in the basis residuals and
-        # dumps are read in, for a morphism written in another (doubled_morphism)
-        self.basis = None
+        # the same representation in the e_i x e_j basis residuals and dumps
+        # are read in, for the one morphism written in another (doubled_morphism)
         self.standard = None
 
     def gen(self, i: int, j: int) -> SparseMatrix:
@@ -306,8 +305,9 @@ def coproduct_morphism(n: int) -> Morphism:
     return delta_morphism(f, f)
 
 
+@memoized
 def sym_alt_basis(n: int):
-    """(B, B^-1) for V x V = Sym^2 V + Lambda^2 V, V of dim n.
+    """(B, B^-1) for V x V = Sym^2 V + Lambda^2 V, V of dim n, built once per n.
 
     B's columns, in e_i x e_j coordinates (index (i - 1) n + j), are e_i x e_i
     and e_i x e_j + e_j x e_i for i < j, the Sym^2 V range, then
@@ -338,12 +338,17 @@ def doubled_morphism(n: int) -> Morphism:
     basis.  No verdict depends on the basis; what does, the residual of a
     failing compare and a dumped matrix, is read in the e_i x e_j basis
     (in_standard_basis, and `standard`, the coproduct_morphism the images
-    are taken from).
+    are taken from).  B is built with the first image, so a dump, which
+    reads `standard` alone, builds none.
     """
     std = coproduct_morphism(n)
-    b, b_inv = sym_alt_basis(n)
-    out = Morphism(n, n * n, lambda i, j: b_inv * std.gen(i, j) * b, name=f"doubled({n})")
-    out.basis, out.standard = (b, b_inv), std
+
+    def image(i, j):
+        b, b_inv = sym_alt_basis(n)
+        return b_inv * std.gen(i, j) * b
+
+    out = Morphism(n, n * n, image, name=f"doubled({n})")
+    out.standard = std
     return out
 
 
@@ -368,16 +373,17 @@ def _relabel(entries: dict, moves: dict, stride: int, d: int, axis: int) -> dict
 def in_standard_basis(m, witness: Morphism) -> SparseMatrix:
     """m, an operator on k legs of the witness, in its `standard` basis.
 
-    That is B^(xk) m (B^-1)^(xk), (B, B^-1) = witness.basis; a witness with
-    no basis is in it already, and m comes back as it is.  It is taken leg
-    by leg on m's entries, each a column of B and a row of B^-1 with at most
-    two entries, so no k-leg B is built.
+    That is B^(xk) m (B^-1)^(xk), (B, B^-1) = sym_alt_basis(witness.n) for
+    the doubled witness; a witness with no `standard` is in it already, and
+    m comes back as it is.  It is taken leg by leg on m's entries, each a
+    column of B and a row of B^-1 with at most two entries, so no k-leg B
+    is built.
     """
-    if witness.basis is None:
+    if witness.standard is None:
         return m
     if not isinstance(m, SparseMatrix):
         m = m.to_sparse()
-    b, b_inv = witness.basis
+    b, b_inv = sym_alt_basis(witness.n)
     d, legs, size = b.dim, 0, 1
     while size < m.dim:
         size, legs = size * d, legs + 1

@@ -260,7 +260,9 @@ def _antipode_contraction(g, d: int, leg: int) -> SparseMatrix:
     g keeps only its entries in those rows (leg 1) or columns (leg 2), the
     0-based indices r * (d + 1), and is contracted as their SparseMatrix.
     The result has the witness's d dims and is reduced, since v is held and
-    multiplied by every compare.
+    multiplied by every compare.  w*'s images are written in the dual basis
+    of the witness's, so the contraction pairs a basis with its dual and
+    gives the same operator in any basis the witness is written in.
     """
     if not isinstance(g, SparseMatrix):
         kept = (g.keys // g.dim if leg == 1 else g.keys % g.dim) % (d + 1) == 0

@@ -303,7 +303,7 @@ def test_every_doubled_image_keeps_sym2_and_lambda2_apart(n):
             m = w.gen(i, j)
             assert all((row <= sym) == (col <= sym) for row, col, _ in m.entries()), (i, j)
             assert in_standard_basis(m, w) == std.gen(i, j), (i, j)
-    assert w.standard.name == std.name and w.standard.basis is None
+    assert w.standard.name == std.name and std.standard is None
 
 
 def test_an_operator_on_k_legs_maps_back_leg_by_leg():
