@@ -333,9 +333,9 @@ def test_comparisons_per_suite(suite, count, monkeypatch):
     assert len(calls) == count
 
 
-# doubled diagram is left out: about 1.5-1.7 s and 354 MB at N = 6 (3.3 s and
-# 542 MB in the e_i x e_j basis), most of it in the asymmetry lift, and its
-# dragging row fails (ROADMAP item 7); that part is
+# doubled diagram is left out: 1.7-2.0 s and 354 MB at N = 6 (3.3-3.9 s and
+# 542 MB in the e_i x e_j basis, BENCH_34.json), most of it in the asymmetry
+# lift, and its dragging row fails (ROADMAP item 7); that part is
 # test_hopf.py::test_dragging_fails_in_the_doubled_witness, and
 # test_the_doubled_witness_reports_what_its_e_i_e_j_basis_does runs it
 LEFT_OUT = {("diagram", "doubled")}
