@@ -45,13 +45,17 @@ DUMPABLE = {
 }
 
 
+# the form each parser accepts, in the words of report.config_from_dict
+ACCEPTED = {int: "an integer", parse_rat: "an integer or a 'p/q' string"}
+
+
 def _parse(text, parse, flag):
     try:
         return parse(text)
     except ZeroDivisionError as exc:
         raise ConfigInvalid(f"{flag} {text!r}: zero denominator") from exc
     except ValueError as exc:
-        raise ConfigInvalid(f"{flag} {text!r}: {exc}") from exc
+        raise ConfigInvalid(f"{flag} {text!r}: needs {ACCEPTED[parse]}") from exc
 
 
 def _parse_csv(text, parse, flag):

@@ -352,54 +352,30 @@ def doubled_morphism(n: int) -> Morphism:
     return out
 
 
-def _relabel(entries: dict, moves: dict, stride: int, d: int, axis: int) -> dict:
-    """The entries {(row, col): num} with one leg's index on `axis` mapped by `moves`.
-
-    Indices are 0-based, the leg's digit is index // stride % d, and digit
-    p goes to each q of moves[p + 1] = {q: factor} (1-based), its entry
-    times the factor.
-    """
-    out: dict = {}
-    for key, v in entries.items():
-        index = key[axis]
-        digit = index // stride % d
-        for to, factor in moves.get(digit + 1, {}).items():
-            moved = index + (to - 1 - digit) * stride
-            key2 = (moved, key[1]) if axis == 0 else (key[0], moved)
-            out[key2] = out.get(key2, 0) + factor * v
-    return {key: v for key, v in out.items() if v}
-
-
-def in_standard_basis(m, witness: Morphism) -> SparseMatrix:
+def in_standard_basis(m, witness: Morphism):
     """m, an operator on k legs of the witness, in its `standard` basis.
 
     That is B^(xk) m (B^-1)^(xk), (B, B^-1) = sym_alt_basis(witness.n) for
     the doubled witness; a witness with no `standard` is in it already, and
-    m comes back as it is.  It is taken leg by leg on m's entries, each a
-    column of B and a row of B^-1 with at most two entries, so no k-leg B
-    is built.
+    m comes back as it is.  It is taken one leg at a time, as the products
+    with 1 x B x 1 and 1 x B^-1 x 1, which have at most two entries in each
+    row and column, so no k-leg B is built.  Those factors are built by the
+    kron of kernel_for(m.dim), and the result stays in that kernel.
     """
     if witness.standard is None:
         return m
-    if not isinstance(m, SparseMatrix):
-        m = m.to_sparse()
     b, b_inv = sym_alt_basis(witness.n)
-    d, legs, size = b.dim, 0, 1
-    while size < m.dim:
-        size, legs = size * d, legs + 1
-    if size != m.dim:
+    d, legs = b.dim, 0
+    while d ** legs < m.dim:
+        legs += 1
+    if d ** legs != m.dim:
         raise DimensionMismatch(f"dim {m.dim} is no power of the witness's {d}")
-    into, out_of = b.transpose().rows, b_inv.rows
-    entries = {(i - 1, j - 1): v for i, row in m.rows.items() for j, v in row.items()}
-    stride = 1
-    for _ in range(legs):
-        entries = _relabel(entries, into, stride, d, 0)
-        entries = _relabel(entries, out_of, stride, d, 1)
-        stride *= d
-    rows: dict = {}
-    for (i, j), v in entries.items():
-        rows.setdefault(i + 1, {})[j + 1] = v
-    return SparseMatrix(m.dim, rows, m.den * (b.den * b_inv.den) ** legs).reduced()
+    kernel = kernel_for(m.dim)
+    for leg in range(legs):
+        outer, inner = kernel.identity(d ** leg), kernel.identity(d ** (legs - 1 - leg))
+        into, out_of = (kernel.kron(kernel.kron(outer, x), inner) for x in (b, b_inv))
+        m = into * m * out_of
+    return m.reduced()
 
 
 def contragredient_morphism(base: Morphism) -> Morphism:

@@ -53,6 +53,8 @@ class Tally:
     A residual is counted in the e_i x e_j basis: the compares of a check in
     a witness written in another (expr.doubled_morphism) are on its legs,
     and a failing one's difference is mapped back with expr.in_standard_basis.
+    The difference and its map are both taken in the kernel of the compare's
+    space, so a failing packed compare is counted in numpy arrays.
     """
 
     def __init__(self, name: str, *, witness: Morphism = None):

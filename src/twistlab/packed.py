@@ -30,6 +30,10 @@ for the spaces that reach expr.PACKED_FLOOR dims: every Morphism that large
 morphisms from N = 4) keeps its generator images and every evaluated
 expression here, and each coalgebra twisted over such a coproduct and each
 three-leg check builds its matrices here.
+
+Every operation, subtraction included (a - b is a + (-1) b), returns a
+Packed matrix.  The one exit to a SparseMatrix is to_sparse, which only
+hopf._antipode_contraction calls.
 """
 
 from itertools import chain
@@ -122,12 +126,11 @@ class Packed:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> SparseMatrix:
-        # only a failing compare subtracts; its residual is taken in Python ints
-        return self.to_sparse() - (other.to_sparse() if isinstance(other, Packed) else other)
+    def __sub__(self, other) -> "Packed":
+        return self + pack(other).scale(-1)
 
-    def __rsub__(self, other) -> SparseMatrix:
-        return other - self.to_sparse()
+    def __rsub__(self, other) -> "Packed":
+        return pack(other) + self.scale(-1)
 
     def __mul__(self, other) -> "Packed":
         if not isinstance(other, (Packed, SparseMatrix)):

@@ -328,7 +328,8 @@ def _axiom_pair(seq: TwistSequence, witness) -> list:
 def _named_twists(cfg: SuiteConfig) -> dict:
     n = cfg.n
     out = {"jordanian": sequence(jordanian_factor(n, 1))}
-    for alpha in cfg.effective_alpha_values():
+    # the extended twists' carrier column needs 1 < r < N
+    for alpha in cfg.effective_alpha_values() if n >= 3 else ():
         out[f"extended(a={rat_str(alpha)})"] = extended_twist_generic(
             n, carrier_column(n), alpha
         )

@@ -122,6 +122,36 @@ def test_dump_names_a_zero_denominator(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dump_names_the_form_alpha_needs(tmp_path, capsys):
+    from twistlab import cli
+
+    out = tmp_path / "extended.mat"
+    argv = ["dump", "--twist", "extended", "--n", "3", "--alpha", "1.5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        "config error: --alpha '1.5': needs an integer or a 'p/q' string\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("witness", ["fundamental", "doubled"])
+def test_verify_at_n2_dumps_the_jordanian_alone(tmp_path, capsys, witness):
+    # the extended twists' carrier column needs 1 < r < N, so below N = 3
+    # they are left out of the dumps, as 2chain is below N = 4
+    from twistlab import cli
+    from twistlab.report import WITNESSES, dump_witness, load_matrix
+    from twistlab.twists import jordanian_factor, materialize, sequence
+
+    argv = ["verify", "--n", "2", "--suites", "core", "--witness", witness,
+            "--dump-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS core[") == 4 and out.endswith("4 passed / 0 failed\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["jordanian_N2.mat"]
+    w = dump_witness(WITNESSES[witness](2))
+    want = materialize(sequence(jordanian_factor(2, 1)), w, w)
+    assert load_matrix(str(tmp_path / "jordanian_N2.mat")) == want
+
+
 def test_dump_chain_round_trip(tmp_path):
     from twistlab.expr import fundamental_morphism
     from twistlab.report import load_matrix
@@ -183,8 +213,11 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
 @pytest.mark.parametrize("argv, message", [
     (["--n", "3", "--suites", "rmatrix", "--alpha", "1/0"], "--alpha '1/0'"),
     (["--n", "3", "--suites", "rmatrix", "--alpha", "1/3,1/0"], "--alpha '1/0': zero denominator"),
-    (["--n", "3", "--suites", "rmatrix", "--alpha", "abc"], "--alpha 'abc'"),
-    (["--n", "6", "--suites", "nine-states", "--r", "x"], "--r 'x'"),
+    (["--n", "3", "--suites", "rmatrix", "--alpha", "abc"],
+     "--alpha 'abc': needs an integer or a 'p/q' string"),
+    (["--n", "3", "--suites", "rmatrix", "--alpha", "1.5"],
+     "--alpha '1.5': needs an integer or a 'p/q' string"),
+    (["--n", "6", "--suites", "nine-states", "--r", "x"], "--r 'x': needs an integer"),
     (["--config", "{tmp}/missing.json"], "cannot read --config"),
     (["--config", "{tmp}/not_json.json"], "cannot read --config"),
     (["--config", "{tmp}/string_suites.json"], "'suites' must be a list"),
@@ -231,7 +264,8 @@ FILE_CONFIG = {"n": 3, "suites": ["rmatrix"], "r_values": [], "alpha_values": ["
      "cannot read --config ''"),
     (["--n", "3", "--suites", "rmatrix", "--alpha", "1/2", "--dump-dir", ""],
      "dump_dir '' names no directory"),
-], ids=["alpha-zero-den", "alpha-zero-den-named", "alpha-text", "r-text", "config-missing", "config-not-json",
+], ids=["alpha-zero-den", "alpha-zero-den-named", "alpha-text", "alpha-decimal", "r-text",
+        "config-missing", "config-not-json",
         "config-string-suites", "config-nested-suites", "config-object-suites",
         "config-string-alphas", "config-alpha-zero-den", "config-alpha-zero-den-named",
         "alpha-empty", "config-alphas-empty", "config-int-dump-dir", "config-list-witness",

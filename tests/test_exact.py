@@ -788,6 +788,20 @@ def test_sums_and_compares_take_either_order():
         assert (lhs - rhs).nnz == 4
 
 
+@needs_numpy
+@pytest.mark.parametrize("limit", [None, 2 ** 10], ids=["int64", "forced-wide"])
+def test_differences_stay_packed(limit, monkeypatch):
+    # numerators past 2^10 over different dens, with one entry cancelling, so
+    # a limit of 2^10 takes every difference in Python ints
+    a = SparseMatrix.from_entries(3, {(1, 2): 2000, (2, 3): rat(-7, 3), (3, 1): 5})
+    b = SparseMatrix.from_entries(3, {(1, 2): 1999, (2, 2): rat(1, 2), (3, 1): 5})
+    if limit is not None:
+        monkeypatch.setattr(packed, "INT64_MAX", limit)
+    want = as_fractions(a - b)
+    for got in (packed.pack(a) - b, a - packed.pack(b), packed.pack(a) - packed.pack(b)):
+        assert as_fractions(unpacked(got, "int64" if limit is None else object)) == want
+
+
 @contextmanager
 def shuffled_terms(seed):
     """packed._summed given its term arrays in a random order, not as runs."""

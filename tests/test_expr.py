@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import twistlab
-from twistlab import exact, expr
+from twistlab import exact, expr, hopf
 from twistlab.errors import DimensionMismatch, IndexOutOfRange
 from twistlab.exact import EXP, SparseMatrix, analytic_apply, kron, pow1p, LOG1P
 from twistlab.expr import (
@@ -283,6 +283,18 @@ def test_no_module_but_expr_reads_a_morphisms_store():
     assert readers == {"expr.py"}
 
 
+def test_only_the_antipode_contraction_copies_a_packed_matrix_out():
+    # a failing compare's difference and its map back to the e_i x e_j basis
+    # stay in their space's kernel; packed.py defines to_sparse and never calls it
+    sources = {path.name: path.read_text()
+               for path in pathlib.Path(twistlab.__file__).parent.glob("*.py")}
+    calls = {name: len(re.findall(r"\.to_sparse\(\)", text)) for name, text in sources.items()}
+    contraction = inspect.getsource(hopf._antipode_contraction)
+    assert {name for name, count in calls.items() if count} == {"hopf.py"}
+    assert calls["hopf.py"] == len(re.findall(r"\.to_sparse\(\)", contraction)) == 1
+    assert "def to_sparse(self)" in sources["packed.py"]
+
+
 # -- the doubled witness's Sym^2 V + Lambda^2 V basis ----------------------------
 
 
@@ -308,10 +320,13 @@ def test_every_doubled_image_keeps_sym2_and_lambda2_apart(n):
 
 def test_an_operator_on_k_legs_maps_back_leg_by_leg():
     w, std = doubled_morphism(3), coproduct_morphism(3)
-    args = [(1, 2), (3, 1), (2, 2)]
-    for legs in (1, 2, 3):
+    args = [(1, 2), (3, 1), (2, 2), (2, 3)]
+    # four legs have 6,561 dims, so the map is taken in packed.py where numpy is
+    for legs in (1, 2, 3, 4):
         got = in_standard_basis(reduce(kron, [w.gen(*a) for a in args[:legs]]), w)
         assert got == reduce(kron, [std.gen(*a) for a in args[:legs]]), legs
+        # the map stays in the kernel of the operator's space
+        assert type(got) is type(expr.kernel_for(got.dim).identity(1)), legs
     # a difference that is no operator on the witness's legs is refused
     with pytest.raises(DimensionMismatch):
         in_standard_basis(SparseMatrix.identity(10), w)

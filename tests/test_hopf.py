@@ -611,6 +611,17 @@ def test_dragging_identity():
         verify_dragging(fundamental_morphism(5))
 
 
+@pytest.mark.parametrize("witness", [doubled_morphism, coproduct_morphism])
+def test_a_failing_three_leg_cocycle_has_one_residual_in_either_basis(witness):
+    # this word of J(1,6), J(2,5), E(1,3,6) and E1~ is not a twist (ROADMAP
+    # item 8); its difference, counted in the e_i x e_j basis, is the same
+    # whichever basis the witness is written in
+    seq = sequence(jordanian_factor(6, 1), jordanian_factor(6, 2),
+                   extension_factor(6, 1, 3), external_factor(6, "E1tilde"))
+    res = cocycle_check(seq, witness(6))
+    assert [res.passed, res.residual_nnz, res.dims] == [False, 8562, 46656]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 7: the second-row extensions E(2,r,N-1) do not commute with "
     "J(2,N-1), E(1,2,N) and E(1,N-1,N); the fundamental witness hides it"))
