@@ -135,7 +135,7 @@ def _export_tables(args) -> int:
     states = (args.state,) if args.state else STATE_IDS
     payload = [table_payload(sid, args.n, args.r) for sid in states]
     text = json.dumps(payload, indent=2)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {args.out}")

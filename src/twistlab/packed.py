@@ -12,17 +12,20 @@ every value it will form fits: a product entry is a sum of at most (max row
 nnz of a) terms of at most max|a| * max|b| each, and a sum's entries are
 bounded by the same kind of sum of scaled maxima.  Every partial sum is
 bounded by the sum of the absolute values of its terms, so one bound covers
-the whole reduction.  When the bound fails the operation divides each
-operand by gcd(den, numerators) and proves it again; when it still fails it
-goes on in the same arrays with the numerators cast to Python ints (numpy's
-object dtype), whose sorts, sums, products and compares are exact.  Packing
-a SparseMatrix is checked by numpy itself, which refuses a Python int
-outside int64, and takes the same three steps.  No float is formed
-anywhere: sums are taken by sorting the keys and `np.add.reduceat`.  The
-terms arrive as runs already in key order (a product's terms per entry of
-a, a sum's operands, a series' powers, a kron's pairs per entry of a), so
-the sort is numpy's stable one, timsort for int64 keys, which merges runs
-instead of sorting from scratch.
+the whole reduction.  Six primitives make these proofs: the compare, the
+product, scale, total, kron and unipotent_product.  A sum is the total of
+its operands and a series the total of its scaled powers and the identity,
+so neither proves a bound of its own.  When the bound fails the operation
+divides each operand by gcd(den, numerators) and proves it again; when it
+still fails it goes on in the same arrays with the numerators cast to
+Python ints (numpy's object dtype), whose sorts, sums, products and
+compares are exact.  Packing a SparseMatrix is checked by numpy itself,
+which refuses a Python int outside int64, and takes the same three steps.
+No float is formed anywhere: sums are taken by sorting the keys and
+`np.add.reduceat`.  The terms arrive as runs already in key order (a
+product's terms per entry of a, a total's operands, a kron's pairs per
+entry of a), so the sort is numpy's stable one, timsort for int64 keys,
+which merges runs instead of sorting from scratch.
 
 numpy is imported with this module, and only expr.kernel_for imports it,
 for the spaces that reach expr.PACKED_FLOOR dims: every Morphism that large
@@ -119,10 +122,7 @@ class Packed:
         return f"Packed(dim={self.dim}, nnz={self.nnz})"
 
     def __add__(self, other) -> "Packed":
-        a, b = _fitting(_sum_bound, *_same_dim(self, other))
-        den = lcm(a.den, b.den)
-        vals = (_times(a.vals, den // a.den), _times(b.vals, den // b.den))
-        return _summed(a.dim, np.concatenate((a.keys, b.keys)), np.concatenate(vals), den)
+        return total(self, other)
 
     __radd__ = __add__
 
@@ -160,12 +160,13 @@ class Packed:
         return Packed(self.dim, keys[order], self.vals[order], self.den)
 
 
-def _same_dim(a, b) -> tuple:
-    """Both operands of a sum or product, packed."""
-    a, b = pack(a), pack(b)
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-    return a, b
+def _same_dim(*operands) -> tuple:
+    """The operands of a sum or product, packed."""
+    operands = tuple(map(pack, operands))
+    for m in operands[1:]:
+        if m.dim != operands[0].dim:
+            raise DimensionMismatch(f"dim {operands[0].dim} vs {m.dim}")
+    return operands
 
 
 def _cross(a: Packed, b: Packed) -> tuple:
@@ -179,9 +180,9 @@ def _cross_bound(a: Packed, b: Packed) -> int:
     return max(a.top * fa, b.top * fb)
 
 
-def _sum_bound(a: Packed, b: Packed) -> int:
-    den = lcm(a.den, b.den)
-    return a.top * (den // a.den) + b.top * (den // b.den)
+def _sum_bound(*operands) -> int:
+    den = lcm(*(m.den for m in operands))
+    return sum(m.top * (den // m.den) for m in operands)
 
 
 def _fitting(bound, *operands) -> tuple:
@@ -308,40 +309,25 @@ def unipotent_product(a, b) -> Packed:
                    a.den * b.den)
 
 
-def analytic_apply(fn, m) -> Packed:
-    """The finite series fn(m) of a nilpotent m (see exact.analytic_apply), in one reduce.
+def total(*operands) -> Packed:
+    """The sum of one or more same-dim matrices, over the lcm of their dens, in one reduce."""
+    operands = _fitting(_sum_bound, *_same_dim(*operands))
+    den = lcm(*(m.den for m in operands))
+    return _summed(operands[0].dim, np.concatenate([m.keys for m in operands]),
+                   np.concatenate([_times(m.vals, den // m.den) for m in operands]), den)
 
-    Every power m^k is formed first; the terms c_k m^k, c_k = n_k / q from
-    fn's table in lowest terms, then go into one concatenation over the lcm
-    of their dens.  Each term takes its power's own den rather than m.den^k,
-    since _fitting may reduce a power.
+
+def analytic_apply(fn, m) -> Packed:
+    """The finite series fn(m) of a nilpotent m (see exact.analytic_apply), in one reduce:
+    the total of its terms c_k m^k and, for exp and pow1p, the identity.
+
+    The empty operand m.scale(0) has m's dtype, so a widened m gives a
+    widened series, also m = 0, which has no powers.
     """
     m = pack(m)
     powers = _powers(m)
     nums, q = fn.numerators(len(powers))
-    terms = []  # (numerator, den) of c_k in lowest terms, and m^k
-    for n, p in zip(nums, powers):
-        if n:
-            g = gcd(n, q)
-            terms.append((n // g, q // g, p))
-
-    def scaled(*powers):
-        """(den, the numerator factor of each term over den)."""
-        den = lcm(1, *(p.den * c for (_, c, _), p in zip(terms, powers)))
-        return den, [n * (den // (p.den * c)) for (n, c, _), p in zip(terms, powers)]
-
-    def bound(*powers):
-        den, factors = scaled(*powers)
-        return den * fn.has_identity_term + sum(abs(f) * p.top for f, p in zip(factors, powers))
-
-    powers = _fitting(bound, *(p for _, _, p in terms))
-    den, factors = scaled(*powers)
-    keys = [p.keys for p in powers]
-    vals = [p.vals * f for f, p in zip(factors, powers)]
+    terms = [p.scale(rat(n, q)) for n, p in zip(nums, powers)]
     if fn.has_identity_term:
-        keys.append(np.arange(m.dim, dtype=np.int64) * (m.dim + 1))
-        # den fits int64 unless the powers were widened; the identity follows them
-        vals.append(np.full(m.dim, den, dtype=(vals[0] if vals else m.vals).dtype))
-    if not keys:
-        return Packed(m.dim, m.keys[:0], m.vals[:0])
-    return _summed(m.dim, np.concatenate(keys), np.concatenate(vals), den)
+        terms.append(identity(m.dim))
+    return total(m.scale(0), *terms)

@@ -395,6 +395,20 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv):
     assert str(tmp_path) in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dump", "--twist", "jordanian", "--n", "3", "--out", ""],
+    ["tables", "--n", "6", "--r", "3", "--out", ""],
+], ids=["dump", "tables"])
+def test_an_empty_output_path_exits_two(capsys, argv):
+    # an empty path is a path that cannot be opened, not a request for stdout
+    from twistlab import cli
+
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("n, imported", [(8, False), (10, False), (11, True)])
 def test_fundamental_runs_never_import_numpy(tmp_path, n, imported):
     # numpy serves only the spaces of at least expr.PACKED_FLOOR dims: in the

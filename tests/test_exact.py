@@ -686,6 +686,8 @@ def test_packed_ops_equal_their_sparse_counterparts(a, b):
             (packed.kron(pa, b), kron(a, b)),
             (packed.unipotent_product(pa, pb), unipotent_product(a, b)),
             (pa.reduced(), a.reduced()),
+            (packed.total(pa), a),
+            (packed.total(pa, pb, b), a + b + b),
         ]
         for got, want in cases:
             assert as_fractions(unpacked(got, dtype)) == as_fractions(want)
@@ -710,12 +712,39 @@ def test_packed_series_equal_analytic_apply(m, fn):
 
 
 @needs_numpy
+def test_a_series_reduces_its_terms_before_it_widens(monkeypatch):
+    # m = E12 + E13 + E23 + E24 + E34 stored as numerators 6 over den 6: with
+    # a limit of 100, m^3 = m^2 * m fits only once m^2 (36, 72, 36 over 36) is
+    # reduced, and the series' terms only once they are; nothing is widened
+    m = packed.Packed(4, packed.np.array([1, 2, 6, 7, 11], dtype=packed.np.int64),
+                      packed.np.full(5, 6, dtype=packed.np.int64), 6)
+    fitting, tiers = packed._fitting, []
+
+    def spy(bound, *operands):
+        reduced = [x.reduced() for x in operands]
+        tiers.append(0 if bound(*operands) <= packed.INT64_MAX
+                     else 1 if bound(*reduced) <= packed.INT64_MAX else 2)
+        return fitting(bound, *operands)
+
+    monkeypatch.setattr(packed, "INT64_MAX", 100)
+    monkeypatch.setattr(packed, "_fitting", spy)
+    got = packed.analytic_apply(EXP, m)
+    assert sorted(tiers) == [0] * (len(tiers) - 2) + [1, 1]
+    assert unpacked(got) == analytic_apply(EXP, m.to_sparse())
+
+
+@needs_numpy
 def test_packed_ops_reject_what_exact_rejects():
     with pytest.raises(NotNilpotent):
         packed.analytic_apply(EXPM1, SparseMatrix.from_entries(2, {(1, 2): 1, (2, 1): 1}))
     for op in (lambda a, b: a + b, lambda a, b: a * b, packed.unipotent_product):
         with pytest.raises(DimensionMismatch):
             op(packed.pack(A), packed.pack(E12))
+    # a sum of any number of operands names the first dim and the first that differs
+    five = packed.pack(full_shift(5))
+    for op in (lambda a, b: a + b, lambda a, b: packed.total(a, a, b, a)):
+        with pytest.raises(DimensionMismatch, match=r"^dim 4 vs 5$"):
+            op(packed.pack(A), five)
 
 
 @needs_numpy
@@ -852,14 +881,16 @@ nilpotent_pairs = st.integers(2, 5).flatmap(
 @example((full_shift(5).scale(rat(-3, 4)), full_shift(5)), EXPM1, 0)
 @given(nilpotent_pairs, st.sampled_from(SERIES + [EXPM1]), st.integers(0, 2 ** 32 - 1))
 def test_packed_kernels_do_not_depend_on_term_order(pair, fn, seed):
-    # a sum, a unipotent product and a series, int64 then widened, each built
-    # from its runs and from the same terms shuffled, and each against exact.py
+    # a sum, a unipotent product, a series and totals of one and three
+    # operands, int64 then widened, each built from its runs and from the same
+    # terms shuffled, and each against exact.py
     a, b = pair
-    want = [a + b, unipotent_product(a, b), analytic_apply(fn, a)]
+    want = [a + b, unipotent_product(a, b), analytic_apply(fn, a), a, a + b + a]
     for pa, pb, dtype in ((packed.pack(a), packed.pack(b), "int64"),
                           (widened(a), widened(b), object)):
         ops = (lambda: pa + pb, lambda: packed.unipotent_product(pa, pb),
-               lambda: packed.analytic_apply(fn, pa))
+               lambda: packed.analytic_apply(fn, pa), lambda: packed.total(pa),
+               lambda: packed.total(pa, pb, pa))
         for op, exact_result in zip(ops, want):
             got = op()
             with shuffled_terms(seed):

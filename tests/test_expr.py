@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pathlib
@@ -293,6 +294,22 @@ def test_only_the_antipode_contraction_copies_a_packed_matrix_out():
     assert {name for name, count in calls.items() if count} == {"hopf.py"}
     assert calls["hopf.py"] == len(re.findall(r"\.to_sparse\(\)", contraction)) == 1
     assert "def to_sparse(self)" in sources["packed.py"]
+
+
+def test_packed_proves_int64_in_its_primitives_alone():
+    # every int64 bound is proven by a call to _fitting in one of six
+    # primitives; a sum, a difference, a commutator and a series go through total
+    tree = ast.parse((pathlib.Path(twistlab.__file__).parent / "packed.py").read_text())
+    callers = set()
+
+    def visit(node, function):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fitting":
+            callers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    assert callers == {"__eq__", "__mul__", "scale", "total", "kron", "unipotent_product"}
 
 
 # -- the doubled witness's Sym^2 V + Lambda^2 V basis ----------------------------
