@@ -34,15 +34,33 @@ morphisms from N = 4) keeps its generator images and every evaluated
 expression here, and each coalgebra twisted over such a coproduct and each
 three-leg check builds its matrices here.
 
+No operation here calls BLAS: each is an int64 or object-dtype sort,
+reduceat, repeat or compare.  So numpy is imported with OpenBLAS's thread
+pool at one thread, which halves the import (starting the pool was the other
+half).  OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so the
+variable is set for the import alone and os.environ is then left exactly as
+it was, also when the import fails; a user who set OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that setting.
+
 Every operation, subtraction included (a - b is a + (-1) b), returns a
 Packed matrix.  The one exit to a SparseMatrix is to_sparse, which only
 hopf._antipode_contraction calls.
 """
 
+import os
 from itertools import chain
 from math import gcd, lcm
 
-import numpy as np
+# one OpenBLAS thread, for the import alone, unless the user sized the pool
+_BLAS_THREADS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+_one_blas_thread = not os.environ.keys() & _BLAS_THREADS
+if _one_blas_thread:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _one_blas_thread:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import DimensionMismatch
 from .exact import SparseMatrix, _powers

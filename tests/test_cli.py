@@ -430,3 +430,35 @@ def test_fundamental_runs_never_import_numpy(tmp_path, n, imported):
                          env=env, timeout=240)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == f"0 {imported} {imported}"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                    "OMP_NUM_THREADS"])
+def test_packed_loads_numpy_with_one_blas_thread(preset):
+    # packed.py calls no BLAS, so it loads OpenBLAS with one thread, not a
+    # pool; the setting lasts for the import alone, and a pool size the user
+    # set is kept and honoured
+    pytest.importorskip("numpy")
+    code = (
+        "import json, os\n"
+        "before = dict(os.environ)\n"
+        "import twistlab.packed\n"
+        "blas = twistlab.packed.np.show_config(mode='dicts')['Build Dependencies']['blas']\n"
+        "print(json.dumps([dict(os.environ) == before, blas['name'],"
+        " len(os.listdir('/proc/self/task'))]))\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if preset:
+        env[preset] = "2"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    unchanged, blas, threads = json.loads(res.stdout.splitlines()[-1])
+    assert unchanged
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built on {blas}, not OpenBLAS")
+    # OpenBLAS starts no more threads than the process has cores
+    assert threads == (min(2, len(os.sched_getaffinity(0))) if preset else 1)

@@ -312,6 +312,19 @@ def test_packed_proves_int64_in_its_primitives_alone():
     assert callers == {"__eq__", "__mul__", "scale", "total", "kron", "unipotent_product"}
 
 
+def test_packed_is_the_only_module_that_imports_numpy():
+    # packed.py loads numpy with one BLAS thread; an import anywhere else could
+    # load it first, with OpenBLAS's whole thread pool
+    importers = set()
+    for path in pathlib.Path(twistlab.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"packed.py"}
+
+
 # -- the doubled witness's Sym^2 V + Lambda^2 V basis ----------------------------
 
 
