@@ -215,9 +215,9 @@ def _fitting(bound, *operands) -> tuple:
 
 
 def _times(vals, k: int):
-    """vals * k; an empty array is returned as it is, since numpy refuses a
-    Python int k outside int64 even when there is nothing to scale."""
-    return vals * k if len(vals) else vals
+    """vals * k; vals itself for k = 1, and an empty array as it is, since
+    numpy refuses a Python int k outside int64 even when there is nothing to scale."""
+    return vals * k if len(vals) and k != 1 else vals
 
 
 def _summed(dim: int, keys, vals, den: int) -> Packed:
@@ -339,13 +339,22 @@ def analytic_apply(fn, m) -> Packed:
     """The finite series fn(m) of a nilpotent m (see exact.analytic_apply), in one reduce:
     the total of its terms c_k m^k and, for exp and pow1p, the identity.
 
-    The empty operand m.scale(0) has m's dtype, so a widened m gives a
-    widened series, also m = 0, which has no powers.
+    Each term is formed over the lcm D of the dens den(m^k) * den(c_k), as
+    m^k scaled by the int num(c_k) * D / (den(m^k) den(c_k)) and put over D,
+    so total multiplies none of them again.  The empty operand m.scale(0) has
+    m's dtype, so a widened m gives a widened series, also m = 0, which has no
+    powers.
     """
     m = pack(m)
     powers = _powers(m)
     nums, q = fn.numerators(len(powers))
-    terms = [p.scale(rat(n, q)) for n, p in zip(nums, powers)]
+    coefficients = [rat(n, q) for n in nums]
+    den = lcm(*(p.den * c.denominator for c, p in zip(coefficients, powers)))
+    terms = []
+    for c, p in zip(coefficients, powers):
+        k = den // (p.den * c.denominator)
+        t = p.scale(c.numerator * k)  # over den unless scale reduced p
+        terms.append(Packed(m.dim, t.keys, t.vals, t.den * k * c.denominator))
     if fn.has_identity_term:
         terms.append(identity(m.dim))
     return total(m.scale(0), *terms)
