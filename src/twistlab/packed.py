@@ -36,11 +36,12 @@ three-leg check builds its matrices here.
 
 No operation here calls BLAS: each is an int64 or object-dtype sort,
 reduceat, repeat or compare.  So numpy is imported with OpenBLAS's thread
-pool at one thread, which halves the import (starting the pool was the other
-half).  OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so the
-variable is set for the import alone and os.environ is then left exactly as
-it was, also when the import fails; a user who set OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that setting.
+pool at one thread: starting the pool took up to half of the import,
+depending on the host.  OpenBLAS reads OPENBLAS_NUM_THREADS once, when
+numpy loads it, so the variable is set for the import alone and os.environ
+is then left exactly as it was, also when the import fails; a user who set
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that
+setting.
 
 Every operation, subtraction included (a - b is a + (-1) b), returns a
 Packed matrix.  The one exit to a SparseMatrix is to_sparse, which only
